@@ -5,6 +5,7 @@
 
 #include "core/aggregators.h"
 #include "dnn/layers.h"
+#include "dnn/mini_models.h"
 #include "tensor/rng.h"
 
 namespace acps::core {
@@ -223,6 +224,80 @@ TEST(AcpSgdAggregator, ApproximatesMeanOverSteps) {
     if (diff.norm2() / expect.w1.grad.norm2() > 0.25f) ++failures;
   });
   EXPECT_EQ(failures.load(), 0);
+}
+
+// --- Golden bitwise gate -------------------------------------------------
+// FNV-1a over every rank's gradients after each of 4 steps on res-mini
+// parameter shapes (fresh seeded gradients per rank and step). The constants
+// pin the exact bytes each method produces, so any change to bucketing,
+// scaling or compression order shows up here.
+uint64_t Fnv1a(std::span<const float> v, uint64_t h) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(v.data());
+  for (size_t i = 0; i < v.size_bytes(); ++i)
+    h = (h ^ bytes[i]) * 0x100000001b3ull;
+  return h;
+}
+
+uint64_t GoldenDigest(const AggregatorFactory& factory) {
+  constexpr int kWorld = 4;
+  constexpr int kSteps = 4;
+  std::vector<uint64_t> digests(kWorld);
+  comm::Transport transport;
+  comm::Session session(transport, "", kWorld);
+  session.Run([&](comm::Communicator& comm) {
+    dnn::Network net = dnn::ResMini();
+    net.Init(7);
+    const auto params = net.params();
+    auto agg = factory(comm.rank(), kWorld);
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (int step = 0; step < kSteps; ++step) {
+      Rng rng(static_cast<uint64_t>(5000 + 100 * comm.rank() + step));
+      for (auto* p : params) rng.fill_normal(p->grad);
+      agg->Aggregate(params, comm);
+      for (auto* p : params) h = Fnv1a(p->grad.data(), h);
+    }
+    digests[static_cast<size_t>(comm.rank())] = h;
+  });
+  for (int r = 1; r < kWorld; ++r)
+    EXPECT_EQ(digests[static_cast<size_t>(r)], digests[0]) << "rank " << r;
+  return digests[0];
+}
+
+AggregatorFactory AcpFactory(bool error_feedback, bool reuse,
+                             int64_t buffer_bytes) {
+  return [=](int, int) -> std::unique_ptr<GradientAggregator> {
+    compress::AcpSgdConfig cfg;
+    cfg.error_feedback = error_feedback;
+    cfg.reuse = reuse;
+    return std::make_unique<AcpSgdAggregator>(cfg, buffer_bytes);
+  };
+}
+
+TEST(Aggregators, GoldenDigestsResMini) {
+  struct Case {
+    const char* what;
+    AggregatorFactory factory;
+    uint64_t digest;
+  };
+  const int64_t kDefault = fusion::kDefaultBufferBytes;
+  const Case cases[] = {
+      {"ssgd", MakeAggregatorFactory("ssgd"), 0x4b1ece72ce38aa2full},
+      {"ssgd@256", MakeAggregatorFactory("ssgd", 256), 0x3f8d9c3e45d843a5ull},
+      {"acpsgd:4", MakeAggregatorFactory("acpsgd:4"), 0x38c808ca8954e28dull},
+      {"acpsgd:4@256", MakeAggregatorFactory("acpsgd:4", 256),
+       0xdd1ba9719b7707f0ull},
+      {"powersgd:4", MakeAggregatorFactory("powersgd:4"),
+       0x71872f7464b7f30cull},
+      {"powersgd:4@256", MakeAggregatorFactory("powersgd:4", 256),
+       0xdff92fc509ff029bull},
+      {"acp-no-ef", AcpFactory(false, true, kDefault), 0x3b7695c5f37f1150ull},
+      {"acp-no-ef@256", AcpFactory(false, true, 256), 0x844d94f41a6fc8beull},
+      {"acp-no-reuse", AcpFactory(true, false, kDefault),
+       0x5b2a48e88e7da893ull},
+      {"acp-no-reuse@256", AcpFactory(true, false, 256), 0x07a691c7779cf9b2ull},
+  };
+  for (const Case& c : cases)
+    EXPECT_EQ(GoldenDigest(c.factory), c.digest) << c.what;
 }
 
 TEST(AcpSgdAggregator, VectorParamsExact) {
