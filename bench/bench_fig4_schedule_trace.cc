@@ -74,9 +74,9 @@ void WriteRealTrace(const std::string& path) {
     rng.fill_normal(w2.grad);
     rng.fill_normal(bias.grad);
 
-    core::GradReducer reducer({&w1, &w2, &bias}, cfg, &comm);
+    core::GradReducer reducer(cfg);
     for (int step = 0; step < 2; ++step) {
-      reducer.BeginStep();
+      reducer.BeginStep({&w1, &w2, &bias}, comm);
       reducer.OnGradReady(2);  // bias (dense) — hooks fire in backward order
       std::this_thread::sleep_for(  // lint:allow(raw-sleep): shapes the trace
           std::chrono::milliseconds(comm.rank()));

@@ -7,6 +7,7 @@
 // bias EF exists to remove (EXPERIMENTS.md discusses the difference).
 #include "bench_common.h"
 
+#include "core/grad_reducer.h"
 #include "core/trainer.h"
 #include "par/thread_pool.h"
 
@@ -38,8 +39,13 @@ int main() {
       comm::Transport transport;
       comm::Session session(transport, "", 4);
       par::SetNumThreads(par::WorkerThreadBudget(cfg.compute_threads, 4));
-      const core::TrainResult r = core::TrainDistributed(
-          session, cfg, core::MakeAcpSgdFactory(4, ef, reuse));
+      compress::AcpSgdConfig acp;
+      acp.error_feedback = ef;
+      acp.reuse = reuse;
+      const core::TrainResult r =
+          core::TrainDistributed(session, cfg, [acp](int, int) {
+            return std::make_unique<core::GradReducer>(acp);
+          });
       table.AddRow({name, metrics::Table::Num(r.final_test_acc, 3),
                     metrics::Table::Num(r.best_test_acc, 3),
                     metrics::Table::Num(r.history.back().train_loss, 4)});

@@ -5,10 +5,11 @@
 #
 #   ./ci.sh                 # analyze + release + tsan + asan-ubsan
 #                           #   + modelcheck + chaos + churn + tenant
-#                           #   + perf-smoke
+#                           #   + perf-smoke + perfbench
 #   ./ci.sh analyze tsan    # any subset of:
 #                           #   analyze release tsan asan-ubsan modelcheck
-#                           #   chaos churn tenant perf-smoke coverage
+#                           #   chaos churn tenant perf-smoke perfbench
+#                           #   coverage
 #                           #   (`lint` is an alias for `analyze`)
 #
 # The `analyze` leg runs first, before any build preset: tools/lint.sh
@@ -45,7 +46,8 @@ ACPS_COV_MIN_FAULT=80.0
 JOBS="${JOBS:-$(nproc)}"
 LEGS=("$@")
 if [ ${#LEGS[@]} -eq 0 ]; then
-  LEGS=(analyze release tsan asan-ubsan modelcheck chaos churn tenant perf-smoke)
+  LEGS=(analyze release tsan asan-ubsan modelcheck chaos churn tenant perf-smoke
+        perfbench)
 fi
 
 run_preset() {
@@ -129,6 +131,15 @@ for leg in "${LEGS[@]}"; do
       cmake --build --preset release -j "$JOBS" --target bench_kernels
       BUILD_DIR=build-release tools/bench_baseline.sh --check
       ;;
+    perfbench)
+      # End-to-end benchmark self-test (perfbench/README.md): every workload
+      # at minimal length in both modes. The --trace 1 runs check the
+      # benchmark's own ssgd/powersgd/acpsgd replicas and trainer loop
+      # against the production entry points bit for bit.
+      echo
+      echo "==================== perfbench ===================="
+      python3 perfbench/selftest.py
+      ;;
     coverage)
       echo
       echo "==================== coverage ===================="
@@ -140,7 +151,8 @@ for leg in "${LEGS[@]}"; do
       ;;
     *)
       echo "ci.sh: unknown leg '$leg' (expected: analyze release tsan" \
-           "asan-ubsan modelcheck chaos churn tenant perf-smoke coverage)" >&2
+           "asan-ubsan modelcheck chaos churn tenant perf-smoke perfbench" \
+           "coverage)" >&2
       exit 2
       ;;
   esac

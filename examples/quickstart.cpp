@@ -53,13 +53,14 @@ int main() {
           const dnn::Dataset test = dnn::MakeSynthetic({}, 256, /*salt=*/2);
           const dnn::Shard shard = dnn::ShardFor(train, comm.rank(), kWorkers);
 
-          // The ACP-SGD aggregator: per step each weight matrix is
-          // compressed into ONE low-rank factor (P on odd steps, Q on even),
-          // factors are fused into scaled buckets, and a single all-reduce
-          // per bucket aggregates them.
+          // The job's compressor spec picks the method. For "acpsgd:4" the
+          // GradReducer compresses each weight matrix into ONE low-rank
+          // factor per step (P on odd steps, Q on even), fuses factors into
+          // scaled buckets, and aggregates each bucket with one all-reduce.
           core::DistributedOptimizer opt(
               net.params(),
-              core::MakeAcpSgdFactory(/*rank=*/4)(comm.rank(), kWorkers),
+              core::MakeAggregatorFactory(session.options().compressor_spec)(
+                  comm.rank(), kWorkers),
               dnn::LrSchedule{0.05f, /*warmup_epochs=*/1, {4}, 0.1f});
 
           Tensor x;

@@ -211,8 +211,8 @@ RunOutcome RunWorkload(Workload w, const ExploreOptions& opt,
           WfbpFixture fix(r);
           compress::AcpSgdConfig cfg;
           cfg.rank = 2;
-          core::GradReducer reducer(fix.list(), cfg, &comm);
-          reducer.BeginStep();
+          core::GradReducer reducer(cfg);
+          reducer.BeginStep(fix.list(), comm);
           // Hooks fire in backward order, identically on every rank (the
           // data-parallel contract); the explorer perturbs their timing.
           reducer.OnGradReady(2);
@@ -243,7 +243,7 @@ RunOutcome RunWorkload(Workload w, const ExploreOptions& opt,
           for (auto* prm : fix.list())
             for (float& v : prm->value.data()) v = IntInput(0, i++) * 0.125f;
           core::DistributedOptimizer dopt(
-              fix.list(), core::MakeAcpSgdFactory(2)(r, p),
+              fix.list(), core::MakeAggregatorFactory("acpsgd:2")(r, p),
               dnn::LrSchedule{.base_lr = 0.125f, .warmup_epochs = 1},
               /*momentum=*/0.5f);
           for (int step = 0; step < 2; ++step) {

@@ -1,5 +1,5 @@
 // Schedule explorer: drives every collective kind (and the GradReducer WFBP
-// pipeline) through ThreadGroup runs under a ScheduleController, and checks
+// pipeline) through Session runs under a ScheduleController, and checks
 // schedule-independence oracles after each run:
 //
 //   1. the run completes without exception (no contract violation, no
@@ -45,7 +45,8 @@ enum class Workload {
   // Higher layers, explorable but not in AllCollectiveWorkloads() (they
   // compose the collectives above and would double-count enumeration):
   kHierarchical,   // two-level node-aware all-reduce (kHierPhase points)
-  kOptimizerStep,  // DistributedOptimizer::Step (kOptStep point + SGD)
+  kOptimizerStep,  // DistributedOptimizer::Step over the same GradReducer
+                   // via Aggregate (kOptStep point + SGD)
   kRejoin,         // elastic membership: crash mid-run, barrier-aligned
                    // readmission at the next commit_view, donor resync
                    // (kJoinIntent/kViewCommit/kRankDown/kRankUp points)

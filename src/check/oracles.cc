@@ -271,7 +271,7 @@ OracleReport CheckCompressorInvariants(const std::string& spec,
     CheckDecodeDeterminism(spec, numel, opt, report);
     CheckEfConservation(spec, numel, opt, report);
   }
-  // Rank-invariance is the expensive oracle (real ThreadGroup runs under the
+  // Rank-invariance is the expensive oracle (real Session runs under the
   // explorer); run it on a representative small and large shape.
   const std::vector<int64_t> comm_numels = {opt.numels.front(),
                                             opt.numels.back()};

@@ -94,7 +94,7 @@ extern std::atomic<SchedListener*> g_listener;
 // Installs `listener` process-wide (nullptr uninstalls); returns the previous
 // listener. The caller must guarantee no instrumented code is running during
 // the swap and that the listener outlives its installation — in practice the
-// explorer installs before ThreadGroup::Run and uninstalls after it joins.
+// explorer installs before Session::Run and uninstalls after it joins.
 SchedListener* InstallSchedListener(SchedListener* listener);
 
 // RAII installation for harness code.

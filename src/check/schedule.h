@@ -25,7 +25,7 @@
 //    mutation test proving the checker can detect real bugs.
 //
 // The controller is installed process-wide via ScopedSchedListener around a
-// ThreadGroup::Run; see explorer.h for the harness that drives it.
+// Session::Run; see explorer.h for the harness that drives it.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +88,7 @@ class ScheduleController final : public SchedListener {
   [[nodiscard]] std::string Trace() const;
 
   // Rearms per-run state (window counter, in-window publish count, trace)
-  // so a controller reused across ThreadGroup::Run calls re-injects and
+  // so a controller reused across Session::Run calls re-injects and
   // re-enforces from window 0. Without this, the window counter kept
   // monotonically increasing across runs, so a FaultSpec aimed at window w
   // only ever fired on the first run that passed it — reused controllers

@@ -721,56 +721,4 @@ void Communicator::broadcast(std::span<float> data, int root) {
                });
 }
 
-// The shim's own member definitions must keep compiling after the class is
-// [[deprecated]]; callers elsewhere still get the warning.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-ThreadGroup::ThreadGroup(int world_size, int64_t barrier_timeout_ms)
-    : transport_(TransportOptions{.barrier_timeout_ms = barrier_timeout_ms}),
-      session_(std::make_unique<Session>(transport_, /*job_id=*/"",
-                                         world_size)) {}
-
-ThreadGroup::~ThreadGroup() = default;
-
-int ThreadGroup::world_size() const noexcept { return session_->world_size(); }
-
-void ThreadGroup::set_contract_checking(bool on) noexcept {
-  session_->set_contract_checking(on);
-}
-
-bool ThreadGroup::contract_checking() const noexcept {
-  return session_->contract_checking();
-}
-
-void ThreadGroup::set_tracer(obs::Tracer* tracer) noexcept {
-  transport_.set_tracer(tracer);
-}
-
-obs::Tracer* ThreadGroup::tracer() const noexcept {
-  return transport_.tracer();
-}
-
-void ThreadGroup::set_metrics(obs::MetricsRegistry* metrics) noexcept {
-  transport_.set_metrics(metrics);
-}
-
-obs::MetricsRegistry* ThreadGroup::metrics() const noexcept {
-  return transport_.metrics();
-}
-
-void ThreadGroup::Run(const std::function<void(Communicator&)>& fn) {
-  session_->Run(fn);
-}
-
-const std::vector<int>& ThreadGroup::crashed_ranks() const noexcept {
-  return session_->crashed_ranks();
-}
-
-TrafficStats ThreadGroup::total_stats() const {
-  return session_->total_stats();
-}
-
-#pragma GCC diagnostic pop
-
 }  // namespace acps::comm

@@ -45,8 +45,8 @@ class Counter;
 
 namespace acps::comm {
 
-// Per-worker handle. Obtained inside Session::Run (or the deprecated
-// ThreadGroup::Run shim); not movable across workers.
+// Per-worker handle. Obtained inside Session::Run; not movable across
+// workers.
 class Communicator {
  public:
   [[nodiscard]] int rank() const noexcept { return rank_; }
@@ -99,10 +99,10 @@ class Communicator {
   void barrier();
 
   // All-reduce in place over `data`. The algorithm defaults to the
-  // session's configured one (SessionOptions::algo; kRing for the legacy
-  // shim); passing kRing/kNaive explicitly overrides per call (kept for the
-  // reference cross-checks in tests — new code should configure the session
-  // instead). kRing: reduce-scatter + all-gather, 2*(p-1)/p * N elements
+  // session's configured one (SessionOptions::algo); passing kRing/kNaive
+  // explicitly overrides per call (kept for the reference cross-checks in
+  // tests — new code should configure the session instead). kRing:
+  // reduce-scatter + all-gather, 2*(p-1)/p * N elements
   // per worker; kNaive: flat reduce-to-root + broadcast, the O(p*N)
   // reference. After a rank crash the reduction covers the surviving ranks
   // only — divide by alive_world_size() for a mean.
@@ -218,64 +218,6 @@ class Communicator {
   int generation_ = 0;  // readmission count for this rank
   std::vector<int> view_;            // alive ranks, ascending
   std::vector<uint8_t> view_alive_;  // indexed by rank
-};
-
-// DEPRECATED single-tenant shim (kept for one release): owns a private
-// Transport plus one anonymous Session and forwards to them, so code
-// written against the pre-service API (`ThreadGroup group(p);
-// group.Run(...)`) keeps compiling and behaving bitwise identically.
-// New code should open a comm::Session on a shared comm::Transport (or go
-// through core::TrainingService); tests/comm_test.cc exercises both paths
-// until the shim is removed. In-repo callers have all migrated — the
-// attribute (and the analyzer's no-new-threadgroup check) keeps it that
-// way for the shim's final release.
-class [[deprecated(
-    "single-tenant shim: open a comm::Session on a comm::Transport "
-    "instead")]] ThreadGroup {
- public:
-  // `barrier_timeout_ms` bounds how long any worker may wait at a barrier
-  // before the group aborts with an error — turns collective-mismatch bugs
-  // (one worker skipping a collective) into a diagnosable exception with a
-  // per-rank blocked-in-which-collective report instead of a deadlock.
-  // <= 0 disables the watchdog; the default defers to
-  // ACPS_COLLECTIVE_TIMEOUT_MS (see kCollectiveTimeoutFromEnv).
-  explicit ThreadGroup(int world_size,
-                       int64_t barrier_timeout_ms = kCollectiveTimeoutFromEnv);
-  ~ThreadGroup();
-
-  ThreadGroup(const ThreadGroup&) = delete;
-  ThreadGroup& operator=(const ThreadGroup&) = delete;
-
-  [[nodiscard]] int world_size() const noexcept;
-
-  // The anonymous session this shim wraps — the bridge for call sites
-  // migrating to the Session API incrementally.
-  [[nodiscard]] Session& session() noexcept { return *session_; }
-
-  void set_contract_checking(bool on) noexcept;
-  [[nodiscard]] bool contract_checking() const noexcept;
-
-  // Tracer/metrics attach to the shim's private transport; see
-  // Transport::set_tracer / set_metrics for the lifetime contract.
-  void set_tracer(obs::Tracer* tracer) noexcept;
-  [[nodiscard]] obs::Tracer* tracer() const noexcept;
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept;
-  [[nodiscard]] obs::MetricsRegistry* metrics() const noexcept;
-
-  // Spawns one thread per worker, each invoking fn(comm). Blocks until all
-  // return; see Session::Run.
-  void Run(const std::function<void(Communicator&)>& fn);
-
-  // Ranks that fail-stopped (injected crash) during the most recent Run,
-  // in crash order.
-  [[nodiscard]] const std::vector<int>& crashed_ranks() const noexcept;
-
-  // Aggregate traffic across workers from the most recent Run.
-  [[nodiscard]] TrafficStats total_stats() const;
-
- private:
-  Transport transport_;
-  std::unique_ptr<Session> session_;
 };
 
 // The contiguous range [begin, end) of chunk `chunk` when splitting `n`

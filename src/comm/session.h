@@ -7,8 +7,8 @@
 // collective configuration (SessionOptions), and — optionally — a
 // tenant-scoped fault injector, so chaos plans aimed at this job cannot
 // leak into any other tenant. N sessions run concurrently over one
-// transport; each Session::Run spawns the job's worker threads exactly the
-// way the old single-tenant ThreadGroup did.
+// transport; each Session::Run spawns the job's worker threads, one per
+// rank.
 //
 // Lifetime: the Transport must outlive every Session opened on it, and a
 // Session must outlive its Run calls. Sessions are not thread-safe objects
@@ -66,7 +66,7 @@ class Session {
   // Opens a channel for `world_size` ranks on `transport`. Throws
   // acps::Error when options are invalid or the transport is at capacity.
   // `job_id` scopes envelopes, metrics and fault injection; "" is the
-  // anonymous legacy session (unsalted envelopes, unprefixed metrics).
+  // anonymous session (unsalted envelopes, unprefixed metrics).
   Session(Transport& transport, std::string job_id, int world_size,
           SessionOptions options = {});
   ~Session();

@@ -50,7 +50,7 @@ enum class ReduceOp { kSum, kMax };
 // (reduce-scatter + all-gather, 2*(p-1)/p * N per worker); kNaive is the
 // flat reduce-to-root + broadcast reference (O(p*N)). kSessionDefault (the
 // per-call default) resolves to the session's configured algorithm
-// (SessionOptions::algo; kRing for the legacy ThreadGroup shim), so callers
+// (SessionOptions::algo, kRing unless configured), so callers
 // normally do not thread an algorithm through every collective.
 enum class AllReduceAlgo { kRing, kNaive, kSessionDefault };
 
@@ -204,10 +204,9 @@ struct GroupState {
   // --- Session scope (set once at channel open / before Run) --------------
   // Folded into every envelope checksum: chunks sealed under one session's
   // salt never validate under another's, so tenants cannot observe each
-  // other's payloads. 0 for the anonymous legacy session (bitwise-identical
-  // envelopes to the pre-session transport).
+  // other's payloads. 0 for the anonymous session.
   uint64_t envelope_salt = 0;
-  // The session's job id ("" for the legacy shim) and the derived obs
+  // The session's job id ("" when anonymous) and the derived obs
   // namespace ("job/<id>/", "" when anonymous). Fault counters and traffic
   // metrics are recorded under this prefix so one tenant's retransmissions
   // never pollute another's counters.
@@ -330,9 +329,8 @@ class Transport {
   [[nodiscard]] int active_ranks() const;
   [[nodiscard]] uint64_t sessions_opened() const;
 
-  // Deterministic per-job envelope salt: 0 for the anonymous session (the
-  // legacy shim keeps bitwise-identical envelopes), a 64-bit mix of the job
-  // id otherwise. Exposed for isolation tests.
+  // Deterministic per-job envelope salt: 0 for the anonymous session, a
+  // 64-bit mix of the job id otherwise. Exposed for isolation tests.
   [[nodiscard]] static uint64_t EnvelopeSalt(const std::string& job_id);
 
  private:

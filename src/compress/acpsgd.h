@@ -53,8 +53,8 @@ struct AcpSgdConfig {
   uint64_t seed = 0xAC9ull;    // must be identical on all workers
 
   // Returns "" when the config is usable, otherwise one descriptive message
-  // naming every violated constraint. Checked at AcpSgd construction and at
-  // GradReducer entry so all runtimes fail with the same diagnostics.
+  // naming every violated constraint. Checked at AcpSgd construction, so
+  // every runtime built on it fails with the same diagnostics.
   [[nodiscard]] std::string Validate() const;
 };
 

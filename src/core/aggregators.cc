@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "fusion/fusion_buffer.h"
+#include "core/grad_reducer.h"
 #include "par/parallel.h"
 #include "tensor/matrix_ops.h"
 
@@ -49,45 +49,7 @@ void UnpackGrads(const Tensor& flat, const std::vector<dnn::Param*>& rev) {
   ACPS_CHECK(off == flat.numel());
 }
 
-// Bucketed mean all-reduce over a list of float spans (in order).
-void BucketedAllReduceMean(const std::vector<std::span<float>>& spans,
-                           int64_t buffer_bytes, comm::Communicator& comm) {
-  std::vector<int64_t> bytes;
-  bytes.reserve(spans.size());
-  for (const auto& s : spans)
-    bytes.push_back(static_cast<int64_t>(s.size() * sizeof(float)));
-  const auto buckets = fusion::AssignBuckets(bytes, buffer_bytes);
-  fusion::FusionBuffer buf;
-  for (const auto& bucket : buckets) {
-    buf.Reset();
-    for (int i : bucket)
-      (void)buf.AddSlot(static_cast<int64_t>(spans[static_cast<size_t>(i)].size()));
-    for (size_t j = 0; j < bucket.size(); ++j)
-      buf.Pack(static_cast<int>(j), spans[static_cast<size_t>(bucket[j])]);
-    auto flat = buf.flat();
-    comm.all_reduce(flat);
-    // Mean over the ranks that actually contributed: sampled *after* the
-    // all-reduce so a rank crash at its entry rescales this very bucket.
-    Scal(1.0f / static_cast<float>(comm.alive_world_size()), flat);
-    for (size_t j = 0; j < bucket.size(); ++j) {
-      auto dst = spans[static_cast<size_t>(bucket[j])];
-      buf.Unpack(static_cast<int>(j), dst);
-    }
-  }
-}
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-
-void AllReduceAggregator::Aggregate(const std::vector<dnn::Param*>& params,
-                                    comm::Communicator& comm) {
-  const auto rev = ReverseOrder(params);
-  std::vector<std::span<float>> spans;
-  spans.reserve(rev.size());
-  for (auto* p : rev) spans.push_back(p->grad.data());
-  BucketedAllReduceMean(spans, buffer_bytes_, comm);
-}
 
 // ---------------------------------------------------------------------------
 
@@ -219,123 +181,6 @@ void RandomkAggregator::Aggregate(const std::vector<dnn::Param*>& params,
 
 // ---------------------------------------------------------------------------
 
-void PowerSgdAggregator::Aggregate(const std::vector<dnn::Param*>& params,
-                                   comm::Communicator& comm) {
-  const auto rev = ReverseOrder(params);
-  const compress::AllReduceMeanFn mean = [&](std::span<float> v) {
-    comm.all_reduce(v);
-    // Alive count sampled after the collective (crash-at-entry rescales).
-    Scal(1.0f / static_cast<float>(comm.alive_world_size()), v);
-  };
-
-  std::vector<std::span<float>> dense;
-  for (size_t i = 0; i < rev.size(); ++i) {
-    dnn::Param* p = rev[i];
-    if (p->is_matrix() &&
-        compress::LowRankWorthwhile({p->matrix_rows, p->matrix_cols},
-                                    powersgd_.config().rank)) {
-      // NOTE the structure the paper criticizes: each matrix runs
-      // compute-P -> all-reduce -> orthogonalize -> compute-Q -> all-reduce
-      // inline, blocking everything behind it. State is keyed by the
-      // FORWARD param index (shared convention with GradReducer).
-      powersgd_.Step(static_cast<int64_t>(rev.size() - 1 - i), p->grad, mean);
-    } else {
-      dense.push_back(p->grad.data());
-    }
-  }
-  BucketedAllReduceMean(dense, buffer_bytes_, comm);
-}
-
-// ---------------------------------------------------------------------------
-
-void AcpSgdAggregator::Aggregate(const std::vector<dnn::Param*>& params,
-                                 comm::Communicator& comm) {
-  const auto rev = ReverseOrder(params);
-
-  // Phase 1 (per tensor, gradient-ready order): all local compute — the
-  // non-blocking property means every factor is known before any collective
-  // has to finish.
-  std::vector<int> lowrank_ids;
-  std::vector<std::span<float>> factors;
-  std::vector<int64_t> factor_bytes;
-  std::vector<std::span<float>> dense;
-  int64_t factor_total = 0, grad_total = 0;
-  for (size_t i = 0; i < rev.size(); ++i) {
-    dnn::Param* p = rev[i];
-    grad_total += p->grad.numel() * static_cast<int64_t>(sizeof(float));
-    if (p->is_matrix() &&
-        compress::LowRankWorthwhile({p->matrix_rows, p->matrix_cols},
-                                    acp_.config().rank)) {
-      // State keyed by the FORWARD param index (same convention as
-      // GradReducer, so both runtimes are interchangeable).
-      auto factor =
-          acp_.LocalStep(static_cast<int64_t>(rev.size() - 1 - i), p->grad);
-      lowrank_ids.push_back(static_cast<int>(i));
-      factors.push_back(factor);
-      factor_bytes.push_back(
-          static_cast<int64_t>(factor.size() * sizeof(float)));
-      factor_total += factor_bytes.back();
-    } else {
-      dense.push_back(p->grad.data());
-    }
-  }
-
-  // Phase 2: one fused all-reduce per factor bucket, bucket budget scaled
-  // by the compression rate (paper §IV-B).
-  const int64_t factor_budget =
-      fusion::ScaledBufferBytes(buffer_bytes_, factor_total, grad_total);
-  const auto buckets = fusion::AssignBuckets(factor_bytes, factor_budget);
-  fusion::FusionBuffer buf;
-  for (const auto& bucket : buckets) {
-    buf.Reset();
-    for (int j : bucket)
-      (void)buf.AddSlot(
-          static_cast<int64_t>(factors[static_cast<size_t>(j)].size()));
-    for (size_t s = 0; s < bucket.size(); ++s)
-      buf.Pack(static_cast<int>(s), factors[static_cast<size_t>(bucket[s])]);
-    auto flat = buf.flat();
-    comm.all_reduce(flat);
-    Scal(1.0f / static_cast<float>(comm.alive_world_size()), flat);
-    for (size_t s = 0; s < bucket.size(); ++s)
-      buf.Unpack(static_cast<int>(s), factors[static_cast<size_t>(bucket[s])]);
-    // Phase 3: decompress the tensors of this bucket.
-    for (int j : bucket) {
-      const int rev_idx = lowrank_ids[static_cast<size_t>(j)];
-      acp_.Finish(static_cast<int64_t>(rev.size() - 1 -
-                                       static_cast<size_t>(rev_idx)),
-                  rev[static_cast<size_t>(rev_idx)]->grad);
-    }
-  }
-
-  // Dense (vector-shaped) params ride plain bucketed all-reduce.
-  BucketedAllReduceMean(dense, buffer_bytes_, comm);
-}
-
-// ---------------------------------------------------------------------------
-
-AggregatorFactory MakeSsgdFactory() {
-  return [](int, int) { return std::make_unique<AllReduceAggregator>(); };
-}
-
-AggregatorFactory MakePowerSgdFactory(int64_t rank) {
-  return [rank](int, int) {
-    compress::PowerSgdConfig cfg;
-    cfg.rank = rank;
-    return std::make_unique<PowerSgdAggregator>(cfg);
-  };
-}
-
-AggregatorFactory MakeAcpSgdFactory(int64_t rank, bool error_feedback,
-                                    bool reuse) {
-  return [rank, error_feedback, reuse](int, int) {
-    compress::AcpSgdConfig cfg;
-    cfg.rank = rank;
-    cfg.error_feedback = error_feedback;
-    cfg.reuse = reuse;
-    return std::make_unique<AcpSgdAggregator>(cfg);
-  };
-}
-
 AggregatorFactory MakeAggregatorFactory(const std::string& spec,
                                         int64_t buffer_bytes) {
   ACPS_CHECK_MSG(buffer_bytes >= 0,
@@ -383,16 +228,14 @@ AggregatorFactory MakeAggregatorFactory(const std::string& spec,
     ACPS_CHECK_MSG(param.empty(),
                    "compressor spec 'ssgd' takes no parameter, got '" << spec
                                                                       << "'");
-    return [bytes](int, int) {
-      return std::make_unique<AllReduceAggregator>(bytes);
-    };
+    return [bytes](int, int) { return std::make_unique<GradReducer>(bytes); };
   }
   if (name == "acpsgd") {
     const int64_t rank = int_param(4);
     return [rank, bytes](int, int) {
       compress::AcpSgdConfig cfg;
       cfg.rank = rank;
-      return std::make_unique<AcpSgdAggregator>(cfg, bytes);
+      return std::make_unique<GradReducer>(cfg, bytes);
     };
   }
   if (name == "powersgd") {
@@ -400,7 +243,7 @@ AggregatorFactory MakeAggregatorFactory(const std::string& spec,
     return [rank, bytes](int, int) {
       compress::PowerSgdConfig cfg;
       cfg.rank = rank;
-      return std::make_unique<PowerSgdAggregator>(cfg, bytes);
+      return std::make_unique<GradReducer>(cfg, bytes);
     };
   }
   if (name == "sign") {

@@ -1,8 +1,10 @@
 // Gradient aggregators: the per-worker runtime that turns local gradients
-// into globally averaged gradients, one implementation per method studied in
-// the paper. All run against the real in-process collectives (acps::comm),
-// so the math — bucketing, majority voting, factor aggregation, error
-// feedback — is executed end to end, not simulated.
+// into globally averaged gradients. The bucketed methods (S-SGD, Power-SGD,
+// ACP-SGD) share one runtime, core::GradReducer (grad_reducer.h); the
+// packed all-gather/sparse methods (Sign, Top-k, Random-k) are below. All
+// run against the real in-process collectives (acps::comm), so the math —
+// bucketing, majority voting, factor aggregation, error feedback — is
+// executed end to end, not simulated.
 //
 // Contract: Aggregate() is collective — every worker of the group must call
 // it with structurally identical parameter lists (same order, shapes), and
@@ -18,9 +20,7 @@
 #include <vector>
 
 #include "comm/communicator.h"
-#include "compress/acpsgd.h"
 #include "compress/error_feedback.h"
-#include "compress/powersgd.h"
 #include "compress/randomk.h"
 #include "compress/sign.h"
 #include "compress/topk.h"
@@ -41,20 +41,6 @@ class GradientAggregator {
 // thread so per-worker state (EF residuals, low-rank factors) stays private.
 using AggregatorFactory =
     std::function<std::unique_ptr<GradientAggregator>(int rank, int world)>;
-
-// --- S-SGD: bucketed ring all-reduce (the well-optimized baseline). -------
-class AllReduceAggregator final : public GradientAggregator {
- public:
-  explicit AllReduceAggregator(
-      int64_t buffer_bytes = fusion::kDefaultBufferBytes)
-      : buffer_bytes_(buffer_bytes) {}
-  [[nodiscard]] std::string name() const override { return "ssgd"; }
-  void Aggregate(const std::vector<dnn::Param*>& params,
-                 comm::Communicator& comm) override;
-
- private:
-  int64_t buffer_bytes_;
-};
 
 // --- Sign-SGD with majority vote over all-gather. --------------------------
 class SignAggregator final : public GradientAggregator {
@@ -116,53 +102,12 @@ class RandomkAggregator final : public GradientAggregator {
   std::vector<std::byte> encode_scratch_;  // reused across steps
 };
 
-// --- Power-SGD (Algorithm 1): blocking two-phase low-rank aggregation. -----
-class PowerSgdAggregator final : public GradientAggregator {
- public:
-  explicit PowerSgdAggregator(compress::PowerSgdConfig config,
-                              int64_t buffer_bytes = fusion::kDefaultBufferBytes)
-      : powersgd_(config), buffer_bytes_(buffer_bytes) {}
-  [[nodiscard]] std::string name() const override { return "powersgd"; }
-  void Aggregate(const std::vector<dnn::Param*>& params,
-                 comm::Communicator& comm) override;
-
- private:
-  compress::PowerSgd powersgd_;
-  int64_t buffer_bytes_;
-};
-
-// --- ACP-SGD (Algorithm 2): the paper's contribution. ----------------------
-// Per step: one local compression per matrix (non-blocking), factors fused
-// into buckets sized by the paper's scaled-buffer rule, ONE all-reduce per
-// bucket, then decompression. Vector params ride dense buckets like S-SGD.
-class AcpSgdAggregator final : public GradientAggregator {
- public:
-  explicit AcpSgdAggregator(compress::AcpSgdConfig config,
-                            int64_t buffer_bytes = fusion::kDefaultBufferBytes)
-      : acp_(config), buffer_bytes_(buffer_bytes) {}
-  [[nodiscard]] std::string name() const override { return "acpsgd"; }
-  void Aggregate(const std::vector<dnn::Param*>& params,
-                 comm::Communicator& comm) override;
-
-  [[nodiscard]] const compress::AcpSgd& algorithm() const { return acp_; }
-
- private:
-  compress::AcpSgd acp_;
-  int64_t buffer_bytes_;
-};
-
-// Ready-made factories for the methods compared in Fig 6/7.
-[[nodiscard]] AggregatorFactory MakeSsgdFactory();
-[[nodiscard]] AggregatorFactory MakePowerSgdFactory(int64_t rank);
-[[nodiscard]] AggregatorFactory MakeAcpSgdFactory(int64_t rank,
-                                                  bool error_feedback = true,
-                                                  bool reuse = true);
-
 // Spec-string factory, the bridge from comm::SessionOptions::compressor_spec
 // to an AggregatorFactory. Grammar: "ssgd", "acpsgd[:rank]" (default 4),
 // "powersgd[:rank]" (default 4), "sign", "topk[:ratio]" (default 0.001),
-// "randomk[:ratio]" (default 0.01). `buffer_bytes` is the fusion budget for
-// the bucketed methods; 0 means fusion::kDefaultBufferBytes. Throws
+// "randomk[:ratio]" (default 0.01). The first three build a GradReducer.
+// `buffer_bytes` is the fusion budget for the bucketed methods; 0 means
+// fusion::kDefaultBufferBytes. Throws
 // acps::Error on an unknown name or an out-of-range parameter.
 [[nodiscard]] AggregatorFactory MakeAggregatorFactory(const std::string& spec,
                                                       int64_t buffer_bytes = 0);

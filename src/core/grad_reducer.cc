@@ -1,97 +1,122 @@
 #include "core/grad_reducer.h"
 
+#include <algorithm>
+
 #include "check/sched_point.h"
-#include "compress/powersgd.h"
 #include "obs/tracer.h"
+#include "tensor/matrix_ops.h"
 
 namespace acps::core {
 
-GradReducer::GradReducer(std::vector<dnn::Param*> params,
-                         compress::AcpSgdConfig config,
-                         comm::Communicator* comm, int64_t buffer_bytes,
-                         obs::MetricsRegistry* metrics)
-    : params_(std::move(params)),
-      acp_(config),  // AcpSgd's ctor runs AcpSgdConfig::Validate
-      comm_(comm),
-      buffer_bytes_(buffer_bytes),
-      metrics_(metrics) {
-  ACPS_CHECK_MSG(comm_ != nullptr, "communicator must not be null");
+GradReducer::GradReducer(int64_t buffer_bytes, obs::MetricsRegistry* metrics)
+    : buffer_bytes_(buffer_bytes), metrics_(metrics) {
   ACPS_CHECK_MSG(buffer_bytes_ > 0,
                  "buffer_bytes must be > 0, got " << buffer_bytes_);
-  lowrank_index_.assign(params_.size(), -1);
-  dense_index_.assign(params_.size(), -1);
-
-  // Classify in backward (gradient-ready) order so bucket plans follow the
-  // order hooks fire in.
-  int64_t grad_total = 0;
-  std::vector<int64_t> dense_bytes;
-  std::vector<int64_t> factor_bytes[2];  // [parity]
-  for (size_t r = 0; r < params_.size(); ++r) {
-    const size_t i = params_.size() - 1 - r;
-    dnn::Param* p = params_[i];
-    grad_total += p->grad.numel() * static_cast<int64_t>(sizeof(float));
-    if (p->is_matrix() &&
-        compress::LowRankWorthwhile({p->matrix_rows, p->matrix_cols},
-                                    acp_.config().rank)) {
-      lowrank_index_[i] = static_cast<int>(lowrank_of_.size());
-      lowrank_of_.push_back(i);
-      const int64_t rank = compress::EffectiveRank(
-          p->matrix_rows, p->matrix_cols, acp_.config().rank);
-      factor_bytes[1].push_back(p->matrix_rows * rank * 4);  // P step
-      factor_bytes[0].push_back(p->matrix_cols * rank * 4);  // Q step
-    } else {
-      dense_index_[i] = static_cast<int>(dense_of_.size());
-      dense_of_.push_back(i);
-      dense_bytes.push_back(p->grad.numel() *
-                            static_cast<int64_t>(sizeof(float)));
-    }
-  }
-
-  // Bucket plans: scaled budget per parity (paper §IV-B), default budget
-  // for dense tensors.
-  factor_plans_.resize(2);
-  for (int parity = 0; parity < 2; ++parity) {
-    int64_t factor_total = 0;
-    for (int64_t b : factor_bytes[parity]) factor_total += b;
-    const int64_t budget = fusion::ScaledBufferBytes(
-        buffer_bytes_, factor_total, grad_total);
-    const auto buckets =
-        fusion::AssignBuckets(factor_bytes[parity], budget);
-    lowrank_bucket_of_[parity].assign(lowrank_of_.size(), -1);
-    for (size_t b = 0; b < buckets.size(); ++b) {
-      BucketPlan plan;
-      plan.members = buckets[b];
-      for (int m : buckets[b])
-        lowrank_bucket_of_[parity][static_cast<size_t>(m)] =
-            static_cast<int>(b);
-      factor_plans_[static_cast<size_t>(parity)].push_back(std::move(plan));
-    }
-  }
-  const auto dense_buckets = fusion::AssignBuckets(dense_bytes, buffer_bytes_);
-  dense_bucket_of_.assign(dense_of_.size(), -1);
-  for (size_t b = 0; b < dense_buckets.size(); ++b) {
-    BucketPlan plan;
-    plan.members = dense_buckets[b];
-    for (int m : dense_buckets[b])
-      dense_bucket_of_[static_cast<size_t>(m)] = static_cast<int>(b);
-    dense_plan_.push_back(std::move(plan));
-  }
-
-  factors_.resize(lowrank_of_.size());
-  ready_.assign(params_.size(), false);
 }
 
-void GradReducer::BeginStep() {
+GradReducer::GradReducer(compress::AcpSgdConfig config, int64_t buffer_bytes,
+                         obs::MetricsRegistry* metrics)
+    : GradReducer(buffer_bytes, metrics) {
+  acp_.emplace(config);  // AcpSgd's ctor runs AcpSgdConfig::Validate
+}
+
+GradReducer::GradReducer(compress::PowerSgdConfig config, int64_t buffer_bytes,
+                         obs::MetricsRegistry* metrics)
+    : GradReducer(buffer_bytes, metrics) {
+  powersgd_.emplace(config);
+}
+
+std::string GradReducer::name() const {
+  return acp_ ? "acpsgd" : powersgd_ ? "powersgd" : "ssgd";
+}
+
+size_t GradReducer::num_lowrank() const noexcept {
+  return static_cast<size_t>(
+      std::count(lowrank_.begin(), lowrank_.end(), true));
+}
+
+void GradReducer::Aggregate(const std::vector<dnn::Param*>& params,
+                            comm::Communicator& comm) {
+  BeginStep(params, comm);
+  for (size_t i = params.size(); i-- > 0;) OnGradReady(i);
+  FinishStep();
+}
+
+void GradReducer::Plan() {
+  const size_t n = params_.size();
+  const int64_t rank = acp_ ? acp_->config().rank
+                            : powersgd_ ? powersgd_->config().rank : 0;
+  int64_t grad_total = 0;
+  lowrank_.assign(n, false);
+  for (size_t i = 0; i < n; ++i) {
+    const dnn::Param* p = params_[i];
+    grad_total += p->grad.numel() * static_cast<int64_t>(sizeof(float));
+    lowrank_[i] = rank > 0 && p->is_matrix() &&
+                  compress::LowRankWorthwhile({p->matrix_rows, p->matrix_cols},
+                                              rank);
+  }
+  for (int parity = 0; parity < 2; ++parity) {
+    // Bucket members in gradient-ready (reverse) order, per class:
+    // [0] dense gradients, [1] ACP-SGD factors of this parity.
+    std::vector<size_t> ids[2];
+    std::vector<int64_t> bytes[2];
+    for (size_t r = 0; r < n; ++r) {
+      const size_t i = n - 1 - r;
+      const dnn::Param* p = params_[i];
+      if (!lowrank_[i]) {
+        ids[0].push_back(i);
+        bytes[0].push_back(p->grad.numel() *
+                           static_cast<int64_t>(sizeof(float)));
+      } else if (acp_) {
+        const int64_t r_eff =
+            compress::EffectiveRank(p->matrix_rows, p->matrix_cols, rank);
+        ids[1].push_back(i);
+        bytes[1].push_back((parity == 1 ? p->matrix_rows : p->matrix_cols) *
+                           r_eff * static_cast<int64_t>(sizeof(float)));
+      }
+    }
+    int64_t factor_total = 0;
+    for (const int64_t b : bytes[1]) factor_total += b;
+    const int64_t budget[2] = {
+        buffer_bytes_,
+        fusion::ScaledBufferBytes(buffer_bytes_, factor_total, grad_total)};
+    auto& plan = buckets_[parity];
+    auto& bucket_of = bucket_of_[parity];
+    plan.clear();
+    bucket_of.assign(n, -1);
+    for (const int cls : {1, 0}) {
+      for (const auto& members :
+           fusion::AssignBuckets(bytes[cls], budget[cls])) {
+        Bucket bucket;
+        for (const int j : members) {
+          const size_t i = ids[cls][static_cast<size_t>(j)];
+          bucket.members.push_back(i);
+          bucket_of[i] = static_cast<int>(plan.size());
+        }
+        plan.push_back(std::move(bucket));
+      }
+    }
+  }
+  payload_.resize(n);
+  ready_.assign(n, false);
+}
+
+void GradReducer::BeginStep(const std::vector<dnn::Param*>& params,
+                            comm::Communicator& comm) {
   ACPS_CHECK_MSG(!in_step_, "BeginStep called twice without FinishStep");
+  // The first step plans (an empty list plans nothing).
+  const bool planned = !ready_.empty();
+  ACPS_CHECK_MSG(!planned || params.size() == ready_.size(),
+                 "BeginStep got " << params.size() << " params, planned for "
+                                  << ready_.size());
+  params_ = params;
+  comm_ = &comm;
+  if (!planned) Plan();
   in_step_ = true;
   remaining_ = params_.size();
   std::fill(ready_.begin(), ready_.end(), false);
-  for (auto& f : factors_) f.reset();
-  const int parity = static_cast<int>((steps_ + 1) % 2);
-  for (auto& plan : factor_plans_[static_cast<size_t>(parity)])
-    plan.pending = static_cast<int>(plan.members.size());
-  for (auto& plan : dense_plan_)
-    plan.pending = static_cast<int>(plan.members.size());
+  for (auto& bucket : buckets_[(steps_ + 1) % 2])
+    bucket.pending = bucket.members.size();
 }
 
 void GradReducer::OnGradReady(size_t param_index) {
@@ -110,109 +135,67 @@ void GradReducer::OnGradReady(size_t param_index) {
                              comm_->rank(), /*bytes=*/0,
                              static_cast<int64_t>(param_index));
 
-  const int parity = static_cast<int>((steps_ + 1) % 2);
-  if (const int li = lowrank_index_[param_index]; li >= 0) {
-    // Compress now (local, non-blocking); communicate when the bucket
-    // completes.
-    {
-      obs::ScopedSpan compress_span(
-          comm_->tracer(), "compress", obs::kCatCompress, comm_->rank(),
-          params_[param_index]->grad.numel() * sizeof(float),
-          static_cast<int64_t>(param_index));
-      factors_[static_cast<size_t>(li)] = acp_.LocalStep(
-          static_cast<int64_t>(param_index), params_[param_index]->grad);
+  // Compression state is keyed by the forward param index.
+  const auto id = static_cast<int64_t>(param_index);
+  Tensor& grad = params_[param_index]->grad;
+  if (lowrank_[param_index]) {
+    obs::ScopedSpan compress_span(comm_->tracer(), "compress",
+                                  obs::kCatCompress, comm_->rank(),
+                                  grad.numel() * sizeof(float), id);
+    if (powersgd_) {
+      // The structure the paper criticizes: compute-P -> all-reduce ->
+      // orthogonalize -> compute-Q -> all-reduce, blocking everything
+      // behind it.
+      powersgd_->Step(id, grad,
+                      [this](std::span<float> v) { AllReduceMean(v); });
+      return;
     }
-    const int bucket = lowrank_bucket_of_[parity][static_cast<size_t>(li)];
-    BucketPlan& plan =
-        factor_plans_[static_cast<size_t>(parity)][static_cast<size_t>(bucket)];
-    if (--plan.pending == 0) IssueLowRankBucket(bucket);
+    // Local and non-blocking; the factor is communicated with its bucket.
+    payload_[param_index] = acp_->LocalStep(id, grad);
   } else {
-    const int di = dense_index_[param_index];
-    const int bucket = dense_bucket_of_[static_cast<size_t>(di)];
-    BucketPlan& plan = dense_plan_[static_cast<size_t>(bucket)];
-    if (--plan.pending == 0) IssueDenseBucket(bucket);
+    payload_[param_index] = grad.data();
   }
+  const size_t parity = (steps_ + 1) % 2;
+  const int bucket = bucket_of_[parity][param_index];
+  Bucket& plan = buckets_[parity][static_cast<size_t>(bucket)];
+  if (--plan.pending == 0) IssueBucket(plan, bucket);
 }
 
-void GradReducer::IssueLowRankBucket(int bucket) {
-  check::SchedPoint(check::PointKind::kBucketIssue, comm_->rank());
-  const int parity = static_cast<int>((steps_ + 1) % 2);
-  const BucketPlan& plan =
-      factor_plans_[static_cast<size_t>(parity)][static_cast<size_t>(bucket)];
-  fusion::FusionBuffer buf;
-  for (int m : plan.members) {
-    ACPS_CHECK_MSG(factors_[static_cast<size_t>(m)].has_value(),
-                   "bucket " << bucket << " issued before factor " << m
-                             << " was compressed — WFBP ordering bug");
-    (void)buf.AddSlot(
-        static_cast<int64_t>(factors_[static_cast<size_t>(m)]->size()));
-  }
-  for (size_t s = 0; s < plan.members.size(); ++s)
-    buf.Pack(static_cast<int>(s),
-             *factors_[static_cast<size_t>(plan.members[s])]);
-  auto flat = buf.flat();
-  const uint64_t bucket_bytes = flat.size() * sizeof(float);
-  {
-    obs::ScopedSpan issue_span(comm_->tracer(), "bucket_issue",
-                               obs::kCatBucket, comm_->rank(), bucket_bytes,
-                               bucket);
-    comm_->all_reduce(flat);
-  }
+void GradReducer::AllReduceMean(std::span<float> v) {
+  comm_->all_reduce(v);
   // Mean over the contributing ranks, sampled after the collective so a
-  // crash at this bucket's all-reduce entry rescales it immediately.
-  const float inv = 1.0f / static_cast<float>(comm_->alive_world_size());
-  for (float& v : flat) v *= inv;
-  {
-    obs::ScopedSpan decompress_span(comm_->tracer(), "decompress",
-                                    obs::kCatCompress, comm_->rank(),
-                                    bucket_bytes, bucket);
-    for (size_t s = 0; s < plan.members.size(); ++s) {
-      const int m = plan.members[s];
-      buf.Unpack(static_cast<int>(s), *factors_[static_cast<size_t>(m)]);
-      const size_t param_index = lowrank_of_[static_cast<size_t>(m)];
-      acp_.Finish(static_cast<int64_t>(param_index),
-                  params_[param_index]->grad);
-    }
-  }
-  if (metrics_) {
-    metrics_->counter("reducer.buckets_issued").Add();
-    metrics_->counter("reducer.params_reduced").Add(plan.members.size());
-    metrics_->histogram("reducer.bucket_bytes")
-        .Observe(static_cast<double>(bucket_bytes));
-  }
+  // crash at this all-reduce's entry rescales it immediately.
+  Scal(1.0f / static_cast<float>(comm_->alive_world_size()), v);
 }
 
-void GradReducer::IssueDenseBucket(int bucket) {
+void GradReducer::IssueBucket(const Bucket& bucket, int id) {
   check::SchedPoint(check::PointKind::kBucketIssue, comm_->rank());
-  const BucketPlan& plan = dense_plan_[static_cast<size_t>(bucket)];
-  fusion::FusionBuffer buf;
-  for (int m : plan.members) {
-    const size_t param_index = dense_of_[static_cast<size_t>(m)];
-    (void)buf.AddSlot(params_[param_index]->grad.numel());
-  }
-  for (size_t s = 0; s < plan.members.size(); ++s) {
-    const size_t param_index =
-        dense_of_[static_cast<size_t>(plan.members[s])];
-    buf.Pack(static_cast<int>(s), params_[param_index]->grad.data());
-  }
-  auto flat = buf.flat();
-  const uint64_t bucket_bytes = flat.size() * sizeof(float);
+  buf_.Reset();
+  for (const size_t m : bucket.members)
+    (void)buf_.AddSlot(static_cast<int64_t>(payload_[m].size()));
+  for (size_t s = 0; s < bucket.members.size(); ++s)
+    buf_.Pack(static_cast<int>(s), payload_[bucket.members[s]]);
+  const auto flat = buf_.flat();
+  const uint64_t bucket_bytes = flat.size_bytes();
   {
     obs::ScopedSpan issue_span(comm_->tracer(), "bucket_issue",
                                obs::kCatBucket, comm_->rank(), bucket_bytes,
-                               bucket);
-    comm_->all_reduce(flat);
+                               id);
+    AllReduceMean(flat);
   }
-  const float inv = 1.0f / static_cast<float>(comm_->alive_world_size());
-  for (float& v : flat) v *= inv;
-  for (size_t s = 0; s < plan.members.size(); ++s) {
-    const size_t param_index =
-        dense_of_[static_cast<size_t>(plan.members[s])];
-    buf.Unpack(static_cast<int>(s), params_[param_index]->grad.data());
+  // A bucket holds only factors or only dense gradients.
+  const bool factors = lowrank_[bucket.members.front()];
+  obs::ScopedSpan decompress_span(factors ? comm_->tracer() : nullptr,
+                                  "decompress", obs::kCatCompress,
+                                  comm_->rank(), bucket_bytes, id);
+  for (size_t s = 0; s < bucket.members.size(); ++s) {
+    const size_t m = bucket.members[s];
+    buf_.Unpack(static_cast<int>(s), payload_[m]);
+    if (factors) acp_->Finish(static_cast<int64_t>(m), params_[m]->grad);
   }
   if (metrics_) {
     metrics_->counter("reducer.buckets_issued").Add();
-    metrics_->counter("reducer.params_reduced").Add(plan.members.size());
+    metrics_->counter("reducer.params_reduced").Add(bucket.members.size());
     metrics_->histogram("reducer.bucket_bytes")
         .Observe(static_cast<double>(bucket_bytes));
   }

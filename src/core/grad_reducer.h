@@ -1,27 +1,37 @@
-// Hook-driven ACP-SGD gradient reducer — the WFBP runtime of §IV-C.
+// The gradient-reduction runtime of the bucketed methods (S-SGD, Power-SGD,
+// ACP-SGD) — the WFBP + tensor-fusion stack of §IV-C.
 //
 // The paper's prototype registers a hook per learnable tensor; when
 // back-propagation produces a gradient the hook compresses it and copies
-// the factor into a fusion bucket, and a bucket's all-reduce is issued the
+// the result into a fusion bucket, and a bucket's all-reduce is issued the
 // moment its last member is ready (wait-free back-propagation + tensor
-// fusion). AcpSgdAggregator (aggregators.h) performs the same math as a
-// single post-backward call; GradReducer exposes the per-tensor hook flow
-// so communication genuinely starts mid-backward:
+// fusion). GradReducer is that hook runtime, one per worker:
 //
-//   GradReducer reducer(net.params(), config, comm);
-//   reducer.BeginStep();
+//   GradReducer reducer(acp_config);            // or GradReducer() = S-SGD
+//   reducer.BeginStep(net.params(), comm);
 //   net.Backward(grad, [&](size_t i) { reducer.OnGradReady(i); });
-//   reducer.FinishStep();   // waits for in-flight buckets + decompresses
+//   reducer.FinishStep();   // every param->grad now holds the mean
 //
-// Bucket plans (which tensors fuse) are fixed at construction — separately
-// for the P parity, the Q parity (factor sizes differ!) and the dense
-// tensors — so every worker issues the identical collective sequence.
+// Aggregate(params, comm) is the same three calls with the hooks fired in
+// reverse index order, so the post-backward trainer and hook-driven callers
+// run the same code. Per method, a gradient-ready tensor either
+//   * rides a dense bucket (vectors; every tensor under S-SGD),
+//   * is compressed by AcpSgd::LocalStep and its factor rides a factor
+//     bucket, decompressed by Finish once the bucket is reduced (ACP-SGD), or
+//   * runs PowerSgd::Step inline — two blocking all-reduces (Power-SGD).
+//
+// Bucket plans are fixed at the first BeginStep — one per parity, because
+// ACP-SGD's P and Q factors differ in size — so every worker issues the
+// identical collective sequence. Factor buckets use the scaled budget of
+// §IV-B, dense buckets the plain one.
 #pragma once
 
 #include <optional>
 
 #include "comm/communicator.h"
 #include "compress/acpsgd.h"
+#include "compress/powersgd.h"
+#include "core/aggregators.h"
 #include "fusion/bucket_assigner.h"
 #include "fusion/fusion_buffer.h"
 #include "dnn/layer.h"
@@ -29,27 +39,36 @@
 
 namespace acps::core {
 
-class GradReducer {
+class GradReducer final : public GradientAggregator {
  public:
-  // `params` in forward order (hooks fire in reverse during backward, but
-  // any order is accepted). The communicator must outlive the reducer and
-  // all workers must construct reducers with identical params/config.
-  // `config` is validated here (AcpSgdConfig::Validate) and `buffer_bytes`
-  // must be positive. If the communicator's ThreadGroup carries an enabled
-  // obs::Tracer, every hook/compress/bucket/decompress emits a span; if
-  // `metrics` is non-null (not owned), bucket counters/histograms are
-  // recorded there.
-  GradReducer(std::vector<dnn::Param*> params, compress::AcpSgdConfig config,
-              comm::Communicator* comm,
-              int64_t buffer_bytes = fusion::kDefaultBufferBytes,
-              obs::MetricsRegistry* metrics = nullptr);
+  // S-SGD: every tensor rides a dense bucket. `buffer_bytes` must be
+  // positive. If `metrics` is non-null (not owned), bucket counters and
+  // histograms are recorded there; if the communicator carries an enabled
+  // obs::Tracer, every hook/compress/bucket/decompress emits a span.
+  explicit GradReducer(int64_t buffer_bytes = fusion::kDefaultBufferBytes,
+                       obs::MetricsRegistry* metrics = nullptr);
+  // ACP-SGD (Algorithm 2); `config` is validated here.
+  explicit GradReducer(compress::AcpSgdConfig config,
+                       int64_t buffer_bytes = fusion::kDefaultBufferBytes,
+                       obs::MetricsRegistry* metrics = nullptr);
+  // Power-SGD (Algorithm 1).
+  explicit GradReducer(compress::PowerSgdConfig config,
+                       int64_t buffer_bytes = fusion::kDefaultBufferBytes,
+                       obs::MetricsRegistry* metrics = nullptr);
 
-  // Starts a new step; all tensors become "not ready".
-  void BeginStep();
+  [[nodiscard]] std::string name() const override;
+  void Aggregate(const std::vector<dnn::Param*>& params,
+                 comm::Communicator& comm) override;
 
-  // Marks params[param_index].grad as produced: compresses it (or queues
-  // it densely) and, if this completes a bucket, issues that bucket's
-  // all-reduce immediately and decompresses its tensors.
+  // Starts a new step over `params` (forward order); all tensors become
+  // "not ready". The first call plans the buckets; later calls must pass a
+  // structurally identical list. `comm` must outlive the step.
+  void BeginStep(const std::vector<dnn::Param*>& params,
+                 comm::Communicator& comm);
+
+  // Marks params[param_index].grad as produced: reduces it by the method's
+  // per-tensor step and, if this completes a bucket, issues that bucket's
+  // all-reduce immediately.
   void OnGradReady(size_t param_index);
 
   // Verifies every tensor was reduced this step. After this, every
@@ -57,40 +76,38 @@ class GradReducer {
   void FinishStep();
 
   [[nodiscard]] uint64_t steps() const noexcept { return steps_; }
-  [[nodiscard]] size_t num_lowrank() const noexcept { return lowrank_of_.size(); }
+  [[nodiscard]] size_t num_lowrank() const noexcept;
 
  private:
-  struct BucketPlan {
-    std::vector<int> members;  // indices into the class (lowrank or dense)
-    int pending = 0;
+  struct Bucket {
+    std::vector<size_t> members;  // param indices, in pack order
+    size_t pending = 0;
   };
 
-  void IssueLowRankBucket(int bucket);
-  void IssueDenseBucket(int bucket);
+  void Plan();
+  void IssueBucket(const Bucket& bucket, int id);
+  void AllReduceMean(std::span<float> v);
 
-  std::vector<dnn::Param*> params_;        // forward order
-  compress::AcpSgd acp_;
-  comm::Communicator* comm_;
+  std::optional<compress::AcpSgd> acp_;
+  std::optional<compress::PowerSgd> powersgd_;
   int64_t buffer_bytes_;
   obs::MetricsRegistry* metrics_;  // optional, not owned
 
-  // Classification (fixed): per param, its index within its class or -1.
-  std::vector<int> lowrank_index_;  // params_ index -> lowrank ordinal
-  std::vector<int> dense_index_;    // params_ index -> dense ordinal
-  std::vector<size_t> lowrank_of_;  // lowrank ordinal -> params_ index
-  std::vector<size_t> dense_of_;    // dense ordinal -> params_ index
-
-  // Bucket plans per parity (0 = Q step, 1 = P step) and for dense params.
-  std::vector<std::vector<BucketPlan>> factor_plans_;  // [parity][bucket]
-  std::vector<BucketPlan> dense_plan_;
-  std::vector<int> lowrank_bucket_of_[2];  // per parity
-  std::vector<int> dense_bucket_of_;
+  // Plan (fixed at the first BeginStep): per param, whether it is
+  // compressed, and per parity (0 = Q step, 1 = P step) its bucket or -1
+  // when Power-SGD reduces it inline.
+  std::vector<bool> lowrank_;
+  std::vector<Bucket> buckets_[2];
+  std::vector<int> bucket_of_[2];
 
   // Per-step state.
+  std::vector<dnn::Param*> params_;
+  comm::Communicator* comm_ = nullptr;
+  std::vector<std::span<float>> payload_;  // what each param packs
+  std::vector<bool> ready_;
+  fusion::FusionBuffer buf_;  // reused by every bucket of every step
   uint64_t steps_ = 0;
   bool in_step_ = false;
-  std::vector<std::optional<std::span<float>>> factors_;  // by lowrank ord.
-  std::vector<bool> ready_;
   size_t remaining_ = 0;
 };
 

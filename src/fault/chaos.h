@@ -100,7 +100,7 @@ struct ChaosOptions {
 // the crash record, and how the run ended.
 struct ChaosRun {
   std::vector<std::vector<std::byte>> outputs;  // per rank
-  std::vector<int> crashed;                     // from ThreadGroup
+  std::vector<int> crashed;                     // from Session
   // Per-rank error-feedback conservation gap (training runs with
   // harness-owned EF only, i.e. Top-k and Sign):
   //   max_i | sum_t grad_t[i] - (sum_t reconstruction_t[i] + residual_T[i]) |

@@ -113,7 +113,7 @@ extern std::atomic<FaultInjector*> g_injector;
 // Installs `injector` process-wide (nullptr uninstalls); returns the
 // previous one. The caller must guarantee no transport code is running
 // during the swap — in practice the chaos harness installs before
-// ThreadGroup::Run and uninstalls after it joins.
+// Session::Run and uninstalls after it joins.
 FaultInjector* InstallFaultInjector(FaultInjector* injector);
 
 // RAII installation for harness code.
@@ -152,7 +152,7 @@ inline EntryDecision OnCollectiveEntry(int rank, uint64_t collective_index) {
 
 // Thrown (as a plain struct, deliberately NOT a std::exception, so generic
 // catch(const std::exception&) handlers in library code cannot swallow it)
-// by the transport when a rank's fail-stop crash fires. ThreadGroup::Run
+// by the transport when a rank's fail-stop crash fires. Session::Run
 // catches it, records the rank as crashed, and lets the surviving ranks
 // finish with the reconfigured membership.
 struct RankCrashed {

@@ -1,9 +1,9 @@
 // Flat fusion buffer: packs a set of tensors contiguously so one collective
 // moves them all (amortizing the 2(p−1)·α startup), then unpacks.
 //
-// This is the runtime counterpart of BucketAssigner: the core GradReducer
-// copies ready compressed factors into a FusionBuffer, all-reduces
-// buffer.data() once, and scatters the results back.
+// This is the runtime counterpart of BucketAssigner: core::GradReducer
+// copies a bucket's ready gradients (or compressed factors) into one
+// FusionBuffer, all-reduces flat() once, and scatters the results back.
 #pragma once
 
 #include <span>

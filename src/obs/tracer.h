@@ -2,7 +2,7 @@
 //
 // The analytical simulator has always been able to emit Fig 4-style
 // timelines (sim::TraceEvent); this tracer produces the same evidence from
-// actual ThreadGroup executions: every worker records begin/end-stamped
+// actual Session executions: every worker records begin/end-stamped
 // spans (collectives, compression, bucket issues, training steps) into one
 // shared, thread-safe buffer, and the result exports to Chrome-trace JSON
 // with one Perfetto row per worker (chrome_trace.h).

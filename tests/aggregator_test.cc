@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 
 #include "core/aggregators.h"
+#include "core/grad_reducer.h"
+#include "dnn/dataset.h"
 #include "dnn/layers.h"
+#include "dnn/loss.h"
 #include "dnn/mini_models.h"
 #include "tensor/rng.h"
 
@@ -55,7 +59,7 @@ TestParams MeanOf(int p) {
   return mean;
 }
 
-TEST(AllReduceAggregator, ComputesExactMean) {
+TEST(SsgdReducer, ComputesExactMean) {
   const int p = 4;
   comm::Transport group_transport;
   comm::Session group(group_transport, "", p);
@@ -63,7 +67,7 @@ TEST(AllReduceAggregator, ComputesExactMean) {
   std::atomic<int> failures{0};
   group.Run([&](comm::Communicator& comm) {
     TestParams tp(comm.rank());
-    AllReduceAggregator agg;
+    GradReducer agg;
     auto params = tp.list();
     agg.Aggregate(params, comm);
     if (!tp.w1.grad.all_close(expect.w1.grad, 1e-4f)) ++failures;
@@ -73,7 +77,7 @@ TEST(AllReduceAggregator, ComputesExactMean) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(AllReduceAggregator, SmallBucketsStillExact) {
+TEST(SsgdReducer, SmallBucketsStillExact) {
   const int p = 3;
   comm::Transport group_transport;
   comm::Session group(group_transport, "", p);
@@ -81,7 +85,7 @@ TEST(AllReduceAggregator, SmallBucketsStillExact) {
   std::atomic<int> failures{0};
   group.Run([&](comm::Communicator& comm) {
     TestParams tp(comm.rank());
-    AllReduceAggregator agg(/*buffer_bytes=*/256);  // force many buckets
+    GradReducer agg(/*buffer_bytes=*/256);  // force many buckets
     auto params = tp.list();
     agg.Aggregate(params, comm);
     if (!tp.w1.grad.all_close(expect.w1.grad, 1e-4f)) ++failures;
@@ -115,17 +119,15 @@ void CheckWorkersIdentical(int p, MakeAgg make) {
 }
 
 TEST(Aggregators, AllWorkersEndIdentical) {
-  CheckWorkersIdentical(4, [](int r, int w) {
-    return MakeSsgdFactory()(r, w);
-  });
-  CheckWorkersIdentical(4, [](int r, int w) {
-    return MakePowerSgdFactory(2)(r, w);
-  });
-  CheckWorkersIdentical(4, [](int r, int w) {
-    return MakeAcpSgdFactory(2)(r, w);
-  });
-  CheckWorkersIdentical(3, [](int r, int w) {
-    return MakeAcpSgdFactory(2, /*error_feedback=*/false, /*reuse=*/false)(r, w);
+  CheckWorkersIdentical(4, MakeAggregatorFactory("ssgd"));
+  CheckWorkersIdentical(4, MakeAggregatorFactory("powersgd:2"));
+  CheckWorkersIdentical(4, MakeAggregatorFactory("acpsgd:2"));
+  CheckWorkersIdentical(3, [](int, int) {
+    compress::AcpSgdConfig cfg;
+    cfg.rank = 2;
+    cfg.error_feedback = false;
+    cfg.reuse = false;
+    return std::make_unique<GradReducer>(cfg);
   });
   CheckWorkersIdentical(4, [](int, int) {
     return std::make_unique<SignAggregator>();
@@ -180,7 +182,7 @@ TEST(TopkAggregator, KeepsOnlyUnionOfTopkCoordinates) {
   EXPECT_LT(nonzero, results[0].numel() / 4);
 }
 
-TEST(PowerSgdAggregator, VectorParamsExact) {
+TEST(PowerSgdReducer, VectorParamsExact) {
   // Vector params bypass compression and must be exactly averaged.
   const int p = 4;
   comm::Transport group_transport;
@@ -189,7 +191,7 @@ TEST(PowerSgdAggregator, VectorParamsExact) {
   std::atomic<int> failures{0};
   group.Run([&](comm::Communicator& comm) {
     TestParams tp(comm.rank());
-    PowerSgdAggregator agg(compress::PowerSgdConfig{});
+    GradReducer agg(compress::PowerSgdConfig{});
     auto params = tp.list();
     agg.Aggregate(params, comm);
     if (!tp.bias.grad.all_close(expect.bias.grad, 1e-4f)) ++failures;
@@ -197,7 +199,7 @@ TEST(PowerSgdAggregator, VectorParamsExact) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(AcpSgdAggregator, ApproximatesMeanOverSteps) {
+TEST(AcpSgdReducer, ApproximatesMeanOverSteps) {
   // Averaged over many steps with error feedback, the ACP aggregate
   // converges to the true mean gradient (each worker keeps the same local
   // gradient across steps).
@@ -209,7 +211,7 @@ TEST(AcpSgdAggregator, ApproximatesMeanOverSteps) {
   group.Run([&](comm::Communicator& comm) {
     compress::AcpSgdConfig cfg;
     cfg.rank = 4;
-    AcpSgdAggregator agg(cfg);
+    GradReducer agg(cfg);
     Tensor sum({16, 24});
     const int steps = 40;
     for (int t = 0; t < steps; ++t) {
@@ -269,7 +271,7 @@ AggregatorFactory AcpFactory(bool error_feedback, bool reuse,
     compress::AcpSgdConfig cfg;
     cfg.error_feedback = error_feedback;
     cfg.reuse = reuse;
-    return std::make_unique<AcpSgdAggregator>(cfg, buffer_bytes);
+    return std::make_unique<GradReducer>(cfg, buffer_bytes);
   };
 }
 
@@ -300,7 +302,62 @@ TEST(Aggregators, GoldenDigestsResMini) {
     EXPECT_EQ(GoldenDigest(c.factory), c.digest) << c.what;
 }
 
-TEST(AcpSgdAggregator, VectorParamsExact) {
+// Every rank's gradient bytes after each of 3 real res-mini backward passes,
+// reduced either by hooks fired from Network::Backward or by one Aggregate
+// call after it.
+std::vector<std::vector<float>> ReduceBackward(const std::string& spec,
+                                               bool hooks) {
+  constexpr int kWorld = 2;
+  std::vector<std::vector<float>> out(kWorld);
+  comm::Transport transport;
+  comm::Session session(transport, "", kWorld);
+  session.Run([&](comm::Communicator& comm) {
+    dnn::Network net = dnn::ResMini();
+    net.Init(7);
+    const auto params = net.params();
+    const auto agg = MakeAggregatorFactory(spec)(comm.rank(), kWorld);
+    auto* reducer = dynamic_cast<GradReducer*>(agg.get());
+    ASSERT_NE(reducer, nullptr) << spec;
+    const dnn::Dataset data = dnn::MakeSynthetic({}, 96, 1);
+    const dnn::Shard shard = dnn::ShardFor(data, comm.rank(), kWorld);
+    auto& bytes = out[static_cast<size_t>(comm.rank())];
+    for (int step = 0; step < 3; ++step) {
+      Tensor x;
+      std::vector<int> y;
+      data.Slice(shard.begin + 16 * step, 16, x, y);
+      net.ZeroGrads();
+      const dnn::LossResult loss = dnn::SoftmaxCrossEntropy(net.Forward(x), y);
+      if (hooks) {
+        reducer->BeginStep(params, comm);
+        (void)net.Backward(loss.grad_logits,
+                           [&](size_t i) { reducer->OnGradReady(i); });
+        reducer->FinishStep();
+      } else {
+        (void)net.Backward(loss.grad_logits);
+        reducer->Aggregate(params, comm);
+      }
+      for (auto* p : params)
+        bytes.insert(bytes.end(), p->grad.data().begin(), p->grad.data().end());
+    }
+  });
+  return out;
+}
+
+TEST(Aggregators, BackwardHooksMatchAggregateBitwise) {
+  for (const char* spec : {"ssgd", "powersgd:2", "acpsgd:2"}) {
+    const auto via_hooks = ReduceBackward(spec, true);
+    const auto via_aggregate = ReduceBackward(spec, false);
+    for (size_t r = 0; r < via_hooks.size(); ++r) {
+      ASSERT_EQ(via_hooks[r].size(), via_aggregate[r].size());
+      EXPECT_EQ(std::memcmp(via_hooks[r].data(), via_aggregate[r].data(),
+                            via_hooks[r].size() * sizeof(float)),
+                0)
+          << spec << " rank " << r;
+    }
+  }
+}
+
+TEST(AcpSgdReducer, VectorParamsExact) {
   const int p = 4;
   comm::Transport group_transport;
   comm::Session group(group_transport, "", p);
@@ -309,7 +366,7 @@ TEST(AcpSgdAggregator, VectorParamsExact) {
   group.Run([&](comm::Communicator& comm) {
     compress::AcpSgdConfig cfg;
     cfg.rank = 2;
-    AcpSgdAggregator agg(cfg);
+    GradReducer agg(cfg);
     TestParams tp(comm.rank());
     auto params = tp.list();
     agg.Aggregate(params, comm);

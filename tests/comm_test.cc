@@ -6,12 +6,6 @@
 #include <numeric>
 #include <thread>
 
-// This suite deliberately keeps exercising the deprecated ThreadGroup shim
-// until its removal — it is the proof the legacy path stays bitwise
-// identical. Everything else in the repo has migrated to Session.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 namespace acps::comm {
 namespace {
 
@@ -60,7 +54,8 @@ class AllReduceTest
 
 TEST_P(AllReduceTest, RingSumsAcrossWorkers) {
   const auto [p, n] = GetParam();
-  ThreadGroup group(p);
+  Transport transport;
+  Session group(transport, "", p);
   std::atomic<int> failures{0};
   group.Run([&](Communicator& comm) {
     auto data = PatternFor(comm.rank(), n);
@@ -78,7 +73,8 @@ TEST_P(AllReduceTest, RingSumsAcrossWorkers) {
 
 TEST_P(AllReduceTest, NaiveMatchesRing) {
   const auto [p, n] = GetParam();
-  ThreadGroup group(p);
+  Transport transport;
+  Session group(transport, "", p);
   std::atomic<int> failures{0};
   group.Run([&](Communicator& comm) {
     auto ring = PatternFor(comm.rank(), n);
@@ -101,7 +97,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<size_t>(0, 1, 3, 16, 257, 1024)));
 
 TEST(AllReduce, MaxOp) {
-  ThreadGroup group(4);
+  Transport transport;
+  Session group(transport, "", 4);
   std::atomic<int> failures{0};
   group.Run([&](Communicator& comm) {
     std::vector<float> v{static_cast<float>(comm.rank()),
@@ -115,7 +112,8 @@ TEST(AllReduce, MaxOp) {
 TEST(AllGather, CollectsInRankOrder) {
   const int p = 4;
   const size_t n = 10;
-  ThreadGroup group(p);
+  Transport transport;
+  Session group(transport, "", p);
   std::atomic<int> failures{0};
   group.Run([&](Communicator& comm) {
     const auto mine = PatternFor(comm.rank(), n);
@@ -132,7 +130,8 @@ TEST(AllGather, CollectsInRankOrder) {
 }
 
 TEST(AllGather, SizeMismatchThrows) {
-  ThreadGroup group(2);
+  Transport transport;
+  Session group(transport, "", 2);
   EXPECT_THROW(group.Run([&](Communicator& comm) {
     std::vector<float> send(4), recv(7);  // 7 != 2*4
     comm.all_gather(send, recv);
@@ -142,7 +141,8 @@ TEST(AllGather, SizeMismatchThrows) {
 
 TEST(AllGatherBytes, RoundTrips) {
   const int p = 3;
-  ThreadGroup group(p);
+  Transport transport;
+  Session group(transport, "", p);
   std::atomic<int> failures{0};
   group.Run([&](Communicator& comm) {
     std::vector<std::byte> mine(5, static_cast<std::byte>(comm.rank() + 65));
@@ -159,7 +159,8 @@ TEST(AllGatherBytes, RoundTrips) {
 
 TEST(AllGatherV, VariableSizes) {
   const int p = 4;
-  ThreadGroup group(p);
+  Transport transport;
+  Session group(transport, "", p);
   std::atomic<int> failures{0};
   group.Run([&](Communicator& comm) {
     // Worker r contributes r+1 bytes of value (r+1).
@@ -185,7 +186,8 @@ TEST(AllGatherV, VariableSizes) {
 TEST(ReduceScatter, EachWorkerOwnsItsChunk) {
   const int p = 4;
   const size_t n = 21;  // deliberately not divisible by p
-  ThreadGroup group(p);
+  Transport transport;
+  Session group(transport, "", p);
   std::atomic<int> failures{0};
   group.Run([&](Communicator& comm) {
     auto data = PatternFor(comm.rank(), n);
@@ -204,7 +206,8 @@ TEST(ReduceScatter, EachWorkerOwnsItsChunk) {
 TEST(Broadcast, FromEachRoot) {
   const int p = 4;
   for (int root = 0; root < p; ++root) {
-    ThreadGroup group(p);
+    Transport transport;
+    Session group(transport, "", p);
     std::atomic<int> failures{0};
     group.Run([&](Communicator& comm) {
       std::vector<float> v(8, comm.rank() == root ? 42.0f : -1.0f);
@@ -217,7 +220,8 @@ TEST(Broadcast, FromEachRoot) {
 }
 
 TEST(Broadcast, BadRootThrows) {
-  ThreadGroup group(2);
+  Transport transport;
+  Session group(transport, "", 2);
   EXPECT_THROW(group.Run([&](Communicator& comm) {
     std::vector<float> v(1);
     comm.broadcast(v, 5);
@@ -230,7 +234,8 @@ TEST(Broadcast, BadRootThrows) {
 TEST(TrafficStats, RingAllReduceVolumeMatchesTableII) {
   const int p = 4;
   const size_t n = 64;  // divisible by p so chunking is exact
-  ThreadGroup group(p);
+  Transport transport;
+  Session group(transport, "", p);
   group.Run([&](Communicator& comm) {
     auto data = PatternFor(comm.rank(), n);
     comm.all_reduce(data);
@@ -245,7 +250,8 @@ TEST(TrafficStats, RingAllReduceVolumeMatchesTableII) {
 TEST(TrafficStats, AllGatherVolumeMatchesTableII) {
   const int p = 4;
   const size_t n = 32;
-  ThreadGroup group(p);
+  Transport transport;
+  Session group(transport, "", p);
   group.Run([&](Communicator& comm) {
     const auto mine = PatternFor(comm.rank(), n);
     std::vector<float> all(n * p);
@@ -258,7 +264,8 @@ TEST(TrafficStats, AllGatherVolumeMatchesTableII) {
 TEST(TrafficStats, NaiveAllReduceIsLinearInP) {
   const int p = 4;
   const size_t n = 16;
-  ThreadGroup group(p);
+  Transport transport;
+  Session group(transport, "", p);
   group.Run([&](Communicator& comm) {
     auto data = PatternFor(comm.rank(), n);
     comm.all_reduce(data, ReduceOp::kSum, AllReduceAlgo::kNaive);
@@ -268,8 +275,9 @@ TEST(TrafficStats, NaiveAllReduceIsLinearInP) {
   EXPECT_EQ(total.bytes_sent, (p + 1) * n * sizeof(float));
 }
 
-TEST(ThreadGroup, WorkerExceptionPropagates) {
-  ThreadGroup group(3);
+TEST(SessionRun, WorkerExceptionPropagates) {
+  Transport transport;
+  Session group(transport, "", 3);
   EXPECT_THROW(group.Run([&](Communicator& comm) {
     if (comm.rank() == 1) throw Error("boom");
     // Other workers block on a barrier; the abort must release them.
@@ -286,10 +294,11 @@ TEST(ThreadGroup, WorkerExceptionPropagates) {
   EXPECT_EQ(ok.load(), 3);
 }
 
-TEST(ThreadGroup, SequentialCollectivesStayConsistent) {
+TEST(SessionRun, SequentialCollectivesStayConsistent) {
   // A chain of different collectives: any rendezvous skew would corrupt
   // results or deadlock.
-  ThreadGroup group(4);
+  Transport transport;
+  Session group(transport, "", 4);
   std::atomic<int> failures{0};
   group.Run([&](Communicator& comm) {
     for (int round = 0; round < 20; ++round) {
@@ -306,8 +315,9 @@ TEST(ThreadGroup, SequentialCollectivesStayConsistent) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(ThreadGroup, WorldSizeOne) {
-  ThreadGroup group(1);
+TEST(SessionRun, WorldSizeOne) {
+  Transport transport;
+  Session group(transport, "", 1);
   group.Run([&](Communicator& comm) {
     auto v = PatternFor(0, 7);
     const auto before = v;
@@ -319,15 +329,16 @@ TEST(ThreadGroup, WorldSizeOne) {
   });
 }
 
-TEST(ThreadGroup, RejectsBadWorldSize) {
-  EXPECT_THROW(ThreadGroup(0), Error);
+TEST(SessionRun, RejectsBadWorldSize) {
+  Transport transport;
+  EXPECT_THROW(Session(transport, "", 0), Error);
 }
 
-
-TEST(ThreadGroup, BarrierTimeoutDetectsMismatchedCollectives) {
+TEST(SessionRun, BarrierTimeoutDetectsMismatchedCollectives) {
   // Worker 1 skips the collective entirely: without the watchdog the
   // others would deadlock; with it the group aborts with an error.
-  ThreadGroup group(3, /*barrier_timeout_ms=*/200);
+  Transport transport(TransportOptions{.barrier_timeout_ms = 200});
+  Session group(transport, "", 3);
   EXPECT_THROW(group.Run([&](Communicator& comm) {
     if (comm.rank() == 1) return;  // never reaches the barrier
     std::vector<float> v(8, 1.0f);
@@ -336,8 +347,9 @@ TEST(ThreadGroup, BarrierTimeoutDetectsMismatchedCollectives) {
                Error);
 }
 
-TEST(ThreadGroup, TimeoutDoesNotFireOnHealthyRuns) {
-  ThreadGroup group(4, /*barrier_timeout_ms=*/5000);
+TEST(SessionRun, TimeoutDoesNotFireOnHealthyRuns) {
+  Transport transport(TransportOptions{.barrier_timeout_ms = 5000});
+  Session group(transport, "", 4);
   std::atomic<int> ok{0};
   group.Run([&](Communicator& comm) {
     std::vector<float> v(128, static_cast<float>(comm.rank()));
@@ -347,9 +359,8 @@ TEST(ThreadGroup, TimeoutDoesNotFireOnHealthyRuns) {
   EXPECT_EQ(ok.load(), 4);
 }
 
-// --- Session path (the non-deprecated API) ---------------------------------
-// The same collectives exercised through Transport + Session directly, so
-// both entry points stay covered while ThreadGroup remains a shim.
+// --- Named sessions ---------------------------------------------------------
+// The same collectives through named (salted, metric-prefixed) sessions.
 
 TEST(Session, RingAllReduceSumsAcrossWorkers) {
   constexpr int kWorld = 4;
@@ -433,22 +444,21 @@ TEST(Session, ConcurrentSessionsShareOneTransport) {
   EXPECT_EQ(ok.load(), 5);
 }
 
-TEST(Session, ThreadGroupIsAThinShimOverSession) {
-  // The deprecated ThreadGroup exposes its backing Session: an anonymous
-  // tenant (salt 0, no metric prefix) with the ring default.
-  ThreadGroup group(2);
-  EXPECT_EQ(group.session().job_id(), "");
-  EXPECT_EQ(group.session().envelope_salt(), 0u);
-  EXPECT_EQ(group.session().world_size(), 2);
+TEST(Session, AnonymousSessionIsUnsaltedAndUnprefixed) {
+  // An anonymous tenant (no job id): salt 0, no metric prefix, ring default.
+  Transport transport;
+  Session group(transport, "", 2);
+  EXPECT_EQ(group.job_id(), "");
+  EXPECT_EQ(group.envelope_salt(), 0u);
+  EXPECT_EQ(group.metric_prefix(), "");
+  EXPECT_EQ(group.world_size(), 2);
   group.Run([](Communicator& comm) {
     std::vector<float> v(8, 1.0f);
     comm.all_reduce(v);
   });
-  EXPECT_EQ(group.total_stats().bytes_sent,
-            group.session().total_stats().bytes_sent);
+  // Ring all-reduce of 8 floats at p=2: each worker sends 4 floats per phase.
+  EXPECT_EQ(group.total_stats().bytes_sent, 2u * 8u * sizeof(float));
 }
 
 }  // namespace
 }  // namespace acps::comm
-
-#pragma GCC diagnostic pop

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 
-#include "core/aggregators.h"
 #include "core/grad_reducer.h"
 #include "dnn/loss.h"
 #include "dnn/dataset.h"
@@ -41,59 +41,55 @@ struct TestParams {
   std::vector<dnn::Param*> list() { return {&w1, &w2, &bias}; }
 };
 
-TEST(GradReducer, MatchesAggregatorResults) {
-  // Hook-driven reduction must produce bit-identical gradients to the
-  // post-backward AcpSgdAggregator (same algorithm, same bucket plans).
+// Every rank's gradient bytes after 3 ACP-SGD steps, reduced by hooks fired
+// in `order` (empty = one Aggregate call per step).
+std::vector<std::vector<float>> ReduceSteps(const std::vector<size_t>& order) {
   const int p = 4;
   compress::AcpSgdConfig cfg;
   cfg.rank = 3;
-
-  std::vector<Tensor> via_reducer(static_cast<size_t>(p));
-  {
-    comm::Transport group_transport;
-    comm::Session group(group_transport, "", p);
-    group.Run([&](comm::Communicator& comm) {
-      TestParams tp(comm.rank());
-      GradReducer reducer(tp.list(), cfg, &comm);
-      for (int step = 0; step < 3; ++step) {
-        TestParams fresh(comm.rank());
-        tp.w1.grad.copy_from(fresh.w1.grad);
-        tp.w2.grad.copy_from(fresh.w2.grad);
-        tp.bias.grad.copy_from(fresh.bias.grad);
-        reducer.BeginStep();
-        // Hooks fire in backward order.
-        reducer.OnGradReady(2);
-        reducer.OnGradReady(1);
-        reducer.OnGradReady(0);
+  std::vector<std::vector<float>> out(static_cast<size_t>(p));
+  comm::Transport group_transport;
+  comm::Session group(group_transport, "", p);
+  group.Run([&](comm::Communicator& comm) {
+    TestParams tp(comm.rank());
+    GradReducer reducer(cfg);
+    for (int step = 0; step < 3; ++step) {
+      TestParams fresh(comm.rank());
+      tp.w1.grad.copy_from(fresh.w1.grad);
+      tp.w2.grad.copy_from(fresh.w2.grad);
+      tp.bias.grad.copy_from(fresh.bias.grad);
+      if (order.empty()) {
+        reducer.Aggregate(tp.list(), comm);
+      } else {
+        reducer.BeginStep(tp.list(), comm);
+        for (const size_t i : order) reducer.OnGradReady(i);
         reducer.FinishStep();
       }
-      via_reducer[static_cast<size_t>(comm.rank())] = tp.w1.grad.clone();
-    });
-  }
+    }
+    auto& bytes = out[static_cast<size_t>(comm.rank())];
+    for (auto* prm : tp.list())
+      bytes.insert(bytes.end(), prm->grad.data().begin(),
+                   prm->grad.data().end());
+  });
+  return out;
+}
 
-  std::vector<Tensor> via_aggregator(static_cast<size_t>(p));
-  {
-    comm::Transport group_transport;
-    comm::Session group(group_transport, "", p);
-    group.Run([&](comm::Communicator& comm) {
-      TestParams tp(comm.rank());
-      AcpSgdAggregator agg(cfg);
-      auto params = tp.list();
-      for (int step = 0; step < 3; ++step) {
-        TestParams fresh(comm.rank());
-        tp.w1.grad.copy_from(fresh.w1.grad);
-        tp.w2.grad.copy_from(fresh.w2.grad);
-        tp.bias.grad.copy_from(fresh.bias.grad);
-        agg.Aggregate(params, comm);
-      }
-      via_aggregator[static_cast<size_t>(comm.rank())] = tp.w1.grad.clone();
-    });
+TEST(GradReducer, MatchesAggregatorResults) {
+  // Hooks fired in any order (identical on every rank) reduce to the same
+  // bytes as the post-backward Aggregate: same bucket plans, same math.
+  const auto via_aggregate = ReduceSteps({});
+  for (const auto& order : {std::vector<size_t>{2, 1, 0},
+                            std::vector<size_t>{0, 1, 2},
+                            std::vector<size_t>{1, 2, 0}}) {
+    const auto via_hooks = ReduceSteps(order);
+    for (size_t r = 0; r < via_hooks.size(); ++r) {
+      ASSERT_EQ(via_hooks[r].size(), via_aggregate[r].size());
+      EXPECT_EQ(std::memcmp(via_hooks[r].data(), via_aggregate[r].data(),
+                            via_hooks[r].size() * sizeof(float)),
+                0)
+          << "rank " << r << ", first hook " << order.front();
+    }
   }
-
-  for (int r = 0; r < p; ++r)
-    EXPECT_TRUE(via_reducer[static_cast<size_t>(r)].all_close(
-        via_aggregator[static_cast<size_t>(r)], 1e-6f))
-        << r;
 }
 
 TEST(GradReducer, ContractViolationsThrow) {
@@ -101,10 +97,10 @@ TEST(GradReducer, ContractViolationsThrow) {
   comm::Session group(group_transport, "", 1);
   group.Run([&](comm::Communicator& comm) {
     TestParams tp(0);
-    GradReducer reducer(tp.list(), compress::AcpSgdConfig{}, &comm);
+    GradReducer reducer(compress::AcpSgdConfig{});
     EXPECT_THROW(reducer.OnGradReady(0), Error);  // before BeginStep
-    reducer.BeginStep();
-    EXPECT_THROW(reducer.BeginStep(), Error);  // nested
+    reducer.BeginStep(tp.list(), comm);
+    EXPECT_THROW(reducer.BeginStep(tp.list(), comm), Error);  // nested
     reducer.OnGradReady(0);
     EXPECT_THROW(reducer.OnGradReady(0), Error);  // duplicate
     EXPECT_THROW(reducer.OnGradReady(9), Error);  // out of range
@@ -113,6 +109,8 @@ TEST(GradReducer, ContractViolationsThrow) {
     reducer.OnGradReady(2);
     reducer.FinishStep();
     EXPECT_EQ(reducer.steps(), 1u);
+    // Later steps must keep the planned structure.
+    EXPECT_THROW(reducer.BeginStep({&tp.w1, &tp.w2}, comm), Error);
   });
 }
 
@@ -124,7 +122,7 @@ TEST(GradReducer, AlternatesParityAcrossSteps) {
     TestParams tp(comm.rank());
     compress::AcpSgdConfig cfg;
     cfg.rank = 2;
-    GradReducer reducer(tp.list(), cfg, &comm);
+    GradReducer reducer(cfg);
     // Two steps: traffic (message count) differs between the P parity
     // ([n x r] factors) and the Q parity ([m x r]) because bucket byte
     // sizes differ — verify both complete and gradients stay aligned.
@@ -133,7 +131,7 @@ TEST(GradReducer, AlternatesParityAcrossSteps) {
       tp.w1.grad.copy_from(fresh.w1.grad);
       tp.w2.grad.copy_from(fresh.w2.grad);
       tp.bias.grad.copy_from(fresh.bias.grad);
-      reducer.BeginStep();
+      reducer.BeginStep(tp.list(), comm);
       for (size_t i = tp.list().size(); i-- > 0;) reducer.OnGradReady(i);
       reducer.FinishStep();
     }
@@ -174,7 +172,7 @@ TEST(NetworkHook, EndToEndTrainingStepThroughReducer) {
     net.Init(7);
     compress::AcpSgdConfig cfg;
     cfg.rank = 2;
-    GradReducer reducer(net.params(), cfg, &comm);
+    GradReducer reducer(cfg);
     dnn::SgdOptimizer opt(net.params(), dnn::LrSchedule{0.05f, 0, {}, 1.0f});
 
     const dnn::Dataset data = dnn::MakeSynthetic({}, 64, 1);
@@ -187,7 +185,7 @@ TEST(NetworkHook, EndToEndTrainingStepThroughReducer) {
       net.ZeroGrads();
       const Tensor logits = net.Forward(x);
       const dnn::LossResult loss = dnn::SoftmaxCrossEntropy(logits, y);
-      reducer.BeginStep();
+      reducer.BeginStep(net.params(), comm);
       (void)net.Backward(loss.grad_logits,
                          [&](size_t i) { reducer.OnGradReady(i); });
       reducer.FinishStep();

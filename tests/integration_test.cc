@@ -3,7 +3,7 @@
 //  * the simulated speedup claims hold as parameterized properties,
 //  * distributed training is bit-deterministic across repeated runs,
 //  * compressors round-trip across a grid of sizes,
-//  * the AllReduceAggregator is numerically equivalent to a hand-computed
+//  * the S-SGD GradReducer is numerically equivalent to a hand-computed
 //    mean for arbitrary parameter mixes.
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "compress/sign.h"
 #include "compress/terngrad.h"
 #include "compress/topk.h"
+#include "core/grad_reducer.h"
 #include "core/trainer.h"
 #include "models/model_zoo.h"
 #include "sim/pipeline.h"
@@ -140,7 +141,8 @@ TEST(Integration, DistributedTrainingIsDeterministic) {
   auto run = [&] {
     comm::Transport group_transport;
     comm::Session group(group_transport, "", 2);
-    return core::TrainDistributed(group, cfg, core::MakeAcpSgdFactory(2));
+    return core::TrainDistributed(group, cfg,
+                                  core::MakeAggregatorFactory("acpsgd:2"));
   };
   const core::TrainResult a = run();
   const core::TrainResult b = run();
@@ -169,17 +171,19 @@ TEST(Integration, SsgdMatchesSingleWorkerWithBigBatch) {
   comm::Transport g2_transport;
 
   comm::Session g2(g2_transport, "", 2);
-  const auto r2 = core::TrainDistributed(g2, two, core::MakeSsgdFactory());
+  const auto r2 =
+      core::TrainDistributed(g2, two, core::MakeAggregatorFactory("ssgd"));
   comm::Transport g1_transport;
   comm::Session g1(g1_transport, "", 1);
-  const auto r1 = core::TrainDistributed(g1, one, core::MakeSsgdFactory());
+  const auto r1 =
+      core::TrainDistributed(g1, one, core::MakeAggregatorFactory("ssgd"));
   // Different batch composition (shuffling) => only statistical agreement.
   EXPECT_NEAR(r2.final_test_acc, r1.final_test_acc, 0.25);
 }
 
 // ------------------------------------------------- aggregator property ----
 
-TEST(Integration, AllReduceAggregatorMatchesManualMeanAnyShapes) {
+TEST(Integration, SsgdReducerMatchesManualMeanAnyShapes) {
   const int p = 3;
   // A mix of many small params to exercise bucket boundaries.
   const std::vector<Shape> shapes = {{3, 5}, {7}, {2, 2}, {1}, {11, 3}, {4}};
@@ -211,7 +215,7 @@ TEST(Integration, AllReduceAggregatorMatchesManualMeanAnyShapes) {
     }
     for (auto& e : expect) e.scale_(1.0f / p);
 
-    core::AllReduceAggregator agg(/*buffer_bytes=*/64);  // tiny buckets
+    core::GradReducer agg(/*buffer_bytes=*/64);  // tiny buckets
     agg.Aggregate(ptrs, comm);
     for (size_t i = 0; i < shapes.size(); ++i) {
       if (!params[i].grad.all_close(expect[i], 1e-4f)) ++failures;

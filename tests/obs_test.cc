@@ -389,8 +389,8 @@ TEST(GradReducerTrace, WfbpOverlapVisibleInParsedJson) {
     rng.fill_normal(w2.grad);
     rng.fill_normal(bias.grad);
 
-    core::GradReducer reducer({&w1, &w2, &bias}, cfg, &comm);
-    reducer.BeginStep();
+    core::GradReducer reducer(cfg);
+    reducer.BeginStep({&w1, &w2, &bias}, comm);
     reducer.OnGradReady(2);  // bias (dense) — backward order
     std::this_thread::sleep_for(  // lint:allow(raw-sleep): staggers ranks
         std::chrono::milliseconds(2 * comm.rank()));

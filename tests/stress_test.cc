@@ -8,7 +8,7 @@
 #include <cmath>
 
 #include "comm/communicator.h"
-#include "core/aggregators.h"
+#include "core/grad_reducer.h"
 #include "tensor/rng.h"
 
 namespace acps {
@@ -205,7 +205,7 @@ TEST(Stress, AggregatorsSurviveManyTinyParams) {
       rng.fill_normal(params[i].grad);
       ptrs.push_back(&params[i]);
     }
-    core::AllReduceAggregator agg(/*buffer_bytes=*/16);
+    core::GradReducer agg(/*buffer_bytes=*/16);
     agg.Aggregate(ptrs, comm);
     // Sanity: results are finite and identical across calls from the same
     // inputs (determinism is covered elsewhere; check finiteness here).

@@ -4,6 +4,7 @@
 #include <span>
 
 #include "core/distributed_optimizer.h"
+#include "core/grad_reducer.h"
 #include "core/resync.h"
 #include "core/trainer.h"
 #include "dnn/loss.h"
@@ -29,7 +30,8 @@ TrainConfig SmallConfig() {
 TEST(Trainer, SsgdLossDecreases) {
   comm::Transport group_transport;
   comm::Session group(group_transport, "", 4);
-  const TrainResult r = TrainDistributed(group, SmallConfig(), MakeSsgdFactory());
+  const TrainResult r =
+      TrainDistributed(group, SmallConfig(), MakeAggregatorFactory("ssgd"));
   ASSERT_EQ(r.history.size(), 4u);
   EXPECT_LT(r.history.back().train_loss, 0.7 * r.history.front().train_loss);
   EXPECT_GT(r.final_test_acc, 0.5);
@@ -41,7 +43,8 @@ TEST(Trainer, AcpSgdLearns) {
   TrainConfig cfg = SmallConfig();
   cfg.epochs = 6;
   cfg.lr.decay_epochs = {4};
-  const TrainResult r = TrainDistributed(group, cfg, MakeAcpSgdFactory(4));
+  const TrainResult r =
+      TrainDistributed(group, cfg, MakeAggregatorFactory("acpsgd:4"));
   EXPECT_LT(r.history.back().train_loss, r.history.front().train_loss);
   EXPECT_GT(r.best_test_acc, 0.4);
 }
@@ -51,7 +54,8 @@ TEST(Trainer, WorldSizeOneMatchesSingleProcess) {
   comm::Session group(group_transport, "", 1);
   TrainConfig cfg = SmallConfig();
   cfg.batch_per_worker = 64;
-  const TrainResult r = TrainDistributed(group, cfg, MakeSsgdFactory());
+  const TrainResult r =
+      TrainDistributed(group, cfg, MakeAggregatorFactory("ssgd"));
   EXPECT_GT(r.final_test_acc, 0.5);
 }
 
@@ -69,7 +73,7 @@ TEST(Trainer, PerStepMetricsIncludeKernelStats) {
   TrainConfig cfg = SmallConfig();
   cfg.epochs = 2;
   cfg.metrics = &registry;
-  (void)TrainDistributed(group, cfg, MakeSsgdFactory());
+  (void)TrainDistributed(group, cfg, MakeAggregatorFactory("ssgd"));
   par::SetKernelStatsEnabled(false);
 
   const std::string dump = registry.DumpText();
@@ -101,13 +105,16 @@ TEST(Trainer, RejectsNonDivisibleSamples) {
   comm::Transport group_transport;
   comm::Session group(group_transport, "", 3);
   TrainConfig cfg = SmallConfig();  // 512 not divisible by 3*32
-  EXPECT_THROW((void)TrainDistributed(group, cfg, MakeSsgdFactory()), Error);
+  EXPECT_THROW(
+      (void)TrainDistributed(group, cfg, MakeAggregatorFactory("ssgd")),
+      Error);
 }
 
 TEST(Trainer, HistoryIsOrdered) {
   comm::Transport group_transport;
   comm::Session group(group_transport, "", 2);
-  const TrainResult r = TrainDistributed(group, SmallConfig(), MakeSsgdFactory());
+  const TrainResult r =
+      TrainDistributed(group, SmallConfig(), MakeAggregatorFactory("ssgd"));
   for (size_t i = 0; i < r.history.size(); ++i)
     EXPECT_EQ(r.history[i].epoch, static_cast<int>(i));
 }
@@ -120,7 +127,7 @@ TEST(DistributedOptimizer, StepAggregatesAndUpdates) {
     dnn::Network net = dnn::VggMini();
     net.Init(5);
     DistributedOptimizer opt(net.params(),
-                             std::make_unique<AllReduceAggregator>(),
+                             std::make_unique<GradReducer>(),
                              dnn::LrSchedule{0.1f, 0, {}, 1.0f});
     // Different per-worker gradients.
     Rng rng(10 + static_cast<uint64_t>(comm.rank()));
@@ -179,7 +186,7 @@ TEST(Resync, ResyncFromOverwritesDivergedReplica) {
     dnn::Network net = dnn::VggMini();
     net.Init(5);
     DistributedOptimizer opt(net.params(),
-                             std::make_unique<AllReduceAggregator>(),
+                             std::make_unique<GradReducer>(),
                              dnn::LrSchedule{0.1f, 0, {}, 1.0f});
     if (comm.rank() == 1) {
       // Diverge: a joiner's replica holds garbage before resync.

@@ -21,8 +21,7 @@
 //                                  over floating types
 //   6. contract audit            — metric/tracer names vs. the generated
 //                                  registry, ACPS_* env vars vs. the README
-//                                  table, unchecked error returns, new
-//                                  ThreadGroup uses
+//                                  table, unchecked error returns
 //
 // plus the tsan.supp justification audit and the exemption-drift check
 // (stale-allow). A diagnostic names its check; a site opts out with

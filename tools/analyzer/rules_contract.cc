@@ -22,10 +22,6 @@
 //                          value (Options::Validate returns the problem as
 //                          a string); a discarded call is a fault check
 //                          that cannot fail.
-//   no-new-threadgroup     comm::ThreadGroup is a deprecated shim over
-//                          Transport+Session; new code goes through
-//                          Session/TrainingService directly. Only the shim
-//                          itself and its tests are exempt (layers.conf).
 //
 // String literals are blanked in the stripped `code` text, so the metric and
 // env rules locate call sites in `code` (comments can't fake a consumer) and
@@ -185,24 +181,6 @@ void ContractPass(const Corpus& corpus, const Config& cfg,
            "discarded Validate() result: Transport/Session option "
            "validation reports the fault as its return value, so an "
            "unchecked call is a fault check that cannot fail"});
-    }
-  }
-
-  // --- no-new-threadgroup ---------------------------------------------------
-  static const std::regex tg_re(R"((^|[^\w])ThreadGroup([^\w]|$))");
-  for (const auto& f : corpus.files) {
-    if (!cfg.InScope("no-new-threadgroup", f.path)) continue;
-    std::set<int> reported_lines;
-    for (size_t li = 0; li < f.code.size(); ++li) {
-      if (!std::regex_search(f.code[li], tg_re)) continue;
-      const int lineno = static_cast<int>(li + 1);
-      if (!reported_lines.insert(lineno).second) continue;
-      out.push_back(
-          {f.path, lineno, "no-new-threadgroup",
-           "comm::ThreadGroup is a deprecated shim kept for the legacy "
-           "single-job API; new code talks to comm::Session / "
-           "core::TrainingService over a shared Transport (see "
-           "DESIGN.md \"Multi-tenancy\")"});
     }
   }
 }

@@ -23,7 +23,7 @@ const std::vector<std::string>& AllCheckNames() {
       "float-accumulate", "float-loop-accum", "pack-pure-move",
       // contract audit
       "metric-name-registry", "metric-registry-drift", "env-var-documented",
-      "error-return-checked", "no-new-threadgroup",
+      "error-return-checked",
       // suppression / exemption hygiene
       "tsan-supp-justified", "stale-allow"};
   return names;
