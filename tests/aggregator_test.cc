@@ -297,6 +297,18 @@ TEST(Aggregators, GoldenDigestsResMini) {
       {"acp-no-reuse", AcpFactory(true, false, kDefault),
        0x5b2a48e88e7da893ull},
       {"acp-no-reuse@256", AcpFactory(true, false, 256), 0x07a691c7779cf9b2ull},
+      // The packed methods: one flat bucket whatever the fusion budget.
+      {"sign", MakeAggregatorFactory("sign"), 0xa399f482462072f9ull},
+      {"sign@256", MakeAggregatorFactory("sign", 256), 0xa399f482462072f9ull},
+      {"topk", MakeAggregatorFactory("topk"), 0xdcada4104b54b41bull},
+      {"topk:0.1", MakeAggregatorFactory("topk:0.1"), 0x754b08a7523c8906ull},
+      {"topk:0.1@256", MakeAggregatorFactory("topk:0.1", 256),
+       0x754b08a7523c8906ull},
+      {"randomk", MakeAggregatorFactory("randomk"), 0x27812fbc19ddb040ull},
+      {"randomk:0.1", MakeAggregatorFactory("randomk:0.1"),
+       0xbe2ad56d97aa3860ull},
+      {"randomk:0.1@256", MakeAggregatorFactory("randomk:0.1", 256),
+       0xbe2ad56d97aa3860ull},
   };
   for (const Case& c : cases)
     EXPECT_EQ(GoldenDigest(c.factory), c.digest) << c.what;
