@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 
 #include "tensor/tensor.h"
@@ -29,6 +30,12 @@ class ErrorFeedback {
   // gradient + previous residual).
   void Update(int64_t tensor_id, const Tensor& compressed_input,
               const Tensor& reconstruction);
+
+  // The same two halves over a flat buffer (e.g. a fusion bucket); its
+  // residual has shape {size}.
+  void AddInto(int64_t tensor_id, std::span<float> grad);
+  void Update(int64_t tensor_id, std::span<const float> compressed_input,
+              std::span<const float> reconstruction);
 
   // Total elements held — the O(N) memory cost the paper notes.
   [[nodiscard]] int64_t total_elements() const noexcept;

@@ -73,6 +73,16 @@ std::vector<uint32_t> RandomkCompressor::IndicesOf(
   return SampleIndices(seed, k, n);
 }
 
+std::span<float> RandomkCompressor::ValuesOf(std::span<std::byte> blob) {
+  const auto k = wire::Read<uint64_t>(blob, sizeof(uint64_t));
+  ACPS_CHECK_MSG(blob.size() == kHeaderBytes + k * sizeof(float),
+                 "Random-k blob of " << blob.size() << " B cannot hold k=" << k
+                                     << " values after the " << kHeaderBytes
+                                     << " B header");
+  return {reinterpret_cast<float*>(blob.data() + kHeaderBytes),
+          static_cast<size_t>(k)};
+}
+
 void RandomkCompressor::Decode(std::span<const std::byte> blob,
                                std::span<float> out) const {
   const auto k = wire::Read<uint64_t>(blob, sizeof(uint64_t));

@@ -34,6 +34,10 @@ class RandomkCompressor final : public Compressor {
   [[nodiscard]] static std::vector<uint32_t> IndicesOf(
       std::span<const std::byte> blob);
 
+  // Mutable view of the value payload of `blob`: the part an additive
+  // all-reduce sums in place (the header and index seed stay untouched).
+  [[nodiscard]] static std::span<float> ValuesOf(std::span<std::byte> blob);
+
   // Sums the value payloads of two blobs with identical (seed, k, numel);
   // the additive property that enables all-reduce.
   [[nodiscard]] static std::vector<std::byte> Add(

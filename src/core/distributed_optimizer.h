@@ -39,9 +39,6 @@ class DistributedOptimizer {
   // fingerprint-checked collective.
   void ResyncFrom(comm::Communicator& comm, int donor);
 
-  [[nodiscard]] const GradientAggregator& aggregator() const {
-    return *aggregator_;
-  }
   [[nodiscard]] float last_lr() const { return sgd_.last_lr(); }
 
  private:

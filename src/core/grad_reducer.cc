@@ -1,6 +1,8 @@
 #include "core/grad_reducer.h"
 
 #include <algorithm>
+#include <limits>
+#include <type_traits>
 
 #include "check/sched_point.h"
 #include "obs/tracer.h"
@@ -17,17 +19,38 @@ GradReducer::GradReducer(int64_t buffer_bytes, obs::MetricsRegistry* metrics)
 GradReducer::GradReducer(compress::AcpSgdConfig config, int64_t buffer_bytes,
                          obs::MetricsRegistry* metrics)
     : GradReducer(buffer_bytes, metrics) {
-  acp_.emplace(config);  // AcpSgd's ctor runs AcpSgdConfig::Validate
+  // AcpSgd's ctor runs AcpSgdConfig::Validate.
+  method_.emplace<compress::AcpSgd>(config);
 }
 
 GradReducer::GradReducer(compress::PowerSgdConfig config, int64_t buffer_bytes,
                          obs::MetricsRegistry* metrics)
     : GradReducer(buffer_bytes, metrics) {
-  powersgd_.emplace(config);
+  method_.emplace<compress::PowerSgd>(config);
+}
+
+GradReducer::GradReducer(Codec codec, obs::MetricsRegistry* metrics)
+    // An unbounded budget plans the one packed bucket of every gradient.
+    : GradReducer(std::numeric_limits<int64_t>::max(), metrics) {
+  std::visit([this](auto& c) { method_ = std::move(c); }, codec);
 }
 
 std::string GradReducer::name() const {
-  return acp_ ? "acpsgd" : powersgd_ ? "powersgd" : "ssgd";
+  // In the order of method_'s alternatives.
+  static constexpr const char* kNames[] = {"ssgd",    "acpsgd", "powersgd",
+                                           "signsgd", "topk",   "randomk"};
+  return kNames[method_.index()];
+}
+
+compress::Compressor* GradReducer::codec() {
+  return std::visit(
+      [](auto& m) -> compress::Compressor* {
+        if constexpr (std::is_base_of_v<compress::Compressor,
+                                        std::decay_t<decltype(m)>>)
+          return &m;
+        return nullptr;
+      },
+      method_);
 }
 
 size_t GradReducer::num_lowrank() const noexcept {
@@ -44,8 +67,11 @@ void GradReducer::Aggregate(const std::vector<dnn::Param*>& params,
 
 void GradReducer::Plan() {
   const size_t n = params_.size();
-  const int64_t rank = acp_ ? acp_->config().rank
-                            : powersgd_ ? powersgd_->config().rank : 0;
+  const auto* acp = std::get_if<compress::AcpSgd>(&method_);
+  const auto* powersgd = std::get_if<compress::PowerSgd>(&method_);
+  const int64_t rank = acp        ? acp->config().rank
+                       : powersgd ? powersgd->config().rank
+                                  : 0;
   int64_t grad_total = 0;
   lowrank_.assign(n, false);
   for (size_t i = 0; i < n; ++i) {
@@ -67,7 +93,7 @@ void GradReducer::Plan() {
         ids[0].push_back(i);
         bytes[0].push_back(p->grad.numel() *
                            static_cast<int64_t>(sizeof(float)));
-      } else if (acp_) {
+      } else if (acp) {
         const int64_t r_eff =
             compress::EffectiveRank(p->matrix_rows, p->matrix_cols, rank);
         ids[1].push_back(i);
@@ -142,16 +168,17 @@ void GradReducer::OnGradReady(size_t param_index) {
     obs::ScopedSpan compress_span(comm_->tracer(), "compress",
                                   obs::kCatCompress, comm_->rank(),
                                   grad.numel() * sizeof(float), id);
-    if (powersgd_) {
+    if (auto* powersgd = std::get_if<compress::PowerSgd>(&method_)) {
       // The structure the paper criticizes: compute-P -> all-reduce ->
       // orthogonalize -> compute-Q -> all-reduce, blocking everything
       // behind it.
-      powersgd_->Step(id, grad,
-                      [this](std::span<float> v) { AllReduceMean(v); });
+      powersgd->Step(id, grad,
+                     [this](std::span<float> v) { AllReduceMean(v); });
       return;
     }
     // Local and non-blocking; the factor is communicated with its bucket.
-    payload_[param_index] = acp_->LocalStep(id, grad);
+    payload_[param_index] =
+        std::get<compress::AcpSgd>(method_).LocalStep(id, grad);
   } else {
     payload_[param_index] = grad.data();
   }
@@ -168,6 +195,54 @@ void GradReducer::AllReduceMean(std::span<float> v) {
   Scal(1.0f / static_cast<float>(comm_->alive_world_size()), v);
 }
 
+void GradReducer::ReduceEncoded(compress::Compressor& codec,
+                                std::span<float> flat) {
+  {
+    obs::ScopedSpan compress_span(comm_->tracer(), "compress",
+                                  obs::kCatCompress, comm_->rank(),
+                                  flat.size_bytes(), /*arg=*/0);
+    ef_.AddInto(/*tensor_id=*/0, flat);
+    encoded_.resize(codec.EncodedBytes(flat.size()));
+    codec.EncodeInto(flat, encoded_);
+    // Residual against this rank's own decoded blob, the standard
+    // EF-SignSGD / EF-Top-k formulation.
+    decoded_.resize(flat.size());
+    codec.Decode(encoded_, decoded_);
+    ef_.Update(0, flat, decoded_);
+  }
+  if (auto* randomk = std::get_if<compress::RandomkCompressor>(&method_)) {
+    // Every rank selected the same coordinates: the values are additive.
+    AllReduceMean(compress::RandomkCompressor::ValuesOf(encoded_));
+    randomk->Decode(encoded_, flat);
+    return;
+  }
+  const size_t blob = encoded_.size();
+  gathered_.resize(blob * static_cast<size_t>(comm_->world_size()));
+  comm_->all_gather_bytes(encoded_, gathered_);
+  // Crashed ranks' blocks are zero-filled by the degraded all-gather; only
+  // the alive ranks' blobs are aggregated.
+  const auto blob_of = [&](int r) {
+    return std::span<const std::byte>(gathered_).subspan(
+        blob * static_cast<size_t>(r), blob);
+  };
+  if (std::holds_alternative<compress::SignCompressor>(method_)) {
+    std::vector<std::vector<std::byte>> blobs;
+    for (int r = 0; r < comm_->world_size(); ++r) {
+      if (!comm_->is_alive(r)) continue;
+      const auto b = blob_of(r);
+      blobs.emplace_back(b.begin(), b.end());
+    }
+    compress::SignCompressor::MajorityVote(blobs, flat);
+    return;
+  }
+  std::fill(flat.begin(), flat.end(), 0.0f);
+  for (int r = 0; r < comm_->world_size(); ++r) {
+    if (!comm_->is_alive(r)) continue;
+    compress::TopkCompressor::AccumulateInto(blob_of(r), flat,
+                                             comm_->alive_world_size());
+  }
+}
+
 void GradReducer::IssueBucket(const Bucket& bucket, int id) {
   check::SchedPoint(check::PointKind::kBucketIssue, comm_->rank());
   buf_.Reset();
@@ -181,7 +256,11 @@ void GradReducer::IssueBucket(const Bucket& bucket, int id) {
     obs::ScopedSpan issue_span(comm_->tracer(), "bucket_issue",
                                obs::kCatBucket, comm_->rank(), bucket_bytes,
                                id);
-    AllReduceMean(flat);
+    if (compress::Compressor* c = codec()) {
+      ReduceEncoded(*c, flat);
+    } else {
+      AllReduceMean(flat);
+    }
   }
   // A bucket holds only factors or only dense gradients.
   const bool factors = lowrank_[bucket.members.front()];
@@ -191,7 +270,10 @@ void GradReducer::IssueBucket(const Bucket& bucket, int id) {
   for (size_t s = 0; s < bucket.members.size(); ++s) {
     const size_t m = bucket.members[s];
     buf_.Unpack(static_cast<int>(s), payload_[m]);
-    if (factors) acp_->Finish(static_cast<int64_t>(m), params_[m]->grad);
+    if (factors) {
+      std::get<compress::AcpSgd>(method_).Finish(static_cast<int64_t>(m),
+                                                 params_[m]->grad);
+    }
   }
   if (metrics_) {
     metrics_->counter("reducer.buckets_issued").Add();

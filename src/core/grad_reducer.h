@@ -1,5 +1,6 @@
-// The gradient-reduction runtime of the bucketed methods (S-SGD, Power-SGD,
-// ACP-SGD) — the WFBP + tensor-fusion stack of §IV-C.
+// The gradient-reduction runtime of every method: the WFBP + tensor-fusion
+// stack of §IV-C for S-SGD, Power-SGD and ACP-SGD, and the packed layout of
+// §III-A for Sign-SGD, Top-k and Random-k.
 //
 // The paper's prototype registers a hook per learnable tensor; when
 // back-propagation produces a gradient the hook compresses it and copies
@@ -17,20 +18,28 @@
 // run the same code. Per method, a gradient-ready tensor either
 //   * rides a dense bucket (vectors; every tensor under S-SGD),
 //   * is compressed by AcpSgd::LocalStep and its factor rides a factor
-//     bucket, decompressed by Finish once the bucket is reduced (ACP-SGD), or
-//   * runs PowerSgd::Step inline — two blocking all-reduces (Power-SGD).
+//     bucket, decompressed by Finish once the bucket is reduced (ACP-SGD),
+//   * runs PowerSgd::Step inline — two blocking all-reduces (Power-SGD), or
+//   * joins the one packed bucket of all gradients, which is encoded whole
+//     with error feedback and exchanged as the encoding allows (the codecs).
 //
 // Bucket plans are fixed at the first BeginStep — one per parity, because
 // ACP-SGD's P and Q factors differ in size — so every worker issues the
 // identical collective sequence. Factor buckets use the scaled budget of
-// §IV-B, dense buckets the plain one.
+// §IV-B, dense buckets the plain one. A codec packs every gradient into one
+// bucket whatever the budget: its encoding (Top-k's k, Sign's scale) is
+// defined over the whole flat gradient.
 #pragma once
 
-#include <optional>
+#include <variant>
 
 #include "comm/communicator.h"
 #include "compress/acpsgd.h"
+#include "compress/error_feedback.h"
 #include "compress/powersgd.h"
+#include "compress/randomk.h"
+#include "compress/sign.h"
+#include "compress/topk.h"
 #include "core/aggregators.h"
 #include "fusion/bucket_assigner.h"
 #include "fusion/fusion_buffer.h"
@@ -41,6 +50,14 @@ namespace acps::core {
 
 class GradReducer final : public GradientAggregator {
  public:
+  // The packed codecs. Signs are not additive, so Sign-SGD all-gathers the
+  // blobs and takes a majority vote; Top-k results have different
+  // coordinates per worker, so Top-k all-gathers and scatter-adds; Random-k
+  // workers share the seed and step, so their value payloads are additive
+  // and ride one all-reduce (the §III-C property).
+  using Codec = std::variant<compress::SignCompressor, compress::TopkCompressor,
+                             compress::RandomkCompressor>;
+
   // S-SGD: every tensor rides a dense bucket. `buffer_bytes` must be
   // positive. If `metrics` is non-null (not owned), bucket counters and
   // histograms are recorded there; if the communicator carries an enabled
@@ -55,6 +72,10 @@ class GradReducer final : public GradientAggregator {
   explicit GradReducer(compress::PowerSgdConfig config,
                        int64_t buffer_bytes = fusion::kDefaultBufferBytes,
                        obs::MetricsRegistry* metrics = nullptr);
+  // A packed codec with error feedback, e.g.
+  // GradReducer(compress::TopkCompressor(0.1)). Ratio, selection and seed
+  // are the compressor's.
+  explicit GradReducer(Codec codec, obs::MetricsRegistry* metrics = nullptr);
 
   [[nodiscard]] std::string name() const override;
   void Aggregate(const std::vector<dnn::Param*>& params,
@@ -68,7 +89,7 @@ class GradReducer final : public GradientAggregator {
 
   // Marks params[param_index].grad as produced: reduces it by the method's
   // per-tensor step and, if this completes a bucket, issues that bucket's
-  // all-reduce immediately.
+  // collective immediately.
   void OnGradReady(size_t param_index);
 
   // Verifies every tensor was reduced this step. After this, every
@@ -87,9 +108,16 @@ class GradReducer final : public GradientAggregator {
   void Plan();
   void IssueBucket(const Bucket& bucket, int id);
   void AllReduceMean(std::span<float> v);
+  // The codecs' stand-in for AllReduceMean: overwrites `flat` with the
+  // aggregate of every alive rank's encoded bucket.
+  void ReduceEncoded(compress::Compressor& codec, std::span<float> flat);
+  [[nodiscard]] compress::Compressor* codec();
 
-  std::optional<compress::AcpSgd> acp_;
-  std::optional<compress::PowerSgd> powersgd_;
+  // The method; std::monostate is S-SGD.
+  std::variant<std::monostate, compress::AcpSgd, compress::PowerSgd,
+               compress::SignCompressor, compress::TopkCompressor,
+               compress::RandomkCompressor>
+      method_;
   int64_t buffer_bytes_;
   obs::MetricsRegistry* metrics_;  // optional, not owned
 
@@ -109,6 +137,13 @@ class GradReducer final : public GradientAggregator {
   uint64_t steps_ = 0;
   bool in_step_ = false;
   size_t remaining_ = 0;
+
+  // Codec state: the packed bucket's residual (id 0) and the encode,
+  // decode and gather scratch reused across steps.
+  compress::ErrorFeedback ef_;
+  std::vector<std::byte> encoded_;
+  std::vector<float> decoded_;
+  std::vector<std::byte> gathered_;
 };
 
 }  // namespace acps::core

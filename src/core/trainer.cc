@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <mutex>
 #include <numeric>
 
+#include "core/distributed_optimizer.h"
 #include "dnn/loss.h"
 #include "dnn/mini_models.h"
 #include "metrics/csv.h"
@@ -42,10 +44,19 @@ std::string TrainConfig::Validate(int world_size) const {
         std::to_string(world_size) + "*" + std::to_string(batch_per_worker) +
         ")");
   }
-  if (lr.base_lr <= 0.0f) add("lr.base_lr must be > 0");
-  if (momentum < 0.0f || momentum >= 1.0f)
+  // Every comparison below is false for NaN, hence the isfinite guards.
+  if (!std::isfinite(lr.base_lr) || lr.base_lr <= 0.0f)
+    add("lr.base_lr must be finite and > 0, got " +
+        std::to_string(lr.base_lr));
+  if (!std::isfinite(lr.decay_factor) || lr.decay_factor <= 0.0f ||
+      lr.decay_factor > 1.0f)
+    add("lr.decay_factor must be in (0, 1], got " +
+        std::to_string(lr.decay_factor));
+  if (!std::isfinite(momentum) || momentum < 0.0f || momentum >= 1.0f)
     add("momentum must be in [0, 1), got " + std::to_string(momentum));
-  if (weight_decay < 0.0f) add("weight_decay must be >= 0");
+  if (!std::isfinite(weight_decay) || weight_decay < 0.0f)
+    add("weight_decay must be finite and >= 0, got " +
+        std::to_string(weight_decay));
   if (compute_threads < 0 || compute_threads > par::kMaxThreads)
     add("compute_threads must be in [0, " + std::to_string(par::kMaxThreads) +
         "], got " + std::to_string(compute_threads));
@@ -86,9 +97,8 @@ TrainResult TrainImpl(comm::Session& session, const TrainConfig& config,
         dnn::MakeSynthetic(config.data, config.test_samples, /*salt=*/2);
     const dnn::Shard shard = dnn::ShardFor(train, rank, world);
 
-    auto aggregator = factory(rank, world);
-    dnn::SgdOptimizer opt(net.params(), config.lr, config.momentum,
-                          config.weight_decay);
+    DistributedOptimizer opt(net.params(), factory(rank, world), config.lr,
+                             config.momentum, config.weight_decay);
 
     const int64_t iters_per_epoch = shard.count / config.batch_per_worker;
     std::vector<int64_t> order(static_cast<size_t>(shard.count));
@@ -137,12 +147,9 @@ TrainResult TrainImpl(comm::Session& session, const TrainConfig& config,
         loss_acc += loss.loss;
         (void)net.Backward(loss.grad_logits);
 
-        auto params = net.params();
-        aggregator->Aggregate(params, comm);
-
         const double frac_epoch =
             epoch + static_cast<double>(it) / std::max<int64_t>(1, iters_per_epoch);
-        opt.Step(frac_epoch);
+        opt.Step(comm, frac_epoch);
 
         if (rank == 0) {
           const double step_us =

@@ -1,9 +1,9 @@
 // Data-parallel trainer: the Fig 6/7 convergence harness.
 //
 // Each worker thread builds an identical model replica (same seed), streams
-// its shard of the synthetic dataset, computes gradients, aggregates them
-// through the chosen GradientAggregator (real collectives), and applies
-// momentum SGD with the paper's warmup + step-decay schedule. Rank 0
+// its shard of the synthetic dataset, computes gradients, and steps a
+// DistributedOptimizer: the chosen GradientAggregator (real collectives),
+// then momentum SGD with the paper's warmup + step-decay schedule. Rank 0
 // evaluates test accuracy after every epoch.
 #pragma once
 

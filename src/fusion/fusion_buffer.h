@@ -3,7 +3,8 @@
 //
 // This is the runtime counterpart of BucketAssigner: core::GradReducer
 // copies a bucket's ready gradients (or compressed factors) into one
-// FusionBuffer, all-reduces flat() once, and scatters the results back.
+// FusionBuffer, all-reduces flat() once (a packed codec encodes and
+// exchanges it instead), and scatters the results back.
 #pragma once
 
 #include <span>

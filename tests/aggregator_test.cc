@@ -129,22 +129,20 @@ TEST(Aggregators, AllWorkersEndIdentical) {
     cfg.reuse = false;
     return std::make_unique<GradReducer>(cfg);
   });
-  CheckWorkersIdentical(4, [](int, int) {
-    return std::make_unique<SignAggregator>();
-  });
-  CheckWorkersIdentical(4, [](int, int) {
-    return std::make_unique<TopkAggregator>(0.1);
-  });
+  CheckWorkersIdentical(4, MakeAggregatorFactory("sign"));
+  CheckWorkersIdentical(4, MakeAggregatorFactory("topk:0.1"));
 }
 
-TEST(SignAggregator, MatchesMajorityVoteReference) {
+// The single-step tests below run with error feedback on: the residual
+// starts at zero, so the first step equals the uncorrected exchange.
+TEST(SignReducer, MatchesMajorityVoteReference) {
   const int p = 3;
   comm::Transport group_transport;
   comm::Session group(group_transport, "", p);
   std::vector<Tensor> results(static_cast<size_t>(p));
   group.Run([&](comm::Communicator& comm) {
     TestParams tp(comm.rank());
-    SignAggregator agg(/*error_feedback=*/false);
+    GradReducer agg(compress::SignCompressor{});
     auto params = tp.list();
     agg.Aggregate(params, comm);
     results[static_cast<size_t>(comm.rank())] = tp.bias.grad.clone();
@@ -161,15 +159,15 @@ TEST(SignAggregator, MatchesMajorityVoteReference) {
   }
 }
 
-TEST(TopkAggregator, KeepsOnlyUnionOfTopkCoordinates) {
+TEST(TopkReducer, KeepsOnlyUnionOfTopkCoordinates) {
   const int p = 2;
   comm::Transport group_transport;
   comm::Session group(group_transport, "", p);
   std::vector<Tensor> results(static_cast<size_t>(p));
   group.Run([&](comm::Communicator& comm) {
     TestParams tp(comm.rank());
-    TopkAggregator agg(0.05, /*error_feedback=*/false,
-                       compress::TopkSelection::kExact);
+    GradReducer agg(
+        compress::TopkCompressor(0.05, compress::TopkSelection::kExact));
     auto params = tp.list();
     agg.Aggregate(params, comm);
     results[static_cast<size_t>(comm.rank())] = tp.w1.grad.clone();
@@ -356,7 +354,8 @@ std::vector<std::vector<float>> ReduceBackward(const std::string& spec,
 }
 
 TEST(Aggregators, BackwardHooksMatchAggregateBitwise) {
-  for (const char* spec : {"ssgd", "powersgd:2", "acpsgd:2"}) {
+  for (const char* spec : {"ssgd", "powersgd:2", "acpsgd:2", "sign",
+                           "topk:0.1", "randomk:0.1"}) {
     const auto via_hooks = ReduceBackward(spec, true);
     const auto via_aggregate = ReduceBackward(spec, false);
     for (size_t r = 0; r < via_hooks.size(); ++r) {

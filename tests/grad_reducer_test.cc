@@ -41,18 +41,18 @@ struct TestParams {
   std::vector<dnn::Param*> list() { return {&w1, &w2, &bias}; }
 };
 
-// Every rank's gradient bytes after 3 ACP-SGD steps, reduced by hooks fired
-// in `order` (empty = one Aggregate call per step).
-std::vector<std::vector<float>> ReduceSteps(const std::vector<size_t>& order) {
+// Every rank's gradient bytes after 3 steps of `spec`, reduced by hooks
+// fired in `order` (empty = one Aggregate call per step).
+std::vector<std::vector<float>> ReduceSteps(const std::string& spec,
+                                            const std::vector<size_t>& order) {
   const int p = 4;
-  compress::AcpSgdConfig cfg;
-  cfg.rank = 3;
   std::vector<std::vector<float>> out(static_cast<size_t>(p));
   comm::Transport group_transport;
   comm::Session group(group_transport, "", p);
   group.Run([&](comm::Communicator& comm) {
     TestParams tp(comm.rank());
-    GradReducer reducer(cfg);
+    const auto agg = MakeAggregatorFactory(spec)(comm.rank(), p);
+    auto& reducer = dynamic_cast<GradReducer&>(*agg);
     for (int step = 0; step < 3; ++step) {
       TestParams fresh(comm.rank());
       tp.w1.grad.copy_from(fresh.w1.grad);
@@ -77,17 +77,20 @@ std::vector<std::vector<float>> ReduceSteps(const std::vector<size_t>& order) {
 TEST(GradReducer, MatchesAggregatorResults) {
   // Hooks fired in any order (identical on every rank) reduce to the same
   // bytes as the post-backward Aggregate: same bucket plans, same math.
-  const auto via_aggregate = ReduceSteps({});
-  for (const auto& order : {std::vector<size_t>{2, 1, 0},
-                            std::vector<size_t>{0, 1, 2},
-                            std::vector<size_t>{1, 2, 0}}) {
-    const auto via_hooks = ReduceSteps(order);
-    for (size_t r = 0; r < via_hooks.size(); ++r) {
-      ASSERT_EQ(via_hooks[r].size(), via_aggregate[r].size());
-      EXPECT_EQ(std::memcmp(via_hooks[r].data(), via_aggregate[r].data(),
-                            via_hooks[r].size() * sizeof(float)),
-                0)
-          << "rank " << r << ", first hook " << order.front();
+  for (const char* spec : {"ssgd", "powersgd:2", "acpsgd:3", "sign",
+                           "topk:0.1", "randomk:0.1"}) {
+    const auto via_aggregate = ReduceSteps(spec, {});
+    for (const auto& order : {std::vector<size_t>{2, 1, 0},
+                              std::vector<size_t>{0, 1, 2},
+                              std::vector<size_t>{1, 2, 0}}) {
+      const auto via_hooks = ReduceSteps(spec, order);
+      for (size_t r = 0; r < via_hooks.size(); ++r) {
+        ASSERT_EQ(via_hooks[r].size(), via_aggregate[r].size());
+        EXPECT_EQ(std::memcmp(via_hooks[r].data(), via_aggregate[r].data(),
+                              via_hooks[r].size() * sizeof(float)),
+                  0)
+            << spec << ": rank " << r << ", first hook " << order.front();
+      }
     }
   }
 }

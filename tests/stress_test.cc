@@ -100,7 +100,7 @@ TEST(Stress, MixedCollectivesInterleaved) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(Stress, RandomkAggregatorAdditiveAllReducePath) {
+TEST(Stress, RandomkReducerAdditiveAllReducePath) {
   // The additive property end to end: workers hold different gradients,
   // the result must equal the mean restricted to the shared coordinates.
   const int p = 4;
@@ -127,7 +127,9 @@ TEST(Stress, RandomkAggregatorAdditiveAllReducePath) {
     }
     mean.scale_(1.0f / p);
 
-    core::RandomkAggregator agg(/*ratio=*/0.3, /*error_feedback=*/false);
+    // Error feedback is on, but its residual is still zero at this first
+    // step, so the output is the plain sparsified mean.
+    core::GradReducer agg(compress::RandomkCompressor(/*ratio=*/0.3));
     std::vector<dnn::Param*> params{&w};
     agg.Aggregate(params, comm);
 
@@ -146,7 +148,7 @@ TEST(Stress, RandomkAggregatorAdditiveAllReducePath) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(Stress, RandomkAggregatorWithErrorFeedbackConverges) {
+TEST(Stress, RandomkReducerWithErrorFeedbackConverges) {
   // With EF, repeated aggregation of the same gradients averages to the
   // true mean even though each step keeps only 20% of coordinates.
   const int p = 2;
@@ -154,7 +156,7 @@ TEST(Stress, RandomkAggregatorWithErrorFeedbackConverges) {
   comm::Session group(group_transport, "", p);
   std::atomic<int> failures{0};
   group.Run([&](comm::Communicator& comm) {
-    core::RandomkAggregator agg(0.2, /*error_feedback=*/true);
+    core::GradReducer agg(compress::RandomkCompressor(0.2));
     Tensor mean({8, 8});
     for (int r = 0; r < p; ++r) {
       Tensor g({8, 8});

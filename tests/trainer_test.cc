@@ -1,7 +1,10 @@
 // End-to-end distributed-training smoke tests (small versions of Fig 6/7).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <span>
+#include <utility>
 
 #include "core/distributed_optimizer.h"
 #include "core/grad_reducer.h"
@@ -108,6 +111,32 @@ TEST(Trainer, RejectsNonDivisibleSamples) {
   EXPECT_THROW(
       (void)TrainDistributed(group, cfg, MakeAggregatorFactory("ssgd")),
       Error);
+}
+
+TEST(Trainer, ValidateRejectsNonFiniteHyperparameters) {
+  // A non-finite rate trains to NaN weights and a decay factor <= 0 runs
+  // the schedule in reverse; both must fail validation, not "succeed".
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<std::pair<const char*, std::function<void(TrainConfig&)>>>
+      bad = {
+          {"base_lr=nan", [&](TrainConfig& c) { c.lr.base_lr = nan; }},
+          {"base_lr=inf", [&](TrainConfig& c) { c.lr.base_lr = inf; }},
+          {"momentum=nan", [&](TrainConfig& c) { c.momentum = nan; }},
+          {"weight_decay=nan", [&](TrainConfig& c) { c.weight_decay = nan; }},
+          {"decay_factor=0", [](TrainConfig& c) { c.lr.decay_factor = 0.0f; }},
+          {"decay_factor=-0.5",
+           [](TrainConfig& c) { c.lr.decay_factor = -0.5f; }},
+      };
+  EXPECT_EQ(SmallConfig().Validate(2), "");
+  TrainConfig no_decay = SmallConfig();
+  no_decay.lr.decay_factor = 1.0f;
+  EXPECT_EQ(no_decay.Validate(2), "");
+  for (const auto& [what, mutate] : bad) {
+    TrainConfig cfg = SmallConfig();
+    mutate(cfg);
+    EXPECT_NE(cfg.Validate(2), "") << what;
+  }
 }
 
 TEST(Trainer, HistoryIsOrdered) {
