@@ -6,6 +6,8 @@
 #include <numeric>
 #include <thread>
 
+#include "fault/plan.h"
+
 namespace acps::comm {
 namespace {
 
@@ -458,6 +460,135 @@ TEST(Session, AnonymousSessionIsUnsaltedAndUnprefixed) {
   });
   // Ring all-reduce of 8 floats at p=2: each worker sends 4 floats per phase.
   EXPECT_EQ(group.total_stats().bytes_sent, 2u * 8u * sizeof(float));
+}
+
+// --- Golden collective digests ----------------------------------------------
+// FNV-1a over every rank's output bytes and TrafficStats after each of two
+// calls of one collective, for p = 1..5 at n = 37 (uneven chunking), fault
+// free and with rank p-1 crashed at its second collective entry. The
+// constants pin the exact bytes and wire cost of every collective, so a
+// change to chunking, ring order, reduction order or traffic accounting
+// fails here first.
+enum class GoldenOp {
+  kRingSum,
+  kRingMax,
+  kNaiveSum,
+  kReduceScatter,
+  kAllGather,
+  kAllGatherBytes,
+  kBroadcast,
+};
+
+uint64_t Fnv1a(std::span<const std::byte> bytes, uint64_t h) {
+  for (const std::byte b : bytes)
+    h = (h ^ static_cast<uint64_t>(b)) * 0x100000001b3ull;
+  return h;
+}
+
+// Non-integral values, so any change in reduction order changes the bits.
+std::vector<float> GoldenInput(int rank, int call, size_t n) {
+  std::vector<float> v(n);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t h = ((i + 1) * 2654435761ull) ^
+                       (static_cast<uint64_t>(rank + 1) * 40503ull) ^
+                       (static_cast<uint64_t>(call + 1) * 9973ull);
+    v[i] = static_cast<float>(h % 100003) / 977.0f - 51.3f;
+  }
+  return v;
+}
+
+uint64_t GoldenCollectiveDigest(GoldenOp which, bool crash) {
+  constexpr size_t kN = 37;
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (int p = 1; p <= 5; ++p) {
+    std::vector<std::vector<std::byte>> out(static_cast<size_t>(p));
+    fault::FaultPlanConfig cfg;
+    cfg.crash_rank = p - 1;
+    cfg.crash_at_collective = 2;
+    fault::FaultPlan plan(cfg);
+    Transport transport;
+    Session session(transport, "golden", p);
+    if (crash) session.set_fault_injector(&plan);
+    session.Run([&](Communicator& comm) {
+      auto& bytes = out[static_cast<size_t>(comm.rank())];
+      const auto append = [&bytes](std::span<const std::byte> b) {
+        bytes.insert(bytes.end(), b.begin(), b.end());
+      };
+      for (int call = 0; call < 2; ++call) {
+        std::vector<float> data = GoldenInput(comm.rank(), call, kN);
+        std::vector<float> gathered(kN * static_cast<size_t>(p));
+        const auto packed = std::as_bytes(std::span<const float>(data));
+        std::vector<std::byte> packed_all(packed.size() *
+                                          static_cast<size_t>(p));
+        switch (which) {
+          case GoldenOp::kRingSum:
+            comm.all_reduce(data, ReduceOp::kSum, AllReduceAlgo::kRing);
+            break;
+          case GoldenOp::kRingMax:
+            comm.all_reduce(data, ReduceOp::kMax, AllReduceAlgo::kRing);
+            break;
+          case GoldenOp::kNaiveSum:
+            comm.all_reduce(data, ReduceOp::kSum, AllReduceAlgo::kNaive);
+            break;
+          case GoldenOp::kReduceScatter:
+            comm.reduce_scatter(data);
+            break;
+          case GoldenOp::kAllGather:
+            comm.all_gather(std::span<const float>(data), gathered);
+            break;
+          case GoldenOp::kAllGatherBytes:
+            comm.all_gather_bytes(packed, packed_all);
+            break;
+          case GoldenOp::kBroadcast:
+            comm.broadcast(data, /*root=*/0);
+            break;
+        }
+        append(std::as_bytes(std::span<const float>(data)));
+        append(std::as_bytes(std::span<const float>(gathered)));
+        append(packed_all);
+        const TrafficStats& s = comm.stats();
+        const uint64_t stats[] = {s.bytes_sent, s.messages_sent,
+                                  s.collectives};
+        append(std::as_bytes(std::span<const uint64_t>(stats)));
+      }
+    });
+    for (const auto& bytes : out) h = Fnv1a(bytes, h);
+    const TrafficStats t = session.total_stats();
+    const uint64_t totals[] = {t.bytes_sent, t.messages_sent, t.collectives,
+                               session.crashed_ranks().size()};
+    h = Fnv1a(std::as_bytes(std::span<const uint64_t>(totals)), h);
+  }
+  return h;
+}
+
+TEST(CollectiveGolden, DigestsReproduce) {
+  struct Case {
+    const char* what;
+    GoldenOp op;
+    uint64_t fault_free;
+    uint64_t crashed;
+  };
+  const Case cases[] = {
+      {"all_reduce ring sum", GoldenOp::kRingSum, 0xa8aba964b8ed9f44ull,
+       0x3c576259cb4f7abfull},
+      {"all_reduce ring max", GoldenOp::kRingMax, 0x9ea060165e7518e4ull,
+       0x27e817358666647cull},
+      {"all_reduce naive sum", GoldenOp::kNaiveSum, 0xb5244a72c2bbf61bull,
+       0xf7beaa93b7d3490dull},
+      {"reduce_scatter", GoldenOp::kReduceScatter, 0x4fb465b86e47fe32ull,
+       0x3e85be926622bd5aull},
+      {"all_gather", GoldenOp::kAllGather, 0xe954e83b0e0f44b6ull,
+       0x4b207f6b1d7d6ab3ull},
+      {"all_gather_bytes", GoldenOp::kAllGatherBytes, 0xb1afb571fa7facd6ull,
+       0xfb919a5c9451d553ull},
+      {"broadcast", GoldenOp::kBroadcast, 0xb9e4e41f0bbec217ull,
+       0x4651dacbc52ae633ull},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(GoldenCollectiveDigest(c.op, false), c.fault_free) << c.what;
+    EXPECT_EQ(GoldenCollectiveDigest(c.op, true), c.crashed)
+        << c.what << " (rank p-1 crashed)";
+  }
 }
 
 }  // namespace
