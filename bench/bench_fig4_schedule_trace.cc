@@ -53,7 +53,7 @@ void WriteRealTrace(const std::string& path) {
   tracer.Enable();
   comm::Transport transport;
   transport.set_tracer(&tracer);
-  comm::Session group(transport, "", p);
+  comm::Session group(transport, "fig4", p);
 
   compress::AcpSgdConfig cfg;
   cfg.rank = 2;

@@ -42,7 +42,7 @@ int main() {
     };
     for (const auto& [name, factory] : methods) {
       comm::Transport transport;
-      comm::Session session(transport, "", 4);
+      comm::Session session(transport, "fig6", 4);
       par::SetNumThreads(par::WorkerThreadBudget(cfg.compute_threads, 4));
       const core::TrainResult r = core::TrainDistributed(session, cfg, factory);
       table.AddRow({name, metrics::Table::Num(r.final_test_acc, 3),

@@ -11,7 +11,7 @@ void BM_RingAllReduce(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
   const auto n = static_cast<size_t>(state.range(1));
   comm::Transport transport;
-  comm::Session group(transport, "", p);
+  comm::Session group(transport, "micro", p);
   for (auto _ : state) {
     group.Run([&](comm::Communicator& c) {
       std::vector<float> v(n, static_cast<float>(c.rank()));
@@ -32,7 +32,7 @@ void BM_NaiveAllReduce(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
   const auto n = static_cast<size_t>(state.range(1));
   comm::Transport transport;
-  comm::Session group(transport, "", p);
+  comm::Session group(transport, "micro", p);
   for (auto _ : state) {
     group.Run([&](comm::Communicator& c) {
       std::vector<float> v(n, static_cast<float>(c.rank()));
@@ -47,7 +47,7 @@ void BM_AllGather(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
   const auto n = static_cast<size_t>(state.range(1));
   comm::Transport transport;
-  comm::Session group(transport, "", p);
+  comm::Session group(transport, "micro", p);
   for (auto _ : state) {
     group.Run([&](comm::Communicator& c) {
       std::vector<float> send(n, 1.0f), recv(n * static_cast<size_t>(p));
@@ -62,7 +62,7 @@ void BM_Broadcast(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
   const auto n = static_cast<size_t>(state.range(1));
   comm::Transport transport;
-  comm::Session group(transport, "", p);
+  comm::Session group(transport, "micro", p);
   for (auto _ : state) {
     group.Run([&](comm::Communicator& c) {
       std::vector<float> v(n, static_cast<float>(c.rank()));

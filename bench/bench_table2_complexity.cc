@@ -26,7 +26,7 @@ int main() {
   const int p = 8;
   const size_t n = 4096;
   comm::Transport transport;
-  comm::Session group(transport, "", p);
+  comm::Session group(transport, "table2", p);
   group.Run([&](comm::Communicator& comm) {
     std::vector<float> v(n, 1.0f);
     comm.all_reduce(v);

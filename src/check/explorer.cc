@@ -138,7 +138,7 @@ RunOutcome RunWorkload(Workload w, const ExploreOptions& opt,
   }
 
   comm::Transport transport;
-  comm::Session group(transport, "", p);
+  comm::Session group(transport, "explore", p);
   group.set_contract_checking(opt.contract_checking);
   ScopedSchedListener install(controller);
   // A reused controller must re-enforce / re-inject from window 0, not from
@@ -170,15 +170,6 @@ RunOutcome RunWorkload(Workload w, const ExploreOptions& opt,
           const auto send = BytePattern(r, static_cast<size_t>(n));
           std::vector<std::byte> recv(send.size() * static_cast<size_t>(p));
           comm.all_gather_bytes(send, recv);
-          slot = recv;
-          break;
-        }
-        case Workload::kAllGatherV: {
-          const auto send =
-              BytePattern(r, static_cast<size_t>(n) + 3 * static_cast<size_t>(r));
-          std::vector<std::byte> recv;
-          std::vector<size_t> offsets;
-          comm.all_gather_v(send, recv, offsets);
           slot = recv;
           break;
         }
@@ -338,16 +329,6 @@ std::vector<std::vector<std::byte>> ReferenceOutputs(Workload w,
       std::vector<std::byte> cat;
       for (int r = 0; r < p; ++r) {
         const auto v = BytePattern(r, static_cast<size_t>(n));
-        cat.insert(cat.end(), v.begin(), v.end());
-      }
-      for (int r = 0; r < p; ++r) ref[static_cast<size_t>(r)] = cat;
-      break;
-    }
-    case Workload::kAllGatherV: {
-      std::vector<std::byte> cat;
-      for (int r = 0; r < p; ++r) {
-        const auto v =
-            BytePattern(r, static_cast<size_t>(n) + 3 * static_cast<size_t>(r));
         cat.insert(cat.end(), v.begin(), v.end());
       }
       for (int r = 0; r < p; ++r) ref[static_cast<size_t>(r)] = cat;
@@ -518,7 +499,6 @@ const char* ToString(Workload w) noexcept {
     case Workload::kAllReduceNaive: return "all_reduce[naive]";
     case Workload::kAllGather: return "all_gather";
     case Workload::kAllGatherBytes: return "all_gather_bytes";
-    case Workload::kAllGatherV: return "all_gather_v";
     case Workload::kReduceScatter: return "reduce_scatter";
     case Workload::kBroadcast: return "broadcast";
     case Workload::kBarrier: return "barrier";
@@ -533,8 +513,8 @@ const char* ToString(Workload w) noexcept {
 std::vector<Workload> AllCollectiveWorkloads() {
   return {Workload::kAllReduceRing, Workload::kAllReduceNaive,
           Workload::kAllGather,     Workload::kAllGatherBytes,
-          Workload::kAllGatherV,    Workload::kReduceScatter,
-          Workload::kBroadcast,     Workload::kBarrier};
+          Workload::kReduceScatter, Workload::kBroadcast,
+          Workload::kBarrier};
 }
 
 std::string ExploreReport::Summary() const {

@@ -37,7 +37,6 @@ enum class Workload {
   kAllReduceNaive,
   kAllGather,
   kAllGatherBytes,
-  kAllGatherV,
   kReduceScatter,
   kBroadcast,
   kBarrier,    // barriers interleaved with a small all-reduce

@@ -160,7 +160,7 @@ void CheckRankInvariance(const std::string& spec, int64_t numel,
     std::string error;
     {
       comm::Transport transport;
-      comm::Session group(transport, "", p);
+      comm::Session group(transport, "oracle", p);
       group.set_contract_checking(true);
       ScopedSchedListener install(controller);
       try {

@@ -1,7 +1,6 @@
 #include "comm/communicator.h"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 #include <string>
 
@@ -24,8 +23,7 @@ int Mod(int x, int p) { return ((x % p) + p) % p; }
 // FNV-1a over the payload, seeded with the sequence number and the owning
 // session's envelope salt: a stale message whose bytes happen to match still
 // fails validation if its seq was forged, and a chunk sealed under another
-// session never validates here. salt == 0 (the anonymous legacy session)
-// reproduces the pre-session checksum bit for bit.
+// session never validates here.
 uint32_t EnvelopeChecksum(std::span<const std::byte> bytes, uint64_t seq,
                           uint64_t salt) noexcept {
   uint32_t h = 2166136261u ^ static_cast<uint32_t>((seq ^ salt) * 2654435761ULL);
@@ -53,6 +51,10 @@ void ReduceInto(std::span<float> dst, std::span<const float> src,
 std::span<const std::byte> AsBytes(std::span<const float> v) {
   return {reinterpret_cast<const std::byte*>(v.data()),
           v.size() * sizeof(float)};
+}
+
+std::span<std::byte> AsWritableBytes(std::span<float> v) {
+  return {reinterpret_cast<std::byte*>(v.data()), v.size() * sizeof(float)};
 }
 
 std::span<const float> AsFloats(std::span<const std::byte> v) {
@@ -103,9 +105,7 @@ Communicator::Communicator(detail::GroupState* state, int rank, int world_size,
       tracer_(state->tracer), metrics_(state->metrics),
       collective_seq_(resume_seq), generation_(generation) {
   if (metrics_ != nullptr) {
-    // Resolve the session-namespaced fault counters once; the prefix is ""
-    // for the anonymous legacy session, so the historical flat names
-    // (`fault.crash.ranks`, ...) are preserved there.
+    // Resolve the session-namespaced fault counters once.
     const std::string& pre = state_->metric_prefix;
     ctr_crash_ranks_ = &metrics_->counter(pre + "fault.crash.ranks");
     ctr_straggler_events_ = &metrics_->counter(pre + "fault.straggler.events");
@@ -421,10 +421,6 @@ detail::ViewTransition Communicator::last_transition() const {
 
 void Communicator::all_reduce(std::span<float> data, ReduceOp op,
                               AllReduceAlgo algo) {
-  // The per-call default defers to the session's configured algorithm; the
-  // resolved value feeds the contract fingerprint, so mixed-session
-  // cross-checks (one session ring, one naive) stay well-defined.
-  if (algo == AllReduceAlgo::kSessionDefault) algo = state_->default_algo;
   obs::ScopedSpan span(tracer_,
                        algo == AllReduceAlgo::kRing ? "all_reduce"
                                                     : "all_reduce_naive",
@@ -444,12 +440,22 @@ void Communicator::all_reduce(std::span<float> data, ReduceOp op,
   ++stats_.collectives;
   const int pa = alive_world_size();
   if (pa == 1 || data.empty()) return;
+  RingReduceScatter(data, op);
+  // Phase 1: ring all-gather of the reduced chunks, chunk i being owned by
+  // view position i.
+  const int64_t n = static_cast<int64_t>(data.size());
+  RingAllGather(/*phase=*/1, [&](int view_pos) {
+    const ChunkRange c = GetChunkRange(n, pa, view_pos);
+    return AsWritableBytes(data.subspan(static_cast<size_t>(c.begin),
+                                        static_cast<size_t>(c.size())));
+  });
+}
+
+void Communicator::RingReduceScatter(std::span<float> data, ReduceOp op) {
+  const int pa = alive_world_size();
   const int64_t n = static_cast<int64_t>(data.size());
   const int vi = ViewIndex();
   const int pred[] = {view_[static_cast<size_t>(Mod(vi - 1, pa))]};
-
-  // --- Phase 0: ring reduce-scatter over the alive view. After pa-1 steps
-  // the worker at view position i owns the fully reduced chunk i.
   for (int s = 0; s < pa - 1; ++s) {
     const ChunkRange sc = GetChunkRange(n, pa, Mod(vi - s - 1, pa));
     const ChunkRange rc = GetChunkRange(n, pa, Mod(vi - s - 2, pa));
@@ -464,22 +470,21 @@ void Communicator::all_reduce(std::span<float> data, ReduceOp op,
                      AsFloats(bytes), op);
         });
   }
+}
 
-  // --- Phase 1: ring all-gather of the reduced chunks.
+void Communicator::RingAllGather(int phase, const BlockFn& block_of) {
+  const int pa = alive_world_size();
+  const int vi = ViewIndex();
+  const int pred[] = {view_[static_cast<size_t>(Mod(vi - 1, pa))]};
   for (int s = 0; s < pa - 1; ++s) {
-    const ChunkRange sc = GetChunkRange(n, pa, Mod(vi - s, pa));
-    const ChunkRange rc = GetChunkRange(n, pa, Mod(vi - s - 1, pa));
-    ReliableStep(
-        StepSeq(1, s), /*publish=*/true,
-        AsBytes(data.subspan(static_cast<size_t>(sc.begin),
-                             static_cast<size_t>(sc.size()))),
-        check::PointKind::kHandoffSend, /*fanout=*/1, pred,
-        [&](int, std::span<const std::byte> bytes) {
-          const auto incoming = AsFloats(bytes);
-          ACPS_CHECK(static_cast<int64_t>(incoming.size()) == rc.size());
-          std::copy(incoming.begin(), incoming.end(),
-                    data.begin() + static_cast<size_t>(rc.begin));
-        });
+    const std::span<std::byte> recv = block_of(Mod(vi - s - 1, pa));
+    ReliableStep(StepSeq(phase, s), /*publish=*/true,
+                 block_of(Mod(vi - s, pa)), check::PointKind::kHandoffSend,
+                 /*fanout=*/1, pred,
+                 [&](int, std::span<const std::byte> bytes) {
+                   ACPS_CHECK(bytes.size() == recv.size());
+                   std::copy(bytes.begin(), bytes.end(), recv.begin());
+                 });
   }
 }
 
@@ -521,133 +526,48 @@ void Communicator::all_gather(std::span<const float> send,
                               std::span<float> recv) {
   obs::ScopedSpan span(tracer_, "all_gather", obs::kCatComm, rank_,
                        send.size() * sizeof(float));
-  EnterCollective();
-  ContractScope contract(
-      state_, rank_,
-      CollectiveFingerprint{.kind = CollectiveKind::kAllGather,
-                            .bytes = send.size() * sizeof(float),
-                            .epoch = epoch_});
-  ACPS_CHECK_MSG(recv.size() == send.size() * static_cast<size_t>(world_size_),
-                 "all_gather recv size must be p * send size");
-  // Place own block, then run the byte-wise ring over the recv buffer.
-  std::copy(send.begin(), send.end(),
-            recv.begin() + static_cast<size_t>(rank_) * send.size());
-  auto recv_bytes =
-      std::span<std::byte>(reinterpret_cast<std::byte*>(recv.data()),
-                           recv.size() * sizeof(float));
-  RingAllGatherBlocks(recv_bytes, send.size() * sizeof(float), /*phase=*/0);
+  AllGatherBlocks(CollectiveKind::kAllGather, AsBytes(send),
+                  AsWritableBytes(recv));
 }
 
 void Communicator::all_gather_bytes(std::span<const std::byte> send,
                                     std::span<std::byte> recv) {
   obs::ScopedSpan span(tracer_, "all_gather_bytes", obs::kCatComm, rank_,
                        send.size());
-  EnterCollective();
-  ContractScope contract(
-      state_, rank_,
-      CollectiveFingerprint{.kind = CollectiveKind::kAllGatherBytes,
-                            .bytes = send.size(),
-                            .epoch = epoch_});
-  ACPS_CHECK_MSG(recv.size() == send.size() * static_cast<size_t>(world_size_),
-                 "all_gather_bytes recv size must be p * send size");
-  std::copy(send.begin(), send.end(),
-            recv.begin() + static_cast<size_t>(rank_) * send.size());
-  RingAllGatherBlocks(recv, send.size(), /*phase=*/0);
+  AllGatherBlocks(CollectiveKind::kAllGatherBytes, send, recv);
 }
 
-void Communicator::RingAllGatherBlocks(std::span<std::byte> buf,
-                                       size_t block_bytes, int phase) {
+void Communicator::AllGatherBlocks(CollectiveKind kind,
+                                   std::span<const std::byte> send,
+                                   std::span<std::byte> recv) {
+  EnterCollective();
+  ContractScope contract(state_, rank_,
+                         CollectiveFingerprint{.kind = kind,
+                                               .bytes = send.size(),
+                                               .epoch = epoch_});
+  ACPS_CHECK_MSG(recv.size() == send.size() * static_cast<size_t>(world_size_),
+                 ToString(kind) << " recv size must be p * send size");
+  const size_t block_bytes = send.size();
+  const auto block = [&](int r) {
+    return recv.subspan(static_cast<size_t>(r) * block_bytes, block_bytes);
+  };
+  std::copy(send.begin(), send.end(), block(rank_).begin());
   ++stats_.collectives;
-  const int pa = alive_world_size();
   if (block_bytes == 0) return;
   // Degraded membership: crashed ranks contribute all-zero blocks, so the
   // gathered buffer stays deterministic and consumers can skip dead blocks
   // by rank.
+  const int pa = alive_world_size();
   if (pa != world_size_) {
-    for (int r = 0; r < world_size_; ++r) {
-      if (!is_alive(r))
-        std::memset(buf.data() + static_cast<size_t>(r) * block_bytes, 0,
-                    block_bytes);
-    }
+    for (int r = 0; r < world_size_; ++r)
+      if (!is_alive(r)) std::fill_n(block(r).begin(), block_bytes, std::byte{0});
   }
   if (pa == 1) return;
-  const int vi = ViewIndex();
-  const int pred[] = {view_[static_cast<size_t>(Mod(vi - 1, pa))]};
   // Blocks are indexed by *real* rank; the ring circulates the alive blocks
   // through the alive view.
-  for (int s = 0; s < pa - 1; ++s) {
-    const int send_rank = view_[static_cast<size_t>(Mod(vi - s, pa))];
-    const int recv_rank = view_[static_cast<size_t>(Mod(vi - s - 1, pa))];
-    ReliableStep(
-        StepSeq(phase, s), /*publish=*/true,
-        buf.subspan(static_cast<size_t>(send_rank) * block_bytes, block_bytes),
-        check::PointKind::kHandoffSend, /*fanout=*/1, pred,
-        [&](int, std::span<const std::byte> bytes) {
-          ACPS_CHECK(bytes.size() == block_bytes);
-          std::memcpy(buf.data() + static_cast<size_t>(recv_rank) * block_bytes,
-                      bytes.data(), block_bytes);
-        });
-  }
-}
-
-void Communicator::all_gather_v(std::span<const std::byte> send,
-                                std::vector<std::byte>& recv,
-                                std::vector<size_t>& offsets) {
-  obs::ScopedSpan span(tracer_, "all_gather_v", obs::kCatComm, rank_,
-                       send.size());
-  EnterCollective();
-  ContractScope contract(
-      state_, rank_,
-      CollectiveFingerprint{.kind = CollectiveKind::kAllGatherV,
-                            .bytes = send.size(),
-                            .epoch = epoch_,
-                            .variable_size = true});
-  ++stats_.collectives;
-  const int p = world_size_;
-  const int pa = alive_world_size();
-  // Exchange sizes through the board. Crashed ranks' slots may hold stale
-  // values; readers treat dead slots as zero-length contributions.
-  state_->sizes[static_cast<size_t>(rank_)] = send.size();
-  state_->Barrier();
-  const auto size_of = [&](int r) -> size_t {
-    return is_alive(r) ? state_->sizes[static_cast<size_t>(r)] : 0;
-  };
-  offsets.assign(static_cast<size_t>(p) + 1, 0);
-  for (int r = 0; r < p; ++r)
-    offsets[static_cast<size_t>(r) + 1] =
-        offsets[static_cast<size_t>(r)] + size_of(r);
-  recv.assign(offsets.back(), std::byte{0});
-  state_->Barrier();
-
-  if (pa == 1) {
-    std::copy(send.begin(), send.end(),
-              recv.begin() +
-                  static_cast<ptrdiff_t>(offsets[static_cast<size_t>(rank_)]));
-    return;
-  }
-
-  // Ring with variable block sizes: block r = worker r's contribution.
-  std::copy(send.begin(), send.end(),
-            recv.begin() +
-                static_cast<ptrdiff_t>(offsets[static_cast<size_t>(rank_)]));
-  const int vi = ViewIndex();
-  const int pred[] = {view_[static_cast<size_t>(Mod(vi - 1, pa))]};
-  for (int s = 0; s < pa - 1; ++s) {
-    const int send_rank = view_[static_cast<size_t>(Mod(vi - s, pa))];
-    const int recv_rank = view_[static_cast<size_t>(Mod(vi - s - 1, pa))];
-    const size_t recv_size = size_of(recv_rank);
-    ReliableStep(
-        StepSeq(0, s), /*publish=*/true,
-        std::span<const std::byte>(
-            recv.data() + offsets[static_cast<size_t>(send_rank)],
-            size_of(send_rank)),
-        check::PointKind::kHandoffSend, /*fanout=*/1, pred,
-        [&](int, std::span<const std::byte> bytes) {
-          ACPS_CHECK(bytes.size() == recv_size);
-          std::memcpy(recv.data() + offsets[static_cast<size_t>(recv_rank)],
-                      bytes.data(), bytes.size());
-        });
-  }
+  RingAllGather(/*phase=*/0, [&](int view_pos) {
+    return block(view_[static_cast<size_t>(view_pos)]);
+  });
 }
 
 void Communicator::reduce_scatter(std::span<float> data, ReduceOp op) {
@@ -661,25 +581,8 @@ void Communicator::reduce_scatter(std::span<float> data, ReduceOp op) {
                             .op = static_cast<int>(op),
                             .epoch = epoch_});
   ++stats_.collectives;
-  const int pa = alive_world_size();
-  if (pa == 1 || data.empty()) return;
-  const int64_t n = static_cast<int64_t>(data.size());
-  const int vi = ViewIndex();
-  const int pred[] = {view_[static_cast<size_t>(Mod(vi - 1, pa))]};
-  for (int s = 0; s < pa - 1; ++s) {
-    const ChunkRange sc = GetChunkRange(n, pa, Mod(vi - s - 1, pa));
-    const ChunkRange rc = GetChunkRange(n, pa, Mod(vi - s - 2, pa));
-    ReliableStep(
-        StepSeq(0, s), /*publish=*/true,
-        AsBytes(std::span<const float>(data).subspan(
-            static_cast<size_t>(sc.begin), static_cast<size_t>(sc.size()))),
-        check::PointKind::kHandoffSend, /*fanout=*/1, pred,
-        [&](int, std::span<const std::byte> bytes) {
-          ReduceInto(data.subspan(static_cast<size_t>(rc.begin),
-                                  static_cast<size_t>(rc.size())),
-                     AsFloats(bytes), op);
-        });
-  }
+  if (alive_world_size() == 1 || data.empty()) return;
+  RingReduceScatter(data, op);
 }
 
 void Communicator::broadcast(std::span<float> data, int root) {

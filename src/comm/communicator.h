@@ -98,16 +98,14 @@ class Communicator {
   // Blocks until every (alive) worker reaches the barrier.
   void barrier();
 
-  // All-reduce in place over `data`. The algorithm defaults to the
-  // session's configured one (SessionOptions::algo); passing kRing/kNaive
-  // explicitly overrides per call (kept for the reference cross-checks in
-  // tests — new code should configure the session instead). kRing:
-  // reduce-scatter + all-gather, 2*(p-1)/p * N elements
-  // per worker; kNaive: flat reduce-to-root + broadcast, the O(p*N)
-  // reference. After a rank crash the reduction covers the surviving ranks
-  // only — divide by alive_world_size() for a mean.
+  // All-reduce in place over `data`. kRing (the default): reduce-scatter +
+  // all-gather, 2*(p-1)/p * N elements per worker. kNaive: flat
+  // reduce-to-root + broadcast, the O(p*N) reference that tests and the
+  // model checker compare the ring against. After a rank crash the
+  // reduction covers the surviving ranks only — divide by
+  // alive_world_size() for a mean.
   void all_reduce(std::span<float> data, ReduceOp op = ReduceOp::kSum,
-                  AllReduceAlgo algo = AllReduceAlgo::kSessionDefault);
+                  AllReduceAlgo algo = AllReduceAlgo::kRing);
 
   // Ring all-gather: worker i contributes `send`; `recv` (size p*|send|)
   // receives all contributions in rank order. All workers must pass equal
@@ -119,14 +117,6 @@ class Communicator {
   // bits, top-k index+value records). Equal |send| across workers.
   void all_gather_bytes(std::span<const std::byte> send,
                         std::span<std::byte> recv);
-
-  // Variable-size all-gather: contributions may differ per worker; sizes are
-  // first exchanged, then payloads. `recv` is resized to the concatenation
-  // in rank order; `offsets[i]` gives the start of worker i's block. Crashed
-  // ranks contribute zero-length blocks.
-  void all_gather_v(std::span<const std::byte> send,
-                    std::vector<std::byte>& recv,
-                    std::vector<size_t>& offsets);
 
   // Ring reduce-scatter: in-place partial reduction; on return, the worker
   // with the i-th position in alive_ranks() owns the fully reduced chunk i
@@ -187,11 +177,23 @@ class Communicator {
                     int fanout, std::span<const int> read_from,
                     const ConsumeFn& consume);
 
-  // Ring all-gather over `buf` viewed as p equal blocks of `block_bytes`;
-  // block `rank` must already hold this worker's contribution. `phase`
-  // disambiguates the step sequence numbers within the collective.
-  void RingAllGatherBlocks(std::span<std::byte> buf, size_t block_bytes,
-                           int phase);
+  // The ring, written once. Both run over the alive view and must be
+  // entered by every alive rank; every exchange is one ReliableStep.
+  //
+  // RingReduceScatter: pa-1 steps of phase 0; afterwards the worker at view
+  // position i owns the fully reduced chunk i of `data` split into pa
+  // chunks (reduce_scatter, and all_reduce's first half).
+  void RingReduceScatter(std::span<float> data, ReduceOp op);
+  // RingAllGather: pa-1 steps of `phase`, circulating byte blocks addressed
+  // by alive-view position; block_of(i) must already hold view position
+  // i's block on the worker that owns it (all_gather, all_gather_bytes, and
+  // all_reduce's second half).
+  using BlockFn = std::function<std::span<std::byte>(int view_pos)>;
+  void RingAllGather(int phase, const BlockFn& block_of);
+
+  // all_gather and all_gather_bytes: equal-size blocks indexed by rank.
+  void AllGatherBlocks(CollectiveKind kind, std::span<const std::byte> send,
+                       std::span<std::byte> recv);
 
   // Naive (reduce-to-root + broadcast) all-reduce body.
   void AllReduceNaive(std::span<float> data, ReduceOp op);

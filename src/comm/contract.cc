@@ -13,7 +13,6 @@ const char* ToString(CollectiveKind kind) noexcept {
     case CollectiveKind::kAllReduce: return "all_reduce";
     case CollectiveKind::kAllGather: return "all_gather";
     case CollectiveKind::kAllGatherBytes: return "all_gather_bytes";
-    case CollectiveKind::kAllGatherV: return "all_gather_v";
     case CollectiveKind::kReduceScatter: return "reduce_scatter";
     case CollectiveKind::kBroadcast: return "broadcast";
     case CollectiveKind::kViewCommit: return "view_commit";
@@ -27,11 +26,8 @@ bool CollectiveFingerprint::Matches(const CollectiveFingerprint& other) const {
 
 bool CollectiveFingerprint::MatchesIgnoringEpoch(
     const CollectiveFingerprint& other) const {
-  if (kind != other.kind || op != other.op || algo != other.algo ||
-      root != other.root)
-    return false;
-  if (variable_size || other.variable_size) return kind == other.kind;
-  return bytes == other.bytes;
+  return kind == other.kind && op == other.op && algo == other.algo &&
+         root == other.root && bytes == other.bytes;
 }
 
 std::string CollectiveFingerprint::Describe() const {
@@ -47,10 +43,7 @@ std::string CollectiveFingerprint::Describe() const {
   if (op >= 0) sep() << (op == 0 ? "sum" : "max");
   if (root >= 0) sep() << "root=" << root;
   if (epoch > 0) sep() << "epoch=" << epoch;
-  if (variable_size)
-    sep() << "variable size";
-  else if (kind != CollectiveKind::kBarrier &&
-           kind != CollectiveKind::kViewCommit)
+  if (kind != CollectiveKind::kBarrier && kind != CollectiveKind::kViewCommit)
     sep() << bytes << " B";
   oss << ']';
   return oss.str();

@@ -1,6 +1,5 @@
 #include "comm/session.h"
 
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
@@ -11,39 +10,12 @@
 
 namespace acps::comm {
 
-namespace {
-
-// ACPS_FAULT_REJOIN: 0 disables elastic readmission (legacy fail-stop-
-// forever semantics); unset or any other value leaves it on.
-bool ResolveRejoinEnabled() {
-  if (const char* env = std::getenv("ACPS_FAULT_REJOIN"))
-    return env[0] != '\0' && env[0] != '0';
-  return true;
-}
-
-// ACPS_FAULT_REJOIN_TIMEOUT_MS: how long a downed rank may park waiting
-// for readmission; <= 0 waits without a deadline. Defaults to the
-// collective watchdog timeout so a stuck rejoin surfaces on the same
-// clock as a stuck collective.
-int64_t ResolveRejoinTimeout(int64_t fallback) {
-  if (const char* env = std::getenv("ACPS_FAULT_REJOIN_TIMEOUT_MS")) {
-    char* end = nullptr;
-    const long long v = std::strtoll(env, &end, 10);
-    if (end != env && *end == '\0') return static_cast<int64_t>(v);
-  }
-  return fallback;
-}
-
-}  // namespace
-
 std::string SessionOptions::Validate() const {
   std::string err;
   const auto add = [&err](const std::string& msg) {
     if (!err.empty()) err += "; ";
     err += msg;
   };
-  if (algo == AllReduceAlgo::kSessionDefault)
-    add("algo must be concrete (kRing or kNaive), not kSessionDefault");
   if (fusion_bytes < 0)
     add("fusion_bytes must be >= 0 (0 = library default), got " +
         std::to_string(fusion_bytes));
@@ -62,6 +34,9 @@ Session::Session(Transport& transport, std::string job_id, int world_size,
                  SessionOptions options)
     : transport_(&transport), job_id_(std::move(job_id)),
       world_size_(world_size), options_(std::move(options)) {
+  ACPS_CHECK_MSG(!job_id_.empty(),
+                 "a Session needs a non-empty job_id (it names the envelope "
+                 "salt and the job/<id>/ metric namespace)");
   const std::string err = options_.Validate();
   ACPS_CHECK_MSG(err.empty(), "invalid SessionOptions for job '"
                                   << job_id_ << "': " << err);
@@ -72,7 +47,7 @@ Session::Session(Transport& transport, std::string job_id, int world_size,
                          << ") for job '" << job_id_ << "'");
   capacity_ =
       options_.max_world_size == 0 ? world_size_ : options_.max_world_size;
-  state_ = transport_->OpenChannel(job_id_, capacity_, options_.algo);
+  state_ = transport_->OpenChannel(job_id_, capacity_);
 }
 
 Session::~Session() {
@@ -141,15 +116,12 @@ void Session::Run(const std::function<void(Communicator&)>& fn) {
   for (int r = world_size_; r < capacity_; ++r) st->contract.SetLatent(r);
   st->working = world_size_;
 
-  const bool rejoin_enabled = ResolveRejoinEnabled();
-  const int64_t rejoin_timeout_ms =
-      ResolveRejoinTimeout(st->barrier_timeout_ms);
   // All (re)admission intents are registered before any worker starts:
   // admission becomes a pure function of (commit index, membership state),
   // never of when a crashed thread happened to reach its wait loop.
   fault::FaultInjector* inj =
       st->injector != nullptr ? st->injector : fault::InstalledFaultInjector();
-  if (rejoin_enabled && inj != nullptr) {
+  if (inj != nullptr) {
     for (const fault::AdmissionIntent& intent : inj->AdmissionSchedule()) {
       ACPS_CHECK_MSG(intent.rank >= 0 && intent.rank < capacity_,
                      "admission intent rank " << intent.rank
@@ -164,7 +136,7 @@ void Session::Run(const std::function<void(Communicator&)>& fn) {
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(capacity_));
   for (int r = 0; r < capacity_; ++r) {
-    threads.emplace_back([this, st, r, &fn, rejoin_timeout_ms] {
+    threads.emplace_back([this, st, r, &fn] {
       bool active = r < world_size_;
       int generation = 0;
       uint64_t resume_seq = 0;
@@ -175,7 +147,7 @@ void Session::Run(const std::function<void(Communicator&)>& fn) {
           // unconsumed intent may still admit this rank.
           if (!st->HasPendingAdmission(r)) break;
           const detail::AdmissionStatus status =
-              st->AwaitAdmission(r, rejoin_timeout_ms);
+              st->AwaitAdmission(r, st->barrier_timeout_ms);
           if (status == detail::AdmissionStatus::kAborted) break;
           if (status == detail::AdmissionStatus::kAbandoned) {
             if (st->metrics != nullptr) {

@@ -3,8 +3,8 @@
 // A Session is one tenant's namespace on a shared Transport: it owns the
 // job's channel block (barrier, mailboxes, membership, contract checker),
 // its envelope salt (chunks sealed under one session never validate under
-// another), its obs metric namespace (`job/<id>/...`), its default
-// collective configuration (SessionOptions), and — optionally — a
+// another), its obs metric namespace (`job/<id>/...`), its job
+// configuration (SessionOptions), and — optionally — a
 // tenant-scoped fault injector, so chaos plans aimed at this job cannot
 // leak into any other tenant. N sessions run concurrently over one
 // transport; each Session::Run spawns the job's worker threads, one per
@@ -28,13 +28,9 @@ namespace acps::comm {
 
 class Communicator;
 
-// Session-level collective configuration — the knobs that used to be
-// threaded through every call site move here, validated once at session
-// construction (the TrainConfig::Validate pattern).
+// Session-level job configuration, validated once at session construction
+// (the TrainConfig::Validate pattern).
 struct SessionOptions {
-  // Default algorithm for all_reduce calls that pass
-  // AllReduceAlgo::kSessionDefault (the parameter default).
-  AllReduceAlgo algo = AllReduceAlgo::kRing;
   // Fusion-buffer budget for aggregators built for this session, in bytes.
   // 0 means "library default" (fusion::kDefaultBufferBytes, 25 MiB).
   int64_t fusion_bytes = 0;
@@ -64,9 +60,9 @@ struct SessionOptions {
 class Session {
  public:
   // Opens a channel for `world_size` ranks on `transport`. Throws
-  // acps::Error when options are invalid or the transport is at capacity.
-  // `job_id` scopes envelopes, metrics and fault injection; "" is the
-  // anonymous session (unsalted envelopes, unprefixed metrics).
+  // acps::Error when `job_id` is empty, options are invalid or the
+  // transport is at capacity. `job_id` scopes envelopes, metrics and fault
+  // injection.
   Session(Transport& transport, std::string job_id, int world_size,
           SessionOptions options = {});
   ~Session();
@@ -86,7 +82,7 @@ class Session {
   // The salt sealed into this session's envelope checksums (isolation
   // tests assert distinct jobs get distinct salts).
   [[nodiscard]] uint64_t envelope_salt() const noexcept;
-  // "job/<id>/" for named jobs, "" for the anonymous session.
+  // "job/<id>/": the namespace of this session's metrics.
   [[nodiscard]] const std::string& metric_prefix() const noexcept;
 
   // Toggles collective-contract fingerprint checking (contract.h) for this
@@ -112,10 +108,8 @@ class Session {
   // AdmissionSchedule is non-empty): a downed rank with a pending
   // admission parks until a commit_view re-admits it, then runs fn again
   // as a new generation (Communicator::join_generation() > 0) with its
-  // collective sequence resumed in lockstep. ACPS_FAULT_REJOIN=0 disables
-  // readmission entirely (legacy fail-stop-forever);
-  // ACPS_FAULT_REJOIN_TIMEOUT_MS bounds the park (default: the collective
-  // watchdog timeout).
+  // collective sequence resumed in lockstep. The park is bounded by the
+  // transport's barrier watchdog timeout.
   void Run(const std::function<void(Communicator&)>& fn);
 
   // Ranks that fail-stopped (injected crash) during the most recent Run,

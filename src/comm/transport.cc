@@ -9,7 +9,7 @@ namespace detail {
 
 GroupState::GroupState(int p, int64_t timeout_ms)
     : world_size(p), barrier_timeout_ms(timeout_ms),
-      mailbox(static_cast<size_t>(p)), sizes(static_cast<size_t>(p), 0),
+      mailbox(static_cast<size_t>(p)),
       retry_flag(static_cast<size_t>(p), 0),
       alive(static_cast<size_t>(p), 1), alive_count(p),
       ever_ran(static_cast<size_t>(p), 1) {
@@ -299,7 +299,6 @@ uint64_t Transport::sessions_opened() const {
 }
 
 uint64_t Transport::EnvelopeSalt(const std::string& job_id) {
-  if (job_id.empty()) return 0;
   // FNV-1a over the id, then a SplitMix64-style finalizer: deterministic
   // per job id (the solo-parity gate re-runs a job under the same id and
   // must see identical behaviour), well-mixed across ids.
@@ -313,18 +312,14 @@ uint64_t Transport::EnvelopeSalt(const std::string& job_id) {
   h ^= h >> 27;
   h *= 0x94d049bb133111ebull;
   h ^= h >> 31;
-  // A salt of 0 means "anonymous session"; never let a named job collide
-  // with it.
-  return h == 0 ? 1 : h;
+  return h;
 }
 
 std::unique_ptr<detail::GroupState> Transport::OpenChannel(
-    const std::string& job_id, int world_size, AllReduceAlgo default_algo) {
+    const std::string& job_id, int world_size) {
   ACPS_CHECK_MSG(world_size >= 1, "world_size must be >= 1, got "
                                       << world_size << " (job '" << job_id
                                       << "')");
-  ACPS_CHECK_MSG(default_algo != AllReduceAlgo::kSessionDefault,
-                 "session default algo must be concrete (kRing or kNaive)");
   {
     std::lock_guard lock(transport_mu_);
     if (options_.max_sessions > 0 &&
@@ -350,9 +345,7 @@ std::unique_ptr<detail::GroupState> Transport::OpenChannel(
       world_size, options_.barrier_timeout_ms);
   state->contract_enabled = ResolveContractDefault();
   state->envelope_salt = EnvelopeSalt(job_id);
-  state->job_id = job_id;
-  state->metric_prefix = job_id.empty() ? "" : "job/" + job_id + "/";
-  state->default_algo = default_algo;
+  state->metric_prefix = "job/" + job_id + "/";
   return state;
 }
 

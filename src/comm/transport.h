@@ -11,11 +11,11 @@
 // block* per session, so tenants are physically isolated: no mailbox slot,
 // barrier round or retry flag is ever shared between jobs.
 //
-// Layering (tools/lint.sh `transport-below-session`): this header sits at
-// the bottom of src/comm — it must not include comm/session.h or
-// comm/communicator.h, and detail::GroupState must never be touched outside
-// src/comm (`groupstate-outside-comm`). Everything above talks to the
-// transport through Session / Communicator.
+// Layering (tools/analyzer/layers.conf, `transport-below-session`): this
+// header sits at the bottom of src/comm — it must not include
+// comm/session.h or comm/communicator.h, and detail::GroupState must never
+// be touched outside src/comm (`groupstate-outside-comm`). Everything above
+// talks to the transport through Session / Communicator.
 #pragma once
 
 #include <condition_variable>
@@ -46,13 +46,11 @@ namespace acps::comm {
 // Reduction operator for all_reduce / reduce_scatter.
 enum class ReduceOp { kSum, kMax };
 
-// All-reduce algorithm selection. kRing is the bandwidth-optimal default
-// (reduce-scatter + all-gather, 2*(p-1)/p * N per worker); kNaive is the
-// flat reduce-to-root + broadcast reference (O(p*N)). kSessionDefault (the
-// per-call default) resolves to the session's configured algorithm
-// (SessionOptions::algo, kRing unless configured), so callers
-// normally do not thread an algorithm through every collective.
-enum class AllReduceAlgo { kRing, kNaive, kSessionDefault };
+// All-reduce algorithm, chosen per Communicator::all_reduce call. kRing is
+// the bandwidth-optimal default (reduce-scatter + all-gather, 2*(p-1)/p * N
+// per worker); kNaive is the flat reduce-to-root + broadcast reference
+// (O(p*N)).
+enum class AllReduceAlgo { kRing, kNaive };
 
 // Per-worker traffic statistics, in "wire" units. One mailbox write of B
 // bytes counts as one message of B bytes sent (the shared-memory analogue of
@@ -127,10 +125,9 @@ enum class AdmissionStatus : uint8_t {
 };
 
 // One session's channel block: a sense-reversing barrier over the *alive*
-// membership, one envelope mailbox per worker, a size-exchange board for
-// variable-size collectives, retry flags for the reliable-delivery
-// protocol, the collective usage-contract checker, and the session-scoped
-// configuration (envelope salt, default algorithm, metric prefix, tenant
+// membership, one envelope mailbox per worker, retry flags for the
+// reliable-delivery protocol, the collective usage-contract checker, and
+// the session-scoped configuration (envelope salt, metric prefix, tenant
 // fault injector). Owned by exactly one comm::Session; opaque outside
 // src/comm.
 struct GroupState {
@@ -153,7 +150,6 @@ struct GroupState {
   ContractChecker contract;
 
   std::vector<Mailbox> mailbox;
-  std::vector<size_t> sizes;
 
   // Reliable-delivery retry flags: worker r sets retry_flag[r] between the
   // two barriers of an exchange step (1 = one of its reads failed
@@ -204,16 +200,12 @@ struct GroupState {
   // --- Session scope (set once at channel open / before Run) --------------
   // Folded into every envelope checksum: chunks sealed under one session's
   // salt never validate under another's, so tenants cannot observe each
-  // other's payloads. 0 for the anonymous session.
+  // other's payloads.
   uint64_t envelope_salt = 0;
-  // The session's job id ("" when anonymous) and the derived obs
-  // namespace ("job/<id>/", "" when anonymous). Fault counters and traffic
+  // The session's obs namespace ("job/<id>/"). Fault counters and traffic
   // metrics are recorded under this prefix so one tenant's retransmissions
   // never pollute another's counters.
-  std::string job_id;
   std::string metric_prefix;
-  // Per-session default for AllReduceAlgo::kSessionDefault resolution.
-  AllReduceAlgo default_algo = AllReduceAlgo::kRing;
   // Tenant-scoped fault injector (not owned; may be null). When set, all
   // fault hooks of this session route here INSTEAD of the process-global
   // injector, so a chaos plan aimed at one tenant cannot leak into another.
@@ -329,8 +321,8 @@ class Transport {
   [[nodiscard]] int active_ranks() const;
   [[nodiscard]] uint64_t sessions_opened() const;
 
-  // Deterministic per-job envelope salt: 0 for the anonymous session, a
-  // 64-bit mix of the job id otherwise. Exposed for isolation tests.
+  // Deterministic per-job envelope salt: a 64-bit mix of the job id.
+  // Exposed for isolation tests.
   [[nodiscard]] static uint64_t EnvelopeSalt(const std::string& job_id);
 
  private:
@@ -339,7 +331,7 @@ class Transport {
   // Opens one channel block for a session of `world_size` ranks. Throws
   // acps::Error when the transport is at capacity or world_size < 1.
   [[nodiscard]] std::unique_ptr<detail::GroupState> OpenChannel(
-      const std::string& job_id, int world_size, AllReduceAlgo default_algo);
+      const std::string& job_id, int world_size);
   void CloseChannel(int world_size) noexcept;
 
   TransportOptions options_;

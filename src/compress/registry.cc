@@ -1,6 +1,8 @@
 #include "compress/registry.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "compress/blockwise_sign.h"
@@ -19,9 +21,13 @@ struct Spec {
   std::string param;  // empty if absent
 };
 
+// "name:" is rejected here, so an empty Spec::param always means "absent".
 Spec Parse(const std::string& spec) {
   const size_t colon = spec.find(':');
   if (colon == std::string::npos) return {spec, ""};
+  ACPS_CHECK_MSG(colon + 1 < spec.size(),
+                 "empty parameter after ':' in compressor spec '" << spec
+                                                                  << "'");
   return {spec.substr(0, colon), spec.substr(colon + 1)};
 }
 
@@ -35,6 +41,22 @@ double ParamAsDouble(const Spec& s, double fallback) {
   return v;
 }
 
+// Integer parameters parse as integers: the whole string must be consumed
+// and the value must lie in [lo, hi] before any cast, so "8.7" or "-1" is an
+// error rather than a truncation or an out-of-range conversion.
+int64_t ParamAsInt(const Spec& s, int64_t fallback, int64_t lo, int64_t hi) {
+  if (s.param.empty()) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(s.param.c_str(), &end, 10);
+  ACPS_CHECK_MSG(end != nullptr && *end == '\0' && errno == 0 && v >= lo &&
+                     v <= hi,
+                 "bad parameter '" << s.param << "' for compressor " << s.name
+                                   << ": want an integer in [" << lo << ", "
+                                   << hi << "]");
+  return v;
+}
+
 }  // namespace
 
 std::unique_ptr<Compressor> MakeCompressor(const std::string& spec) {
@@ -44,8 +66,10 @@ std::unique_ptr<Compressor> MakeCompressor(const std::string& spec) {
     return std::make_unique<SignCompressor>();
   }
   if (s.name == "blockwise-sign") {
-    const auto block = static_cast<size_t>(ParamAsDouble(s, 1024));
-    return std::make_unique<BlockwiseSignCompressor>(block);
+    const int64_t block =
+        ParamAsInt(s, 1024, 1, std::numeric_limits<int64_t>::max());
+    return std::make_unique<BlockwiseSignCompressor>(
+        static_cast<size_t>(block));
   }
   if (s.name == "topk") {
     return std::make_unique<TopkCompressor>(ParamAsDouble(s, 0.001),
@@ -60,7 +84,7 @@ std::unique_ptr<Compressor> MakeCompressor(const std::string& spec) {
   }
   if (s.name == "qsgd") {
     return std::make_unique<QsgdCompressor>(
-        static_cast<int>(ParamAsDouble(s, 16)));
+        static_cast<int>(ParamAsInt(s, 16, 1, 127)));
   }
   if (s.name == "terngrad") {
     ACPS_CHECK_MSG(s.param.empty(), "terngrad takes no parameter");

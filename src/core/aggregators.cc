@@ -12,12 +12,15 @@ AggregatorFactory MakeAggregatorFactory(const std::string& spec,
   const int64_t bytes =
       buffer_bytes == 0 ? fusion::kDefaultBufferBytes : buffer_bytes;
 
-  // Split "name[:param]"; an empty param after ':' is rejected below by the
-  // per-method parser.
+  // Split "name[:param]"; an empty param after ':' is rejected here, so the
+  // per-method parsers below read an empty param as "absent".
   const size_t colon = spec.find(':');
   const std::string name = spec.substr(0, colon);
   const std::string param =
       colon == std::string::npos ? "" : spec.substr(colon + 1);
+  ACPS_CHECK_MSG(colon == std::string::npos || !param.empty(),
+                 "empty parameter after ':' in compressor spec '" << spec
+                                                                  << "'");
   const auto int_param = [&](int64_t fallback) -> int64_t {
     if (param.empty()) return fallback;
     size_t used = 0;

@@ -69,10 +69,6 @@ namespace {
 // overloads; this runs the replicas on whichever session it is handed.
 TrainResult TrainImpl(comm::Session& session, const TrainConfig& config,
                       const AggregatorFactory& factory) {
-  // Per-job step latency goes to the session namespace only for named jobs;
-  // the anonymous legacy session keeps the historical train.* names alone.
-  const bool observe_session_steps = !session.job_id().empty();
-
   TrainResult result;
   ACPS_LOCK_LEVEL(95) result_mu;
 
@@ -165,7 +161,7 @@ TrainResult TrainImpl(comm::Session& session, const TrainConfig& config,
             // re-running it each step only refreshes the cumulative gauges.
             if (par::KernelStatsEnabled()) obs::ExportKernelStats(*metrics);
           }
-          if (observe_session_steps) session.ObserveStepMs(step_us / 1000.0);
+          session.ObserveStepMs(step_us / 1000.0);
         }
       }
 

@@ -65,14 +65,14 @@ struct TrainResult {
 
 // Runs the experiment as one tenant of a shared transport (one worker per
 // communicator rank; the factory is called once per worker, inside that
-// worker's thread). Single-tenant callers open an anonymous Session on a
+// worker's thread). Single-tenant callers open a named Session on a
 // private Transport and, if they care about oversubscription, size the
 // kernel pool themselves via par::WorkerThreadBudget.
 // Does NOT resize the global kernel pool — concurrent jobs share it and
 // busy-pool callers fall back to inline execution (the thread-budget
 // donation rule, DESIGN.md §7), so results stay bitwise identical at any
 // tenant count and any pool size. Rank 0 also records per-step latency
-// into the session's `job/<id>/step_ms` histogram for named jobs.
+// into the session's `job/<id>/step_ms` histogram.
 [[nodiscard]] TrainResult TrainDistributed(comm::Session& session,
                                            const TrainConfig& config,
                                            const AggregatorFactory& factory);

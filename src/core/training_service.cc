@@ -1,5 +1,6 @@
 #include "core/training_service.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/metrics_registry.h"
@@ -48,6 +49,12 @@ comm::TransportOptions TransportOptionsFor(const ServiceConfig& config,
   return opts;
 }
 
+// Ranks a job holds on the transport while it runs: its session's channel
+// capacity, which an elastic job sizes to max_world_size.
+int ChargedRanks(const JobSpec& spec) {
+  return std::max(spec.world_size, spec.session.max_world_size);
+}
+
 }  // namespace
 
 TrainingService::TrainingService(ServiceConfig config)
@@ -81,10 +88,12 @@ JobHandle TrainingService::Submit(const JobSpec& spec,
                  "job world_size must be in [1, "
                      << config_.max_ranks_per_job << "], got "
                      << spec.world_size << " (job '" << spec.name << "')");
-  ACPS_CHECK_MSG(spec.world_size <= TotalRankCap(),
-                 "job world_size " << spec.world_size
-                                   << " exceeds the service rank budget "
-                                   << TotalRankCap());
+  ACPS_CHECK_MSG(ChargedRanks(spec) <= TotalRankCap(),
+                 "job capacity " << ChargedRanks(spec)
+                                 << " (max of world_size and max_world_size)"
+                                 << " exceeds the service rank budget "
+                                 << TotalRankCap() << " (job '" << spec.name
+                                 << "')");
   const std::string opt_err = spec.session.Validate();
   ACPS_CHECK_MSG(opt_err.empty(), "invalid SessionOptions for job '"
                                       << spec.name << "': " << opt_err);
@@ -115,10 +124,10 @@ void TrainingService::RunnerLoop(uint64_t id, JobSpec spec,
     std::unique_lock lock(service_mu_);
     admission_cv_.wait(lock, [&] {
       return active_jobs_ < config_.max_concurrent_jobs &&
-             active_ranks_ + spec.world_size <= TotalRankCap();
+             active_ranks_ + ChargedRanks(spec) <= TotalRankCap();
     });
     ++active_jobs_;
-    active_ranks_ += spec.world_size;
+    active_ranks_ += ChargedRanks(spec);
     // Copy the key out: records_ may reallocate under concurrent Submits,
     // so no pointer into it survives past this lock.
     records_[id - 1].state = JobState::kRunning;
@@ -161,7 +170,7 @@ void TrainingService::RunnerLoop(uint64_t id, JobSpec spec,
     record.traffic = traffic;
     record.crashed_ranks = std::move(crashed);
     --active_jobs_;
-    active_ranks_ -= spec.world_size;
+    active_ranks_ -= ChargedRanks(spec);
     ++completed_;
   }
   admission_cv_.notify_all();

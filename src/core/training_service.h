@@ -37,8 +37,10 @@ struct ServiceConfig {
   // Largest world_size a single job may request; bigger submissions are
   // rejected at Submit (they could never be admitted).
   int max_ranks_per_job = 16;
-  // Cap on the sum of world sizes across running jobs. 0 resolves to
-  // max_concurrent_jobs * max_ranks_per_job (i.e. no extra constraint).
+  // Cap on the ranks held by running jobs: each job is charged its session
+  // capacity, max(world_size, session.max_world_size), exactly what the
+  // transport charges. 0 resolves to max_concurrent_jobs *
+  // max_ranks_per_job.
   int max_total_ranks = 0;
   // Barrier watchdog for every job's session (see TransportOptions).
   int64_t barrier_timeout_ms = comm::kCollectiveTimeoutFromEnv;
@@ -106,8 +108,10 @@ class TrainingService {
   // runs on a dedicated runner thread once admission grants capacity; it is
   // handed the job's Session and drives it (typically one or more
   // Session::Run calls, or core::TrainDistributed). Throws acps::Error on an
-  // invalid spec or a world_size beyond max_ranks_per_job. A body exception
-  // fails the job (JobRecord::error) instead of propagating.
+  // invalid spec, a world_size beyond max_ranks_per_job, or a capacity
+  // (max of world_size and session.max_world_size) beyond the rank budget.
+  // A body exception fails the job (JobRecord::error) instead of
+  // propagating.
   JobHandle Submit(const JobSpec& spec,
                    std::function<void(comm::Session&)> body);
 

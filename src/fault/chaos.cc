@@ -104,7 +104,7 @@ ChaosRun RunGroup(int world_size,
   run.outputs.assign(static_cast<size_t>(world_size), {});
   if (with_ef_gap) run.ef_gap.assign(static_cast<size_t>(world_size), 0.0);
   comm::Transport transport;
-  comm::Session group(transport, "", world_size);
+  comm::Session group(transport, "chaos", world_size);
   try {
     group.Run([&](comm::Communicator& comm) { body(comm, run); });
   } catch (const DetectedError& e) {

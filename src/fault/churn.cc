@@ -307,7 +307,7 @@ ChurnRun RunElastic(const ScenarioSpec& spec) {
   comm::Transport transport;
   comm::SessionOptions sopt;
   sopt.max_world_size = spec.capacity;
-  comm::Session session(transport, "", spec.world_size, sopt);
+  comm::Session session(transport, "churn", spec.world_size, sopt);
   try {
     session.Run([&](comm::Communicator& comm) {
       ElasticBody(spec, board, run, comm);

@@ -123,10 +123,6 @@ class ScopedSpan {
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  // Adjusts the byte tag after construction (for spans whose payload size
-  // is only known mid-flight, e.g. all_gather_v).
-  void set_bytes(uint64_t bytes) { bytes_ = bytes; }
-
   ~ScopedSpan() {
     if (tracer_ == nullptr) return;
     tracer_->Record(SpanEvent{name_, category_, worker_, begin_us_,

@@ -62,7 +62,7 @@ TestParams MeanOf(int p) {
 TEST(SsgdReducer, ComputesExactMean) {
   const int p = 4;
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "aggregator", p);
   const TestParams expect = MeanOf(p);
   std::atomic<int> failures{0};
   group.Run([&](comm::Communicator& comm) {
@@ -80,7 +80,7 @@ TEST(SsgdReducer, ComputesExactMean) {
 TEST(SsgdReducer, SmallBucketsStillExact) {
   const int p = 3;
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "aggregator", p);
   const TestParams expect = MeanOf(p);
   std::atomic<int> failures{0};
   group.Run([&](comm::Communicator& comm) {
@@ -98,7 +98,7 @@ TEST(SsgdReducer, SmallBucketsStillExact) {
 template <typename MakeAgg>
 void CheckWorkersIdentical(int p, MakeAgg make) {
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "aggregator", p);
   std::vector<Tensor> w1(static_cast<size_t>(p)), w2(static_cast<size_t>(p)),
       bias(static_cast<size_t>(p));
   group.Run([&](comm::Communicator& comm) {
@@ -133,12 +133,22 @@ TEST(Aggregators, AllWorkersEndIdentical) {
   CheckWorkersIdentical(4, MakeAggregatorFactory("topk:0.1"));
 }
 
+TEST(Aggregators, SpecRejectsEmptyParameter) {
+  // "name:" is a typo, not a request for the default parameter.
+  for (const char* spec :
+       {"acpsgd:", "powersgd:", "ssgd:", "sign:", "topk:", "randomk:"})
+    EXPECT_THROW((void)MakeAggregatorFactory(spec), Error) << spec;
+  for (const char* spec : {"acpsgd", "powersgd:2", "ssgd", "sign", "topk",
+                           "randomk:0.1"})
+    EXPECT_NO_THROW((void)MakeAggregatorFactory(spec)) << spec;
+}
+
 // The single-step tests below run with error feedback on: the residual
 // starts at zero, so the first step equals the uncorrected exchange.
 TEST(SignReducer, MatchesMajorityVoteReference) {
   const int p = 3;
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "aggregator", p);
   std::vector<Tensor> results(static_cast<size_t>(p));
   group.Run([&](comm::Communicator& comm) {
     TestParams tp(comm.rank());
@@ -162,7 +172,7 @@ TEST(SignReducer, MatchesMajorityVoteReference) {
 TEST(TopkReducer, KeepsOnlyUnionOfTopkCoordinates) {
   const int p = 2;
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "aggregator", p);
   std::vector<Tensor> results(static_cast<size_t>(p));
   group.Run([&](comm::Communicator& comm) {
     TestParams tp(comm.rank());
@@ -184,7 +194,7 @@ TEST(PowerSgdReducer, VectorParamsExact) {
   // Vector params bypass compression and must be exactly averaged.
   const int p = 4;
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "aggregator", p);
   const TestParams expect = MeanOf(p);
   std::atomic<int> failures{0};
   group.Run([&](comm::Communicator& comm) {
@@ -203,7 +213,7 @@ TEST(AcpSgdReducer, ApproximatesMeanOverSteps) {
   // gradient across steps).
   const int p = 4;
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "aggregator", p);
   const TestParams expect = MeanOf(p);
   std::atomic<int> failures{0};
   group.Run([&](comm::Communicator& comm) {
@@ -243,7 +253,7 @@ uint64_t GoldenDigest(const AggregatorFactory& factory) {
   constexpr int kSteps = 4;
   std::vector<uint64_t> digests(kWorld);
   comm::Transport transport;
-  comm::Session session(transport, "", kWorld);
+  comm::Session session(transport, "aggregator", kWorld);
   session.Run([&](comm::Communicator& comm) {
     dnn::Network net = dnn::ResMini();
     net.Init(7);
@@ -320,7 +330,7 @@ std::vector<std::vector<float>> ReduceBackward(const std::string& spec,
   constexpr int kWorld = 2;
   std::vector<std::vector<float>> out(kWorld);
   comm::Transport transport;
-  comm::Session session(transport, "", kWorld);
+  comm::Session session(transport, "aggregator", kWorld);
   session.Run([&](comm::Communicator& comm) {
     dnn::Network net = dnn::ResMini();
     net.Init(7);
@@ -371,7 +381,7 @@ TEST(Aggregators, BackwardHooksMatchAggregateBitwise) {
 TEST(AcpSgdReducer, VectorParamsExact) {
   const int p = 4;
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "aggregator", p);
   const TestParams expect = MeanOf(p);
   std::atomic<int> failures{0};
   group.Run([&](comm::Communicator& comm) {

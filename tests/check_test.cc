@@ -243,7 +243,7 @@ TEST(FaultInjectionTest, ReusedControllerInjectsIdenticallyAcrossRuns) {
   const auto run_once = [&controller] {
     std::vector<std::vector<float>> out(3);
     comm::Transport group_transport;
-    comm::Session group(group_transport, "", 3);
+    comm::Session group(group_transport, "check", 3);
     ScopedSchedListener install(&controller);
     controller.ResetRunState();
     group.Run([&out](comm::Communicator& comm) {

@@ -55,24 +55,22 @@ TEST(CollectiveFingerprint, DescribeAndMatches) {
   other.op = 1;
   EXPECT_FALSE(ring.Matches(other));
 
-  // Variable-size collectives match on kind alone.
-  const CollectiveFingerprint v1{.kind = CollectiveKind::kAllGatherV,
-                                 .bytes = 10,
-                                 .variable_size = true};
-  const CollectiveFingerprint v2{.kind = CollectiveKind::kAllGatherV,
-                                 .bytes = 99,
-                                 .variable_size = true};
-  EXPECT_TRUE(v1.Matches(v2));
-  EXPECT_EQ(v2.Describe(), "all_gather_v[variable size]");
+  // Gathers are fixed-size too: the byte count must match.
+  const CollectiveFingerprint g1{.kind = CollectiveKind::kAllGatherBytes,
+                                 .bytes = 10};
+  const CollectiveFingerprint g2{.kind = CollectiveKind::kAllGatherBytes,
+                                 .bytes = 99};
+  EXPECT_FALSE(g1.Matches(g2));
+  EXPECT_EQ(g2.Describe(), "all_gather_bytes[99 B]");
 
   const CollectiveFingerprint b{.kind = CollectiveKind::kBarrier};
   EXPECT_EQ(b.Describe(), "barrier[]");
-  EXPECT_FALSE(b.Matches(v1));
+  EXPECT_FALSE(b.Matches(g1));
 }
 
 TEST(ContractChecker, HealthyCollectivesPassWithCheckingOn) {
   Transport transport;
-  Session group(transport, "", 4);
+  Session group(transport, "contract", 4);
   group.set_contract_checking(true);
   ASSERT_TRUE(group.contract_checking());
   std::atomic<int> ok{0};
@@ -82,12 +80,9 @@ TEST(ContractChecker, HealthyCollectivesPassWithCheckingOn) {
     comm.barrier();
     std::vector<float> g(64 * 4);
     comm.all_gather(std::span<const float>(v).subspan(0, 64), g);
-    // Variable sizes across ranks are legal for all_gather_v.
-    std::vector<std::byte> mine(static_cast<size_t>(comm.rank() + 1),
-                                std::byte{7});
-    std::vector<std::byte> recv;
-    std::vector<size_t> offsets;
-    comm.all_gather_v(mine, recv, offsets);
+    std::vector<std::byte> mine(5, static_cast<std::byte>(comm.rank()));
+    std::vector<std::byte> recv(5 * 4);
+    comm.all_gather_bytes(mine, recv);
     comm.broadcast(v, 2);
     comm.reduce_scatter(v);
     ++ok;
@@ -99,7 +94,7 @@ TEST(ContractChecker, HealthyCollectivesPassWithCheckingOn) {
 // diagnostic, not a hang or a garbage reduction.
 TEST(ContractChecker, SizeMismatchedAllReduceDiagnosed) {
   Transport transport({.barrier_timeout_ms = 30000});
-  Session group(transport, "", 3);
+  Session group(transport, "contract", 3);
   group.set_contract_checking(true);
   const auto msg = ExpectErrorContaining(
       group,
@@ -120,7 +115,7 @@ TEST(ContractChecker, SizeMismatchedAllReduceDiagnosed) {
 // while the others call all_gather — is detected at the rendezvous.
 TEST(ContractChecker, DivergentSequenceDetected) {
   Transport transport({.barrier_timeout_ms = 30000});
-  Session group(transport, "", 3);
+  Session group(transport, "contract", 3);
   group.set_contract_checking(true);
   ExpectErrorContaining(
       group,
@@ -139,7 +134,7 @@ TEST(ContractChecker, DivergentSequenceDetected) {
 
 TEST(ContractChecker, MismatchedReduceOpDetected) {
   Transport transport({.barrier_timeout_ms = 30000});
-  Session group(transport, "", 2);
+  Session group(transport, "contract", 2);
   group.set_contract_checking(true);
   ExpectErrorContaining(
       group,
@@ -152,7 +147,7 @@ TEST(ContractChecker, MismatchedReduceOpDetected) {
 
 TEST(ContractChecker, MismatchedAlgoDetected) {
   Transport transport({.barrier_timeout_ms = 30000});
-  Session group(transport, "", 2);
+  Session group(transport, "contract", 2);
   group.set_contract_checking(true);
   ExpectErrorContaining(
       group,
@@ -169,7 +164,7 @@ TEST(ContractChecker, MismatchedAlgoDetected) {
 // error names which ranks are blocked in which collective.
 TEST(CollectiveWatchdog, FiresAndNamesBlockedRanks) {
   Transport transport({.barrier_timeout_ms = 300});
-  Session group(transport, "", 3);
+  Session group(transport, "contract", 3);
   const auto start = std::chrono::steady_clock::now();
   const auto msg = ExpectErrorContaining(
       group,
@@ -192,7 +187,7 @@ TEST(CollectiveWatchdog, TimeoutConfigurableViaEnvironment) {
   // 60-second fallback, so this test passing quickly is itself the check.
   ASSERT_EQ(setenv("ACPS_COLLECTIVE_TIMEOUT_MS", "300", /*overwrite=*/1), 0);
   Transport transport;
-  Session group(transport, "", 2);
+  Session group(transport, "contract", 2);
   unsetenv("ACPS_COLLECTIVE_TIMEOUT_MS");
   const auto start = std::chrono::steady_clock::now();
   ExpectErrorContaining(
@@ -207,7 +202,7 @@ TEST(CollectiveWatchdog, TimeoutConfigurableViaEnvironment) {
 
 TEST(CollectiveWatchdog, GroupReusableAfterContractViolation) {
   Transport transport({.barrier_timeout_ms = 30000});
-  Session group(transport, "", 2);
+  Session group(transport, "contract", 2);
   group.set_contract_checking(true);
   ExpectErrorContaining(
       group,
@@ -230,8 +225,8 @@ TEST(CollectiveKindTest, EveryKindHasAName) {
   for (const CollectiveKind k :
        {CollectiveKind::kNone, CollectiveKind::kBarrier,
         CollectiveKind::kAllReduce, CollectiveKind::kAllGather,
-        CollectiveKind::kAllGatherBytes, CollectiveKind::kAllGatherV,
-        CollectiveKind::kReduceScatter, CollectiveKind::kBroadcast}) {
+        CollectiveKind::kAllGatherBytes, CollectiveKind::kReduceScatter,
+        CollectiveKind::kBroadcast, CollectiveKind::kViewCommit}) {
     EXPECT_STRNE(ToString(k), "unknown");
   }
   EXPECT_STREQ(ToString(static_cast<CollectiveKind>(250)), "unknown");

@@ -57,7 +57,7 @@ class AllReduceTest
 TEST_P(AllReduceTest, RingSumsAcrossWorkers) {
   const auto [p, n] = GetParam();
   Transport transport;
-  Session group(transport, "", p);
+  Session group(transport, "comm-test", p);
   std::atomic<int> failures{0};
   group.Run([&](Communicator& comm) {
     auto data = PatternFor(comm.rank(), n);
@@ -76,7 +76,7 @@ TEST_P(AllReduceTest, RingSumsAcrossWorkers) {
 TEST_P(AllReduceTest, NaiveMatchesRing) {
   const auto [p, n] = GetParam();
   Transport transport;
-  Session group(transport, "", p);
+  Session group(transport, "comm-test", p);
   std::atomic<int> failures{0};
   group.Run([&](Communicator& comm) {
     auto ring = PatternFor(comm.rank(), n);
@@ -100,7 +100,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(AllReduce, MaxOp) {
   Transport transport;
-  Session group(transport, "", 4);
+  Session group(transport, "comm-test", 4);
   std::atomic<int> failures{0};
   group.Run([&](Communicator& comm) {
     std::vector<float> v{static_cast<float>(comm.rank()),
@@ -115,7 +115,7 @@ TEST(AllGather, CollectsInRankOrder) {
   const int p = 4;
   const size_t n = 10;
   Transport transport;
-  Session group(transport, "", p);
+  Session group(transport, "comm-test", p);
   std::atomic<int> failures{0};
   group.Run([&](Communicator& comm) {
     const auto mine = PatternFor(comm.rank(), n);
@@ -133,7 +133,7 @@ TEST(AllGather, CollectsInRankOrder) {
 
 TEST(AllGather, SizeMismatchThrows) {
   Transport transport;
-  Session group(transport, "", 2);
+  Session group(transport, "comm-test", 2);
   EXPECT_THROW(group.Run([&](Communicator& comm) {
     std::vector<float> send(4), recv(7);  // 7 != 2*4
     comm.all_gather(send, recv);
@@ -144,7 +144,7 @@ TEST(AllGather, SizeMismatchThrows) {
 TEST(AllGatherBytes, RoundTrips) {
   const int p = 3;
   Transport transport;
-  Session group(transport, "", p);
+  Session group(transport, "comm-test", p);
   std::atomic<int> failures{0};
   group.Run([&](Communicator& comm) {
     std::vector<std::byte> mine(5, static_cast<std::byte>(comm.rank() + 65));
@@ -159,37 +159,11 @@ TEST(AllGatherBytes, RoundTrips) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(AllGatherV, VariableSizes) {
-  const int p = 4;
-  Transport transport;
-  Session group(transport, "", p);
-  std::atomic<int> failures{0};
-  group.Run([&](Communicator& comm) {
-    // Worker r contributes r+1 bytes of value (r+1).
-    std::vector<std::byte> mine(static_cast<size_t>(comm.rank() + 1),
-                                static_cast<std::byte>(comm.rank() + 1));
-    std::vector<std::byte> recv;
-    std::vector<size_t> offsets;
-    comm.all_gather_v(mine, recv, offsets);
-    if (recv.size() != 1 + 2 + 3 + 4) ++failures;
-    for (int r = 0; r < p; ++r) {
-      if (offsets[static_cast<size_t>(r + 1)] -
-              offsets[static_cast<size_t>(r)] !=
-          static_cast<size_t>(r + 1))
-        ++failures;
-      for (size_t i = offsets[static_cast<size_t>(r)];
-           i < offsets[static_cast<size_t>(r + 1)]; ++i)
-        if (recv[i] != static_cast<std::byte>(r + 1)) ++failures;
-    }
-  });
-  EXPECT_EQ(failures.load(), 0);
-}
-
 TEST(ReduceScatter, EachWorkerOwnsItsChunk) {
   const int p = 4;
   const size_t n = 21;  // deliberately not divisible by p
   Transport transport;
-  Session group(transport, "", p);
+  Session group(transport, "comm-test", p);
   std::atomic<int> failures{0};
   group.Run([&](Communicator& comm) {
     auto data = PatternFor(comm.rank(), n);
@@ -209,7 +183,7 @@ TEST(Broadcast, FromEachRoot) {
   const int p = 4;
   for (int root = 0; root < p; ++root) {
     Transport transport;
-    Session group(transport, "", p);
+    Session group(transport, "comm-test", p);
     std::atomic<int> failures{0};
     group.Run([&](Communicator& comm) {
       std::vector<float> v(8, comm.rank() == root ? 42.0f : -1.0f);
@@ -223,7 +197,7 @@ TEST(Broadcast, FromEachRoot) {
 
 TEST(Broadcast, BadRootThrows) {
   Transport transport;
-  Session group(transport, "", 2);
+  Session group(transport, "comm-test", 2);
   EXPECT_THROW(group.Run([&](Communicator& comm) {
     std::vector<float> v(1);
     comm.broadcast(v, 5);
@@ -237,7 +211,7 @@ TEST(TrafficStats, RingAllReduceVolumeMatchesTableII) {
   const int p = 4;
   const size_t n = 64;  // divisible by p so chunking is exact
   Transport transport;
-  Session group(transport, "", p);
+  Session group(transport, "comm-test", p);
   group.Run([&](Communicator& comm) {
     auto data = PatternFor(comm.rank(), n);
     comm.all_reduce(data);
@@ -249,11 +223,11 @@ TEST(TrafficStats, RingAllReduceVolumeMatchesTableII) {
   });
 }
 
-TEST(TrafficStats, AllGatherVolumeMatchesTableII) {
+TEST(TrafficStats, AllGatherTrafficMatchesTableII) {
   const int p = 4;
   const size_t n = 32;
   Transport transport;
-  Session group(transport, "", p);
+  Session group(transport, "comm-test", p);
   group.Run([&](Communicator& comm) {
     const auto mine = PatternFor(comm.rank(), n);
     std::vector<float> all(n * p);
@@ -267,7 +241,7 @@ TEST(TrafficStats, NaiveAllReduceIsLinearInP) {
   const int p = 4;
   const size_t n = 16;
   Transport transport;
-  Session group(transport, "", p);
+  Session group(transport, "comm-test", p);
   group.Run([&](Communicator& comm) {
     auto data = PatternFor(comm.rank(), n);
     comm.all_reduce(data, ReduceOp::kSum, AllReduceAlgo::kNaive);
@@ -279,7 +253,7 @@ TEST(TrafficStats, NaiveAllReduceIsLinearInP) {
 
 TEST(SessionRun, WorkerExceptionPropagates) {
   Transport transport;
-  Session group(transport, "", 3);
+  Session group(transport, "comm-test", 3);
   EXPECT_THROW(group.Run([&](Communicator& comm) {
     if (comm.rank() == 1) throw Error("boom");
     // Other workers block on a barrier; the abort must release them.
@@ -300,7 +274,7 @@ TEST(SessionRun, SequentialCollectivesStayConsistent) {
   // A chain of different collectives: any rendezvous skew would corrupt
   // results or deadlock.
   Transport transport;
-  Session group(transport, "", 4);
+  Session group(transport, "comm-test", 4);
   std::atomic<int> failures{0};
   group.Run([&](Communicator& comm) {
     for (int round = 0; round < 20; ++round) {
@@ -319,7 +293,7 @@ TEST(SessionRun, SequentialCollectivesStayConsistent) {
 
 TEST(SessionRun, WorldSizeOne) {
   Transport transport;
-  Session group(transport, "", 1);
+  Session group(transport, "comm-test", 1);
   group.Run([&](Communicator& comm) {
     auto v = PatternFor(0, 7);
     const auto before = v;
@@ -333,14 +307,14 @@ TEST(SessionRun, WorldSizeOne) {
 
 TEST(SessionRun, RejectsBadWorldSize) {
   Transport transport;
-  EXPECT_THROW(Session(transport, "", 0), Error);
+  EXPECT_THROW(Session(transport, "comm-test", 0), Error);
 }
 
 TEST(SessionRun, BarrierTimeoutDetectsMismatchedCollectives) {
   // Worker 1 skips the collective entirely: without the watchdog the
   // others would deadlock; with it the group aborts with an error.
   Transport transport(TransportOptions{.barrier_timeout_ms = 200});
-  Session group(transport, "", 3);
+  Session group(transport, "comm-test", 3);
   EXPECT_THROW(group.Run([&](Communicator& comm) {
     if (comm.rank() == 1) return;  // never reaches the barrier
     std::vector<float> v(8, 1.0f);
@@ -351,7 +325,7 @@ TEST(SessionRun, BarrierTimeoutDetectsMismatchedCollectives) {
 
 TEST(SessionRun, TimeoutDoesNotFireOnHealthyRuns) {
   Transport transport(TransportOptions{.barrier_timeout_ms = 5000});
-  Session group(transport, "", 4);
+  Session group(transport, "comm-test", 4);
   std::atomic<int> ok{0};
   group.Run([&](Communicator& comm) {
     std::vector<float> v(128, static_cast<float>(comm.rank()));
@@ -446,20 +420,15 @@ TEST(Session, ConcurrentSessionsShareOneTransport) {
   EXPECT_EQ(ok.load(), 5);
 }
 
-TEST(Session, AnonymousSessionIsUnsaltedAndUnprefixed) {
-  // An anonymous tenant (no job id): salt 0, no metric prefix, ring default.
+TEST(Session, RejectsEmptyJobId) {
+  // Every session is named: the id salts its envelopes and prefixes its
+  // metrics, so an empty one is refused and leaks no capacity.
   Transport transport;
-  Session group(transport, "", 2);
-  EXPECT_EQ(group.job_id(), "");
-  EXPECT_EQ(group.envelope_salt(), 0u);
-  EXPECT_EQ(group.metric_prefix(), "");
-  EXPECT_EQ(group.world_size(), 2);
-  group.Run([](Communicator& comm) {
-    std::vector<float> v(8, 1.0f);
-    comm.all_reduce(v);
-  });
-  // Ring all-reduce of 8 floats at p=2: each worker sends 4 floats per phase.
-  EXPECT_EQ(group.total_stats().bytes_sent, 2u * 8u * sizeof(float));
+  EXPECT_THROW(Session(transport, "", 2), Error);
+  EXPECT_EQ(transport.active_sessions(), 0);
+  Session named(transport, "comm-test", 2);
+  EXPECT_EQ(named.metric_prefix(), "job/comm-test/");
+  EXPECT_EQ(named.envelope_salt(), Transport::EnvelopeSalt("comm-test"));
 }
 
 // --- Golden collective digests ----------------------------------------------

@@ -456,6 +456,20 @@ TEST(EncodeInto, RejectsWronglySizedOutput) {
   EXPECT_THROW(c.EncodeInto(g, big), Error);
 }
 
+TEST(Registry, RejectsMalformedParameters) {
+  // Integer parameters must be integers in range (no truncation, no
+  // out-of-range cast), and "name:" is a typo, not the default.
+  for (const char* spec :
+       {"blockwise-sign:-1", "blockwise-sign:0", "blockwise-sign:2.5",
+        "qsgd:8.7", "qsgd:3e9", "qsgd:0", "qsgd:128", "qsgd:",
+        "blockwise-sign:", "topk:", "topk-sampled:", "randomk:"})
+    EXPECT_THROW((void)MakeCompressor(spec), Error) << spec;
+  const auto qsgd = MakeCompressor("qsgd:8");
+  EXPECT_EQ(dynamic_cast<const QsgdCompressor&>(*qsgd).levels(), 8);
+  EXPECT_NO_THROW((void)MakeCompressor("blockwise-sign:256"));
+  EXPECT_NO_THROW((void)MakeCompressor("qsgd:127"));
+}
+
 // Compression ratios summary (Table I row: Sign 32x, Top-k 1000x).
 TEST(CompressionRatios, MatchTableI) {
   SignCompressor sign;

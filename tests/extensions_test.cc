@@ -28,7 +28,7 @@ TEST_P(HierarchicalTest, MatchesFlatAllReduce) {
   const int p = nodes * gpn;
   const size_t n = 37;
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "extensions", p);
   std::atomic<int> failures{0};
   group.Run([&](comm::Communicator& comm) {
     std::vector<float> hier(n), flat(n);
@@ -54,7 +54,7 @@ INSTANTIATE_TEST_SUITE_P(Topologies, HierarchicalTest,
 
 TEST(Hierarchical, RejectsNonDividingGroupSize) {
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", 4);
+  comm::Session group(group_transport, "extensions", 4);
   EXPECT_THROW(group.Run([&](comm::Communicator& comm) {
     std::vector<float> v(4, 1.0f);
     comm::HierarchicalAllReduce(comm, v, 3);

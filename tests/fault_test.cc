@@ -191,7 +191,7 @@ TEST(FaultObservabilityTest, InjectedFaultsEmitCountersAndSpans) {
   obs::MetricsRegistry metrics;
   metrics.Enable();
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", kWorld);
+  comm::Session group(group_transport, "fault", kWorld);
   group_transport.set_tracer(&tracer);
   group_transport.set_metrics(&metrics);
 
@@ -232,10 +232,11 @@ TEST(FaultObservabilityTest, InjectedFaultsEmitCountersAndSpans) {
     EXPECT_EQ(group.crashed_ranks(), std::vector<int>{1});
   }
 
-  EXPECT_GT(metrics.counter("fault.straggler.events").value(), 0u);
-  EXPECT_GT(metrics.counter("fault.straggler.ticks").value(), 0u);
-  EXPECT_GT(metrics.counter("fault.retry.attempts").value(), 0u);
-  EXPECT_EQ(metrics.counter("fault.crash.ranks").value(), 1u);
+  const std::string& pre = group.metric_prefix();
+  EXPECT_GT(metrics.counter(pre + "fault.straggler.events").value(), 0u);
+  EXPECT_GT(metrics.counter(pre + "fault.straggler.ticks").value(), 0u);
+  EXPECT_GT(metrics.counter(pre + "fault.retry.attempts").value(), 0u);
+  EXPECT_EQ(metrics.counter(pre + "fault.crash.ranks").value(), 1u);
 
   std::set<std::string> span_names;
   for (const obs::SpanEvent& ev : tracer.Snapshot())
@@ -264,11 +265,6 @@ TEST(FaultObservabilityTest, ContractCheckingCoexistsWithRetries) {
     std::vector<std::byte> packed_all(packed.size() *
                                       static_cast<size_t>(comm.world_size()));
     comm.all_gather_bytes(packed, packed_all);
-    std::vector<std::byte> var(static_cast<size_t>(comm.rank() + 1),
-                               std::byte{7});
-    std::vector<std::byte> var_all;
-    std::vector<size_t> offsets;
-    comm.all_gather_v(var, var_all, offsets);
 
     out.clear();
     const auto append = [&out](std::span<const std::byte> b) {
@@ -276,13 +272,12 @@ TEST(FaultObservabilityTest, ContractCheckingCoexistsWithRetries) {
     };
     append(std::as_bytes(std::span<const float>(gathered)));
     append(packed_all);
-    append(var_all);
   };
 
   const auto run_once = [&](bool inject) {
     std::vector<std::vector<std::byte>> outs(kWorld);
     comm::Transport group_transport;
-    comm::Session group(group_transport, "", kWorld);
+    comm::Session group(group_transport, "fault", kWorld);
     group.set_contract_checking(true);
     fault::FaultPlanConfig cfg;
     cfg.seed = 31;
@@ -333,7 +328,7 @@ TEST(ChaosDetectionTest, HealthyRanksReportPeerDeliveryFailure) {
 
   std::vector<std::string> errors(3);
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", 3);
+  comm::Session group(group_transport, "fault", 3);
   group.Run([&](comm::Communicator& comm) {
     std::vector<float> data(6, 1.0f);
     try {
@@ -354,9 +349,10 @@ TEST(ChaosDetectionTest, HealthyRanksReportPeerDeliveryFailure) {
       << errors[0];
 }
 
-// Degradation floor: with every other rank fail-stopped, the variable-size
-// all-gather degenerates to a local copy and the run still completes.
-TEST(CrashRecoveryTest, SoleSurvivorAllGatherV) {
+// Degradation floor: with every other rank fail-stopped, the all-gather
+// degenerates to a local copy plus zero-filled dead blocks and the run still
+// completes.
+TEST(CrashRecoveryTest, SoleSurvivorAllGatherBytes) {
   fault::FaultPlanConfig cfg;
   cfg.seed = 41;
   cfg.crash_rank = 1;
@@ -365,23 +361,19 @@ TEST(CrashRecoveryTest, SoleSurvivorAllGatherV) {
   fault::ScopedFaultInjector install(&plan);
 
   std::vector<std::byte> out;
-  std::vector<size_t> offsets;
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", 2);
+  comm::Session group(group_transport, "fault", 2);
   group.Run([&](comm::Communicator& comm) {
-    std::vector<std::byte> send(4, std::byte{static_cast<uint8_t>(9)});
-    std::vector<std::byte> recv;
-    std::vector<size_t> offs;
-    comm.all_gather_v(send, recv, offs);
-    if (comm.rank() == 0) {
-      out = recv;
-      offsets = offs;
-    }
+    const std::vector<std::byte> send(4, std::byte{9});
+    std::vector<std::byte> recv(8, std::byte{1});
+    comm.all_gather_bytes(send, recv);
+    if (comm.rank() == 0) out = recv;
   });
   ASSERT_EQ(group.crashed_ranks(), std::vector<int>{1});
-  // Rank 1 contributes a zero-length block; rank 0's bytes survive intact.
-  ASSERT_EQ(out.size(), 4u);
-  for (const std::byte b : out) EXPECT_EQ(b, std::byte{9});
+  // Rank 0's bytes survive intact; the crashed rank's block reads zero.
+  ASSERT_EQ(out.size(), 8u);
+  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(out[i], std::byte{9});
+  for (size_t i = 4; i < 8; ++i) EXPECT_EQ(out[i], std::byte{0});
 }
 
 // Crash recovery at the transport level: after a rank fail-stops, later
@@ -399,7 +391,7 @@ TEST(CrashRecoveryTest, LaterCollectivesRunOverSurvivors) {
   std::vector<std::vector<float>> results(kWorld);
   std::vector<int> alive_seen(kWorld, -1);
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", kWorld);
+  comm::Session group(group_transport, "fault", kWorld);
   group.Run([&](comm::Communicator& comm) {
     std::vector<float> data(8, static_cast<float>(comm.rank() + 1));
     comm.all_reduce(data);  // collective #1: all four ranks participate
@@ -536,7 +528,7 @@ TEST(ElasticSessionTest, RejoinEmitsAdmissionMetricsAndEpochGauge) {
 
   comm::Transport transport;
   transport.set_metrics(&metrics);
-  comm::Session session(transport, "", 3);
+  comm::Session session(transport, "fault", 3);
   session.Run([](comm::Communicator& comm) {
     std::vector<float> data(6, static_cast<float>(comm.rank() + 1));
     int step = 0;
@@ -567,9 +559,10 @@ TEST(ElasticSessionTest, RejoinEmitsAdmissionMetricsAndEpochGauge) {
   EXPECT_EQ(session.crashed_ranks(), std::vector<int>{2});
   EXPECT_TRUE(session.departed_ranks().empty());
   EXPECT_EQ(session.membership_epoch(), 3u);
-  EXPECT_EQ(metrics.counter("fault.rejoin.admitted").value(), 1u);
-  EXPECT_EQ(metrics.counter("fault.join.ranks").value(), 0u);
-  EXPECT_EQ(metrics.gauge("comm.epoch").value(), 3.0);
+  const std::string& pre = session.metric_prefix();
+  EXPECT_EQ(metrics.counter(pre + "fault.rejoin.admitted").value(), 1u);
+  EXPECT_EQ(metrics.counter(pre + "fault.join.ranks").value(), 0u);
+  EXPECT_EQ(metrics.gauge(pre + "comm.epoch").value(), 3.0);
 }
 
 // A parked victim whose admission is never serviced (the workload stops
@@ -588,7 +581,7 @@ TEST(ElasticSessionTest, UnservicedAdmissionAbandonsWhenWorkersDrain) {
 
   comm::Transport transport;
   transport.set_metrics(&metrics);
-  comm::Session session(transport, "", 2);
+  comm::Session session(transport, "fault", 2);
   session.Run([](comm::Communicator& comm) {
     std::vector<float> data(4, 1.0f);
     comm.all_reduce(data);
@@ -596,7 +589,10 @@ TEST(ElasticSessionTest, UnservicedAdmissionAbandonsWhenWorkersDrain) {
   });
   EXPECT_EQ(session.crashed_ranks(), std::vector<int>{1});
   EXPECT_EQ(session.membership_epoch(), 0u);
-  EXPECT_EQ(metrics.counter("fault.rejoin.abandoned").value(), 1u);
+  EXPECT_EQ(
+      metrics.counter(session.metric_prefix() + "fault.rejoin.abandoned")
+          .value(),
+      1u);
 }
 
 // ISSUE acceptance: the model checker explores the rejoin handshake —

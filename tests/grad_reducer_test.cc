@@ -48,7 +48,7 @@ std::vector<std::vector<float>> ReduceSteps(const std::string& spec,
   const int p = 4;
   std::vector<std::vector<float>> out(static_cast<size_t>(p));
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "grad-reducer", p);
   group.Run([&](comm::Communicator& comm) {
     TestParams tp(comm.rank());
     const auto agg = MakeAggregatorFactory(spec)(comm.rank(), p);
@@ -97,7 +97,7 @@ TEST(GradReducer, MatchesAggregatorResults) {
 
 TEST(GradReducer, ContractViolationsThrow) {
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", 1);
+  comm::Session group(group_transport, "grad-reducer", 1);
   group.Run([&](comm::Communicator& comm) {
     TestParams tp(0);
     GradReducer reducer(compress::AcpSgdConfig{});
@@ -119,7 +119,7 @@ TEST(GradReducer, ContractViolationsThrow) {
 
 TEST(GradReducer, AlternatesParityAcrossSteps) {
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", 2);
+  comm::Session group(group_transport, "grad-reducer", 2);
   std::atomic<int> failures{0};
   group.Run([&](comm::Communicator& comm) {
     TestParams tp(comm.rank());
@@ -168,7 +168,7 @@ TEST(NetworkHook, EndToEndTrainingStepThroughReducer) {
   // into the reducer, optimizer update — replicas must remain identical.
   const int p = 2;
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "grad-reducer", p);
   std::vector<float> first_weight(static_cast<size_t>(p));
   group.Run([&](comm::Communicator& comm) {
     dnn::Network net = dnn::ResMini();

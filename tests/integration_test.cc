@@ -140,7 +140,7 @@ TEST(Integration, DistributedTrainingIsDeterministic) {
 
   auto run = [&] {
     comm::Transport group_transport;
-    comm::Session group(group_transport, "", 2);
+    comm::Session group(group_transport, "integration", 2);
     return core::TrainDistributed(group, cfg,
                                   core::MakeAggregatorFactory("acpsgd:2"));
   };
@@ -170,11 +170,11 @@ TEST(Integration, SsgdMatchesSingleWorkerWithBigBatch) {
 
   comm::Transport g2_transport;
 
-  comm::Session g2(g2_transport, "", 2);
+  comm::Session g2(g2_transport, "integration", 2);
   const auto r2 =
       core::TrainDistributed(g2, two, core::MakeAggregatorFactory("ssgd"));
   comm::Transport g1_transport;
-  comm::Session g1(g1_transport, "", 1);
+  comm::Session g1(g1_transport, "integration", 1);
   const auto r1 =
       core::TrainDistributed(g1, one, core::MakeAggregatorFactory("ssgd"));
   // Different batch composition (shuffling) => only statistical agreement.
@@ -188,7 +188,7 @@ TEST(Integration, SsgdReducerMatchesManualMeanAnyShapes) {
   // A mix of many small params to exercise bucket boundaries.
   const std::vector<Shape> shapes = {{3, 5}, {7}, {2, 2}, {1}, {11, 3}, {4}};
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "integration", p);
   std::atomic<int> failures{0};
   group.Run([&](comm::Communicator& comm) {
     std::vector<dnn::Param> params(shapes.size());

@@ -232,7 +232,7 @@ TEST(AcpSgd, WorkersStayConsistent) {
   // seeds for the factors, mean-all-reduce for the rest.
   const int p = 4;
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "lowrank", p);
   std::vector<Tensor> results(static_cast<size_t>(p));
   group.Run([&](comm::Communicator& comm) {
     AcpSgdConfig cfg;
@@ -279,7 +279,7 @@ TEST(AcpSgd, AggregatedEqualsCompressedMeanGradient) {
 
   comm::Transport group_transport;
 
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "lowrank", p);
   std::vector<Tensor> results(static_cast<size_t>(p));
   group.Run([&](comm::Communicator& comm) {
     AcpSgd acp(cfg);

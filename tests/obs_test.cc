@@ -367,7 +367,7 @@ TEST(GradReducerTrace, WfbpOverlapVisibleInParsedJson) {
   Tracer tracer;
   tracer.Enable();
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", kWorkers);
+  comm::Session group(group_transport, "obs", kWorkers);
   group_transport.set_tracer(&tracer);
 
   compress::AcpSgdConfig cfg;

@@ -95,7 +95,7 @@ TEST(Properties, RingAllReducePrecisionAtScale) {
   const int p = 8;
   const size_t n = 40000;
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "properties", p);
   std::atomic<int> failures{0};
   group.Run([&](comm::Communicator& comm) {
     Rng rng(3000 + static_cast<uint64_t>(comm.rank()));

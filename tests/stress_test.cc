@@ -25,7 +25,7 @@ TEST(Stress, RandomizedAllReduceSequences) {
 
     comm::Transport group_transport;
 
-    comm::Session group(group_transport, "", p);
+    comm::Session group(group_transport, "stress", p);
     std::atomic<int> failures{0};
     group.Run([&](comm::Communicator& comm) {
       for (int op = 0; op < ops; ++op) {
@@ -62,7 +62,7 @@ TEST(Stress, RandomizedAllReduceSequences) {
 TEST(Stress, MixedCollectivesInterleaved) {
   const int p = 4;
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "stress", p);
   std::atomic<int> failures{0};
   group.Run([&](comm::Communicator& comm) {
     Rng rng(42);  // same on all workers: same op sequence
@@ -105,7 +105,7 @@ TEST(Stress, RandomkReducerAdditiveAllReducePath) {
   // the result must equal the mean restricted to the shared coordinates.
   const int p = 4;
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "stress", p);
   std::atomic<int> failures{0};
   group.Run([&](comm::Communicator& comm) {
     dnn::Param w;
@@ -153,7 +153,7 @@ TEST(Stress, RandomkReducerWithErrorFeedbackConverges) {
   // true mean even though each step keeps only 20% of coordinates.
   const int p = 2;
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "stress", p);
   std::atomic<int> failures{0};
   group.Run([&](comm::Communicator& comm) {
     core::GradReducer agg(compress::RandomkCompressor(0.2));
@@ -192,7 +192,7 @@ TEST(Stress, AggregatorsSurviveManyTinyParams) {
   // 100 params of 1-5 elements each: exercises bucket edge cases hard.
   const int p = 3;
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", p);
+  comm::Session group(group_transport, "stress", p);
   std::atomic<int> failures{0};
   group.Run([&](comm::Communicator& comm) {
     std::vector<dnn::Param> params(100);

@@ -32,7 +32,7 @@ TrainConfig SmallConfig() {
 
 TEST(Trainer, SsgdLossDecreases) {
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", 4);
+  comm::Session group(group_transport, "trainer", 4);
   const TrainResult r =
       TrainDistributed(group, SmallConfig(), MakeAggregatorFactory("ssgd"));
   ASSERT_EQ(r.history.size(), 4u);
@@ -42,7 +42,7 @@ TEST(Trainer, SsgdLossDecreases) {
 
 TEST(Trainer, AcpSgdLearns) {
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", 4);
+  comm::Session group(group_transport, "trainer", 4);
   TrainConfig cfg = SmallConfig();
   cfg.epochs = 6;
   cfg.lr.decay_epochs = {4};
@@ -54,7 +54,7 @@ TEST(Trainer, AcpSgdLearns) {
 
 TEST(Trainer, WorldSizeOneMatchesSingleProcess) {
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", 1);
+  comm::Session group(group_transport, "trainer", 1);
   TrainConfig cfg = SmallConfig();
   cfg.batch_per_worker = 64;
   const TrainResult r =
@@ -72,7 +72,7 @@ TEST(Trainer, PerStepMetricsIncludeKernelStats) {
   obs::MetricsRegistry registry;
   registry.Enable();
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", 2);
+  comm::Session group(group_transport, "trainer", 2);
   TrainConfig cfg = SmallConfig();
   cfg.epochs = 2;
   cfg.metrics = &registry;
@@ -106,7 +106,7 @@ TEST(Trainer, PerStepMetricsIncludeKernelStats) {
 
 TEST(Trainer, RejectsNonDivisibleSamples) {
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", 3);
+  comm::Session group(group_transport, "trainer", 3);
   TrainConfig cfg = SmallConfig();  // 512 not divisible by 3*32
   EXPECT_THROW(
       (void)TrainDistributed(group, cfg, MakeAggregatorFactory("ssgd")),
@@ -141,7 +141,7 @@ TEST(Trainer, ValidateRejectsNonFiniteHyperparameters) {
 
 TEST(Trainer, HistoryIsOrdered) {
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", 2);
+  comm::Session group(group_transport, "trainer", 2);
   const TrainResult r =
       TrainDistributed(group, SmallConfig(), MakeAggregatorFactory("ssgd"));
   for (size_t i = 0; i < r.history.size(); ++i)
@@ -150,7 +150,7 @@ TEST(Trainer, HistoryIsOrdered) {
 
 TEST(DistributedOptimizer, StepAggregatesAndUpdates) {
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", 2);
+  comm::Session group(group_transport, "trainer", 2);
   std::vector<float> first_weights(2);
   group.Run([&](comm::Communicator& comm) {
     dnn::Network net = dnn::VggMini();
@@ -184,7 +184,7 @@ TEST(DistributedOptimizer, RejectsNullAggregator) {
 // overwrites a diverged replica with the donor's parameters.
 TEST(Resync, BroadcastFlatAndScalarAdoptDonorState) {
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", 3);
+  comm::Session group(group_transport, "trainer", 3);
   constexpr uint64_t kDonorStep = (7ull << 32) | 0xC0FFEEull;  // both halves
   std::vector<std::vector<float>> a_after(3), b_after(3);
   std::vector<uint64_t> steps(3);
@@ -209,7 +209,7 @@ TEST(Resync, BroadcastFlatAndScalarAdoptDonorState) {
 
 TEST(Resync, ResyncFromOverwritesDivergedReplica) {
   comm::Transport group_transport;
-  comm::Session group(group_transport, "", 2);
+  comm::Session group(group_transport, "trainer", 2);
   std::vector<std::vector<float>> weights(2);
   group.Run([&](comm::Communicator& comm) {
     dnn::Network net = dnn::VggMini();
