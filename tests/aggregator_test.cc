@@ -283,6 +283,14 @@ AggregatorFactory AcpFactory(bool error_feedback, bool reuse,
   };
 }
 
+AggregatorFactory PowerFactory(bool error_feedback) {
+  return [=](int, int) -> std::unique_ptr<GradientAggregator> {
+    compress::PowerSgdConfig cfg;
+    cfg.error_feedback = error_feedback;
+    return std::make_unique<GradReducer>(cfg);
+  };
+}
+
 TEST(Aggregators, GoldenDigestsResMini) {
   struct Case {
     const char* what;
@@ -300,6 +308,16 @@ TEST(Aggregators, GoldenDigestsResMini) {
        0x71872f7464b7f30cull},
       {"powersgd:4@256", MakeAggregatorFactory("powersgd:4", 256),
        0xdff92fc509ff029bull},
+      // Ranks 1, 2 and 8 pin the rank-r reconstruction at other widths.
+      {"acpsgd:1", MakeAggregatorFactory("acpsgd:1"), 0x44ef40a79c2c25caull},
+      {"acpsgd:2", MakeAggregatorFactory("acpsgd:2"), 0xccfc5328acd01efaull},
+      {"acpsgd:8", MakeAggregatorFactory("acpsgd:8"), 0x929102176fd022b3ull},
+      {"powersgd:1", MakeAggregatorFactory("powersgd:1"),
+       0x543a5fe8288a3196ull},
+      {"powersgd:8", MakeAggregatorFactory("powersgd:8"),
+       0xade68ccf28db17efull},
+      // Without EF the gradient is both Power-SGD's input and its output.
+      {"powersgd-no-ef", PowerFactory(false), 0x968859dfc9fafe5full},
       {"acp-no-ef", AcpFactory(false, true, kDefault), 0x3b7695c5f37f1150ull},
       {"acp-no-ef@256", AcpFactory(false, true, 256), 0x844d94f41a6fc8beull},
       {"acp-no-reuse", AcpFactory(true, false, kDefault),
