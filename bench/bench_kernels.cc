@@ -12,9 +12,12 @@
 // --check fails (exit 1) when any measured speedup-over-naive drops more
 // than 25% below the committed baseline's, or when an acceptance kernel
 // falls below its hard floor (gemm_4096x4096x32 and topk_25m >= 3x;
-// gemm_tb_4096x4096x32 >= 10x — the packed-panel fast path). Speedup ratios
-// — not raw ns — are compared, so the gate is stable across machines of
-// different absolute speed. tools/bench_baseline.sh wraps the
+// gemm_tb_4096x4096x32 >= 10x — the packed-panel fast path;
+// gemm_tb_recon_r4 >= 5x — the small-k rank-r reconstruction). Speedup
+// ratios — not raw ns — are compared, so the gate is stable across machines
+// of different absolute speed. Speedups do depend on the pool budget, so
+// --check runs at the baseline's recorded "threads" and exits 2 when
+// --threads asks for another. tools/bench_baseline.sh wraps the
 // generate/check workflow.
 #include <algorithm>
 #include <chrono>
@@ -51,20 +54,43 @@ struct Case {
   std::function<CaseResult(int reps)> run;
 };
 
-double MedianNs(int reps, const std::function<void()>& fn) {
-  fn();  // warm-up (page-in, pool spin-up)
-  std::vector<double> samples;
-  samples.reserve(static_cast<size_t>(reps));
+double ElapsedNs(const std::function<void()>& fn, int64_t iters) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int64_t i = 0; i < iters; ++i) fn();
+  const auto t1 = std::chrono::steady_clock::now();
+  return static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+}
+
+// Each sample runs fn back to back for at least this long, so sub-ms kernels
+// (the rank-r reconstructions) are not timed from a single noisy call.
+constexpr double kMinSampleNs = 20e6;
+
+// Median per-call times of the production kernel and its naive reference
+// over `reps` samples each, taken alternately so both see the same host
+// load (the gate compares their ratio).
+CaseResult Measure(int reps, const std::function<void()>& prod,
+                   const std::function<void()>& naive) {
+  // Warm-up (page-in, pool spin-up), which also sizes the samples.
+  const auto iters_for = [](const std::function<void()>& fn) {
+    const double once = ElapsedNs(fn, 1);
+    return static_cast<int64_t>(
+        std::max(1.0, std::ceil(kMinSampleNs / std::max(once, 1.0))));
+  };
+  const int64_t prod_iters = iters_for(prod);
+  const int64_t naive_iters = iters_for(naive);
+  std::vector<double> prod_ns, naive_ns;
   for (int i = 0; i < reps; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    samples.push_back(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count()));
+    prod_ns.push_back(ElapsedNs(prod, prod_iters) /
+                      static_cast<double>(prod_iters));
+    naive_ns.push_back(ElapsedNs(naive, naive_iters) /
+                       static_cast<double>(naive_iters));
   }
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+  const auto median = [](std::vector<double>& v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  return {median(prod_ns), median(naive_ns)};
 }
 
 std::vector<float> RandomVec(size_t n, uint64_t seed) {
@@ -80,11 +106,9 @@ Case GemmCase(const std::string& name, bool quick, int64_t n, int64_t k,
             const auto a = RandomVec(static_cast<size_t>(n * k), 1);
             const auto b = RandomVec(static_cast<size_t>(k * m), 2);
             std::vector<float> c(static_cast<size_t>(n * m), 0.0f);
-            CaseResult r;
-            r.ns = MedianNs(reps, [&] { acps::Gemm(a, b, c, n, k, m); });
-            r.naive_ns =
-                MedianNs(reps, [&] { acps::GemmNaive(a, b, c, n, k, m); });
-            return r;
+            return Measure(
+                reps, [&] { acps::Gemm(a, b, c, n, k, m); },
+                [&] { acps::GemmNaive(a, b, c, n, k, m); });
           }};
 }
 
@@ -94,11 +118,9 @@ Case GemmTransBCase(const std::string& name, bool quick, int64_t n, int64_t k,
             const auto a = RandomVec(static_cast<size_t>(n * k), 3);
             const auto b = RandomVec(static_cast<size_t>(m * k), 4);
             std::vector<float> c(static_cast<size_t>(n * m), 0.0f);
-            CaseResult r;
-            r.ns = MedianNs(reps, [&] { acps::GemmTransB(a, b, c, n, k, m); });
-            r.naive_ns =
-                MedianNs(reps, [&] { acps::GemmTransBNaive(a, b, c, n, k, m); });
-            return r;
+            return Measure(
+                reps, [&] { acps::GemmTransB(a, b, c, n, k, m); },
+                [&] { acps::GemmTransBNaive(a, b, c, n, k, m); });
           }};
 }
 
@@ -108,11 +130,9 @@ Case GemmTransACase(const std::string& name, bool quick, int64_t n, int64_t k,
             const auto a = RandomVec(static_cast<size_t>(k * n), 3);
             const auto b = RandomVec(static_cast<size_t>(k * m), 4);
             std::vector<float> c(static_cast<size_t>(n * m), 0.0f);
-            CaseResult r;
-            r.ns = MedianNs(reps, [&] { acps::GemmTransA(a, b, c, n, k, m); });
-            r.naive_ns =
-                MedianNs(reps, [&] { acps::GemmTransANaive(a, b, c, n, k, m); });
-            return r;
+            return Measure(
+                reps, [&] { acps::GemmTransA(a, b, c, n, k, m); },
+                [&] { acps::GemmTransANaive(a, b, c, n, k, m); });
           }};
 }
 
@@ -142,20 +162,20 @@ Case OrthoPanelCase(const std::string& name, bool quick, bool use_qr,
                     int64_t n, int64_t r) {
   return {name, quick, [use_qr, n, r](int reps) {
             const auto src = RandomVec(static_cast<size_t>(n * r), 12);
-            CaseResult res;
-            res.ns = MedianNs(reps, [&] {
-              acps::Tensor q = acps::Tensor::FromSpan({n, r}, src);
-              if (use_qr) {
-                (void)acps::ReducedQr(q);
-              } else {
-                acps::OrthogonalizeGramSchmidt(q);
-              }
-            });
-            res.naive_ns = MedianNs(reps, [&] {
-              std::vector<float> a = src;
-              NaiveGramSchmidt(a, n, r);
-            });
-            return res;
+            return Measure(
+                reps,
+                [&] {
+                  acps::Tensor q = acps::Tensor::FromSpan({n, r}, src);
+                  if (use_qr) {
+                    (void)acps::ReducedQr(q);
+                  } else {
+                    acps::OrthogonalizeGramSchmidt(q);
+                  }
+                },
+                [&] {
+                  std::vector<float> a = src;
+                  NaiveGramSchmidt(a, n, r);
+                });
           }};
 }
 
@@ -179,11 +199,15 @@ std::vector<Case> BuildCases() {
     cases.push_back(GemmCase("gemm_lowrank_r" + std::to_string(r),
                              /*quick=*/r == 8, 1024, 1024, r));
   }
-  // Power-SGD reconstruct Ĉ = P·Qᵀ at the low ranks (wide-m TransB).
-  for (const int64_t r : {8, 32}) {
+  // Power-SGD / ACP-SGD reconstruct M̂ = P·Qᵀ at every paper rank (wide-m
+  // TransB; r <= 8 takes the small-k path, r4 gated by a hard floor below).
+  for (const int64_t r : {1, 2, 4, 8, 32}) {
     cases.push_back(GemmTransBCase("gemm_tb_recon_r" + std::to_string(r),
-                                   /*quick=*/false, 1024, r, 1024));
+                                   /*quick=*/r == 4, 1024, r, 1024));
   }
+  // The same reconstruction at a ResNet-50 layer4 conv shape (512×4608).
+  cases.push_back(GemmTransBCase("gemm_tb_recon_512x4x4608", /*quick=*/false,
+                                 512, 4, 4608));
   // Orthogonalization panels feeding the Power-SGD chain.
   cases.push_back(
       OrthoPanelCase("qr_1024x32", /*quick=*/false, /*use_qr=*/true, 1024, 32));
@@ -195,21 +219,17 @@ std::vector<Case> BuildCases() {
                      const auto a = RandomVec(static_cast<size_t>(n * m), 5);
                      const auto x = RandomVec(static_cast<size_t>(m), 6);
                      std::vector<float> y(static_cast<size_t>(n));
-                     CaseResult r;
-                     r.ns = MedianNs(reps, [&] { acps::Gemv(a, x, y, n, m); });
-                     r.naive_ns =
-                         MedianNs(reps, [&] { acps::GemvNaive(a, x, y, n, m); });
-                     return r;
+                     return Measure(
+                         reps, [&] { acps::Gemv(a, x, y, n, m); },
+                         [&] { acps::GemvNaive(a, x, y, n, m); });
                    }});
 
   cases.push_back({"transpose_2048x2048", false, [](int reps) {
                      const acps::Tensor in = acps::Tensor::FromSpan(
                          {2048, 2048}, RandomVec(2048 * 2048, 7));
-                     CaseResult r;
-                     r.ns = MedianNs(reps, [&] { (void)acps::Transpose(in); });
-                     r.naive_ns =
-                         MedianNs(reps, [&] { (void)acps::TransposeNaive(in); });
-                     return r;
+                     return Measure(
+                         reps, [&] { (void)acps::Transpose(in); },
+                         [&] { (void)acps::TransposeNaive(in); });
                    }});
 
   // Fused error-feedback update shape: one d = 25M axpy.
@@ -217,11 +237,9 @@ std::vector<Case> BuildCases() {
                      const size_t d = 25'000'000;
                      const auto x = RandomVec(d, 8);
                      auto y = RandomVec(d, 9);
-                     CaseResult r;
-                     r.ns = MedianNs(reps, [&] { acps::Axpy(0.5f, x, y); });
-                     r.naive_ns =
-                         MedianNs(reps, [&] { acps::AxpyNaive(0.5f, x, y); });
-                     return r;
+                     return Measure(
+                         reps, [&] { acps::Axpy(0.5f, x, y); },
+                         [&] { acps::AxpyNaive(0.5f, x, y); });
                    }});
 
   // Sampled top-k threshold selection at the paper's largest model size.
@@ -237,11 +255,9 @@ std::vector<Case> BuildCases() {
                          ratio, acps::compress::TopkSelection::kSampledThreshold);
                      std::vector<std::byte> blob(topk.EncodedBytes(d));
                      const size_t k = topk.KeptCount(d);
-                     CaseResult r;
-                     r.ns = MedianNs(reps, [&] { topk.EncodeInto(g, blob); });
-                     r.naive_ns =
-                         MedianNs(reps, [&] { (void)topk.SelectExact(g, k); });
-                     return r;
+                     return Measure(
+                         reps, [&] { topk.EncodeInto(g, blob); },
+                         [&] { (void)topk.SelectExact(g, k); });
                    }});
   return cases;
 }
@@ -266,14 +282,17 @@ void WriteJson(std::FILE* f, const std::map<std::string, CaseResult>& results,
   std::fprintf(f, "  }\n}\n");
 }
 
+// Reads the cases and the recorded pool budget (`threads`, 0 when absent).
 bool ParseBaseline(const std::string& path,
-                   std::map<std::string, CaseResult>* out) {
+                   std::map<std::string, CaseResult>* out, int* threads) {
   std::ifstream in(path);
   if (!in) return false;
+  *threads = 0;
   std::string line;
   while (std::getline(in, line)) {
     char name[128];
     double ns = 0, naive_ns = 0, speedup = 0;
+    if (std::sscanf(line.c_str(), " \"threads\": %d", threads) == 1) continue;
     if (std::sscanf(line.c_str(),
                     " \"%127[^\"]\": { \"ns\": %lf, \"naive_ns\": %lf, "
                     "\"speedup\": %lf",
@@ -286,7 +305,8 @@ bool ParseBaseline(const std::string& path,
 
 // Acceptance floors: hard minimum speedup-over-naive per case, enforced by
 // --check on top of the regression band. The packed-panel TransB path must
-// hold >= 10x at the dense acceptance shape; the original >= 3x floors stay.
+// hold >= 10x at the dense acceptance shape and the small-k path >= 5x at
+// the rank-4 reconstruction; the original >= 3x floors stay.
 struct AcceptanceFloor {
   const char* name;
   double min_speedup;
@@ -295,6 +315,7 @@ constexpr AcceptanceFloor kAcceptanceFloors[] = {
     {"gemm_4096x4096x32", 3.0},
     {"topk_25m", 3.0},
     {"gemm_tb_4096x4096x32", 10.0},
+    {"gemm_tb_recon_r4", 5.0},
 };
 // --check regression band: speedup may drift down at most 25% vs baseline.
 constexpr double kRegressionBand = 0.75;
@@ -322,6 +343,29 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  // --check compares speedups, which depend on the pool budget, so it runs
+  // at the budget the baseline was recorded with.
+  std::map<std::string, CaseResult> baseline;
+  if (!check_path.empty()) {
+    int baseline_threads = 0;
+    if (!ParseBaseline(check_path, &baseline, &baseline_threads) ||
+        baseline_threads < 1) {
+      std::fprintf(stderr,
+                   "bench_kernels: cannot parse baseline %s (cases and "
+                   "\"threads\" required)\n",
+                   check_path.c_str());
+      return 2;
+    }
+    if (threads > 0 && threads != baseline_threads) {
+      std::fprintf(stderr,
+                   "bench_kernels: --threads=%d but baseline %s was recorded "
+                   "at threads=%d; speedups at different budgets are not "
+                   "comparable (drop --threads or regenerate the baseline)\n",
+                   threads, check_path.c_str(), baseline_threads);
+      return 2;
+    }
+    threads = baseline_threads;
+  }
   if (threads > 0) acps::par::SetNumThreads(threads);
   const int effective_threads = acps::par::NumThreads();
   const int reps = quick ? 3 : 5;
@@ -329,7 +373,7 @@ int main(int argc, char** argv) {
   std::map<std::string, CaseResult> results;
   for (const auto& c : BuildCases()) {
     if (quick && !c.in_quick) continue;
-    std::fprintf(stderr, "bench_kernels: %-22s ...", c.name.c_str());
+    std::fprintf(stderr, "bench_kernels: %-24s ...", c.name.c_str());
     const CaseResult r = c.run(reps);
     results[c.name] = r;
     std::fprintf(stderr, " %10.2f ms (naive %10.2f ms, %5.2fx)\n", r.ns / 1e6,
@@ -353,18 +397,13 @@ int main(int argc, char** argv) {
   if (check_path.empty()) return 0;
 
   // --- Gate against the committed baseline. --------------------------------
-  std::map<std::string, CaseResult> baseline;
-  if (!ParseBaseline(check_path, &baseline)) {
-    std::fprintf(stderr, "bench_kernels: cannot parse baseline %s\n",
-                 check_path.c_str());
-    return 2;
-  }
   int failures = 0;
-  std::printf("%-22s %10s %10s %10s\n", "case", "speedup", "baseline", "gate");
+  std::printf("threads=%d (the baseline's budget)\n", effective_threads);
+  std::printf("%-24s %10s %10s %10s\n", "case", "speedup", "baseline", "gate");
   for (const auto& [name, r] : results) {
     const auto it = baseline.find(name);
     if (it == baseline.end()) {
-      std::printf("%-22s %10.2f %10s %10s\n", name.c_str(), r.speedup(), "-",
+      std::printf("%-24s %10.2f %10s %10s\n", name.c_str(), r.speedup(), "-",
                   "MISSING");
       std::fprintf(stderr,
                    "bench_kernels: '%s' absent from baseline — regenerate "
@@ -378,7 +417,7 @@ int main(int argc, char** argv) {
     for (const auto& floor : kAcceptanceFloors) {
       if (name == floor.name && r.speedup() < floor.min_speedup) ok = false;
     }
-    std::printf("%-22s %10.2f %10.2f %10s\n", name.c_str(), r.speedup(), base,
+    std::printf("%-24s %10.2f %10.2f %10s\n", name.c_str(), r.speedup(), base,
                 ok ? "ok" : "FAIL");
     if (!ok) ++failures;
   }

@@ -123,8 +123,10 @@ for leg in "${LEGS[@]}"; do
       ;;
     perf-smoke)
       # Quick kernel-bench pass gated against the committed baseline
-      # (BENCH_kernels.json): fails on a >25% speedup-over-naive regression
-      # or when an acceptance kernel drops under 3x. See DESIGN.md §6e.
+      # (BENCH_kernels.json), at the thread budget the baseline records:
+      # fails on a >25% speedup-over-naive regression or when an acceptance
+      # kernel drops under its floor (gemm_4096x4096x32 and topk_25m 3x,
+      # gemm_tb_4096x4096x32 10x, gemm_tb_recon_r4 5x). See DESIGN.md §6e.
       echo
       echo "==================== perf-smoke ===================="
       cmake --preset release

@@ -282,6 +282,10 @@ OracleReport CheckCompressorInvariants(const std::string& spec,
 
 namespace {
 
+struct GemmShape {
+  int64_t n, k, m;
+};
+
 // One full pass of every parallel kernel at the CURRENT thread budget.
 // Returns all outputs concatenated into one float vector so the caller can
 // compare runs bitwise with a single memcmp-style equality.
@@ -292,12 +296,10 @@ std::vector<float> RunKernelSuite(uint64_t seed) {
   };
 
   // Shapes: odd sizes exercise the edge tiles, the (n, r)-style shapes match
-  // the paper's low-rank factors.
-  struct GemmShape {
-    int64_t n, k, m;
-  };
+  // the paper's low-rank factors, and 1031×4×1031 is past the serial inline
+  // cutoff, so the small-k TransB path splits its rows across the pool.
   for (const GemmShape s : {GemmShape{33, 17, 8}, GemmShape{64, 64, 32},
-                            GemmShape{1000, 4, 4}}) {
+                            GemmShape{1000, 4, 4}, GemmShape{1031, 4, 1031}}) {
     Rng rng(seed ^ (static_cast<uint64_t>(s.n) << 20));
     std::vector<float> a(static_cast<size_t>(s.n * s.k));
     std::vector<float> b(static_cast<size_t>(s.k * s.m));
@@ -388,10 +390,11 @@ OracleReport CheckKernelThreadInvariance(const OracleOptions& opt) {
   const std::vector<float> baseline = RunKernelSuite(opt.seed);
 
   // GEMM-family naive parity at 1 thread: the production kernels implement
-  // the documented accumulation policy exactly.
-  {
+  // the documented accumulation policy exactly. k = 4 is the rank-r
+  // reconstruction shape, which GemmTransB routes to its small-k path.
+  for (const GemmShape s : {GemmShape{61, 37, 33}, GemmShape{61, 4, 33}}) {
     Rng rng(opt.seed ^ 0xBEEFull);
-    const int64_t n = 61, k = 37, m = 33;
+    const int64_t n = s.n, k = s.k, m = s.m;
     std::vector<float> a(static_cast<size_t>(n * k));
     std::vector<float> b(static_cast<size_t>(k * m));
     std::vector<float> c(static_cast<size_t>(n * m));
@@ -418,8 +421,9 @@ OracleReport CheckKernelThreadInvariance(const OracleOptions& opt) {
         size_t diff = 0;
         if (!BitwiseEqual(got, want, &diff)) {
           std::ostringstream oss;
-          oss << v.name << " (beta=" << beta
-              << ") diverges from its naive reference at element " << diff;
+          oss << v.name << " " << n << "x" << k << "x" << m << " (beta="
+              << beta << ") diverges from its naive reference at element "
+              << diff;
           AddFailure(report, "par-kernels", "naive-parity", n * m, opt.seed,
                      oss.str());
         }

@@ -64,9 +64,9 @@ std::span<float> AcpSgd::LocalStep(int64_t tensor_id, const Tensor& m) {
   st.pending = true;
   const uint64_t t = st.t + 1;
 
-  // Feedback: compress (M + E).
-  Tensor input = m.clone();
-  if (config_.error_feedback) input.add_(st.e);
+  // Feedback: compress (M + E), accumulated into E in place.
+  if (config_.error_feedback) st.e.add_(m);
+  const Tensor& input = config_.error_feedback ? st.e : m;
 
   const bool p_step = (t % 2 == 1);
   Tensor& fixed = p_step ? st.q : st.p;  // the factor we orthogonalize
@@ -82,17 +82,22 @@ std::span<float> AcpSgd::LocalStep(int64_t tensor_id, const Tensor& m) {
   }
 
   if (p_step) {
-    st.p = MatMul(input, st.q);  // P_t = (M+E)·Q_t
+    // P_t = (M+E)·Q_t
+    Gemm(input.data(), st.q.data(), st.p.data(), n, mm, r);
   } else {
-    st.q = MatMulTA(input, st.p);  // Q_t = (M+E)ᵀ·P_t
+    // Q_t = (M+E)ᵀ·P_t
+    GemmTransA(input.data(), st.p.data(), st.q.data(), mm, n, r);
   }
 
   // Residual from the *local* factor (Algorithm 2 lines 6/11: before
-  // aggregation).
+  // aggregation): E = (M+E) − P·Qᵀ, one tile of P·Qᵀ at a time.
   if (config_.error_feedback) {
-    Tensor recon = MatMulTB(st.p, st.q);
-    st.e.copy_from(input);
-    st.e.sub_(recon);
+    const std::span<float> ed = st.e.data();
+    ForEachReconSegment(st.p, st.q, [ed](int64_t off,
+                                         std::span<const float> recon) {
+      float* __restrict__ ei = ed.data() + off;
+      for (size_t j = 0; j < recon.size(); ++j) ei[j] -= recon[j];
+    });
   }
 
   return p_step ? st.p.data() : st.q.data();
@@ -103,14 +108,16 @@ void AcpSgd::Finish(int64_t tensor_id, Tensor& out) {
   ACPS_CHECK_MSG(it != states_.end() && it->second.pending,
                  "Finish without LocalStep for tensor " << tensor_id);
   State& st = it->second;
+  const int64_t n = st.p.rows(), m = st.q.rows();
+  ACPS_CHECK_MSG(out.ndim() == 2 && out.rows() == n && out.cols() == m,
+                 "Finish output for tensor " << tensor_id << " must be ["
+                                             << n << "x" << m << "], got "
+                                             << ShapeToString(out.shape()));
   st.pending = false;
   st.t += 1;
 
   // M̂ = P·Qᵀ with the aggregated factor now in place.
-  Tensor recon = MatMulTB(st.p, st.q);
-  ACPS_CHECK_MSG(out.numel() == recon.numel(),
-                 "Finish output shape mismatch for tensor " << tensor_id);
-  out.copy_from(recon);
+  GemmTransB(st.p.data(), st.q.data(), out.data(), n, st.p.cols(), m);
 }
 
 void AcpSgd::Step(int64_t tensor_id, Tensor& m,

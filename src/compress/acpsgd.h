@@ -66,15 +66,20 @@ class AcpSgd {
   // Runs all local compute for this step of `tensor_id` on gradient matrix
   // `m` and returns the factor (P on odd steps, Q on even steps) that must
   // now be mean-all-reduced. The returned span aliases internal state and
-  // stays valid until Finish().
+  // stays valid until Finish(). With error feedback the residual is
+  // updated in place here, before any communication: E += M, the factor
+  // is computed from E, then E −= P·Qᵀ tile by tile (no n×m temporary).
   [[nodiscard]] std::span<float> LocalStep(int64_t tensor_id, const Tensor& m);
 
   // After the factor returned by LocalStep was aggregated in place,
-  // reconstructs the aggregated gradient M̂ = P·Qᵀ into `out` (shape of m).
+  // reconstructs the aggregated gradient M̂ = P·Qᵀ straight into `out`,
+  // which must be [n×m] like m (checked before any state changes).
   void Finish(int64_t tensor_id, Tensor& out);
 
   // --- Blocking convenience --------------------------------------------
-  // LocalStep + allreduce + Finish; replaces `m` with M̂.
+  // LocalStep + allreduce + Finish; replaces `m` with M̂. E is already this
+  // step's residual when `allreduce` runs, so a throwing callback leaves
+  // it updated (and the step pending), exactly as LocalStep left it.
   void Step(int64_t tensor_id, Tensor& m, const AllReduceMeanFn& allreduce);
 
   [[nodiscard]] const AcpSgdConfig& config() const noexcept { return config_; }

@@ -45,6 +45,15 @@ struct PowerSgdConfig {
 // Effective rank for an n×m matrix: min(rank, n, m).
 [[nodiscard]] int64_t EffectiveRank(int64_t n, int64_t m, int64_t rank);
 
+// Streams the rank-r reconstruction M̂ = P·Qᵀ (P [n×r], Q [m×r]) through a
+// cache-resident tile instead of materialising the n×m product: visit(off,
+// recon) receives the M̂ values at row-major offsets [off, off +
+// recon.size()). Every value is GemmTransB's, bit for bit. Tiles run on the
+// pool; the visited ranges are disjoint.
+using ReconVisitor = std::function<void(int64_t, std::span<const float>)>;
+void ForEachReconSegment(const Tensor& p, const Tensor& q,
+                         const ReconVisitor& visit);
+
 class PowerSgd {
  public:
   explicit PowerSgd(PowerSgdConfig config);
@@ -53,6 +62,9 @@ class PowerSgd {
   // the aggregated, decompressed gradient P·Qᵀ. `tensor_id` keys the
   // persistent per-tensor state (Q and the EF residual); all workers must
   // use the same ids and construct PowerSgd with the same config/seed.
+  // M + E is formed in `m` itself and the residual E is rewritten in place
+  // once both all-reduces have returned, so an all-reduce that throws
+  // leaves E as it was (`m` then holds M + E).
   void Step(int64_t tensor_id, Tensor& m, const AllReduceMeanFn& allreduce);
 
   [[nodiscard]] const PowerSgdConfig& config() const noexcept { return config_; }
@@ -75,8 +87,9 @@ class PowerSgd {
 
  private:
   struct State {
-    Tensor q;  // [m×r], carried across steps (query reuse)
-    Tensor e;  // [n×m], error-feedback residual
+    int64_t n = 0;  // rows of the gradient matrix
+    Tensor q;       // [m×r], carried across steps (query reuse)
+    Tensor e;       // [n×m], error-feedback residual
   };
 
   State& state_for(int64_t tensor_id, int64_t n, int64_t m, int64_t r);

@@ -504,6 +504,98 @@ bool UsePackedTransB(int64_t n, int64_t k, int64_t m) {
   return k >= 64 && n >= 8 && m >= kTbJb;
 }
 
+// Small-k dot form (1 <= k <= kSmallK): the rank-r reconstruction P·Qᵀ of
+// Power-SGD / ACP-SGD. With k <= 8 every Dot8 lane receives at most one
+// product, so an element's whole chain is lane[l] = 0 + a_il * b_jl (lanes
+// >= k stay 0), the fixed pairwise tree and the alpha multiply. Nothing
+// carries across j, so computing a vector of adjacent output columns at once
+// reproduces Dot8 bit for bit. (Dot8 would run one serial dot per element
+// over stride-k loads of B, slower than the naive loop at these shapes.) B
+// is staged k-major once per call so every lane is a contiguous stream
+// across j.
+constexpr int64_t kSmallK = 8;
+
+// Packs B [m×k] k-major: dst[l*m + j] = B[j][l]. Pure data movement.
+void PackTransBSmallK(const float* b, int64_t k, int64_t m, float* dst) {
+  for (int64_t j = 0; j < m; ++j) {
+    const float* __restrict__ bj = b + j * k;
+    for (int64_t l = 0; l < k; ++l) dst[l * m + j] = bj[l];
+  }
+}
+
+// Contraction is off for the small-k kernel so `0 + x*y` rounds the product
+// and then adds, exactly like Dot8's lane update: a fused fma(x, y, 0)
+// differs when x*y underflows (-0 instead of +0).
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+
+// Lane L of element (i, j): the single product a_iL * b_jL added to the
+// lane's zero, or the untouched zero for L >= k.
+template <int64_t L, int64_t K>
+inline float SmallKLane(const float* ai, const float* bt, int64_t m,
+                        int64_t j) {
+  if constexpr (L < K) {
+    return 0.0f + ai[L] * bt[L * m + j];
+  } else {
+    return 0.0f;
+  }
+}
+
+// Dot8's fixed pairwise tree over the eight lanes of element (i, j).
+template <int64_t K>
+inline float SmallKDot(const float* ai, const float* bt, int64_t m,
+                       int64_t j) {
+  const float s0 =
+      (SmallKLane<0, K>(ai, bt, m, j) + SmallKLane<1, K>(ai, bt, m, j)) +
+      (SmallKLane<2, K>(ai, bt, m, j) + SmallKLane<3, K>(ai, bt, m, j));
+  const float s1 =
+      (SmallKLane<4, K>(ai, bt, m, j) + SmallKLane<5, K>(ai, bt, m, j)) +
+      (SmallKLane<6, K>(ai, bt, m, j) + SmallKLane<7, K>(ai, bt, m, j));
+  return s0 + s1;
+}
+
+// Rows [i_begin, i_end) of C = alpha·A·Bᵀ + beta·C over the k-major B (bt).
+// The beta branch sits outside the column loop so the beta == 0 loop
+// vectorizes at every K.
+template <int64_t K>
+void GemmTransBSmallKRows(const float* a, const float* bt, float* c,
+                          int64_t i_begin, int64_t i_end, int64_t m,
+                          float alpha, float beta) {
+  for (int64_t i = i_begin; i < i_end; ++i) {
+    const float* __restrict__ ai = a + i * K;
+    float* __restrict__ ci = c + i * m;
+    if (beta == 0.0f) {
+      for (int64_t j = 0; j < m; ++j)
+        ci[j] = alpha * SmallKDot<K>(ai, bt, m, j);
+    } else {
+      for (int64_t j = 0; j < m; ++j)
+        ci[j] = BetaBlend(alpha * SmallKDot<K>(ai, bt, m, j), beta, ci[j]);
+    }
+  }
+}
+
+#pragma GCC pop_options
+
+using SmallKRowsFn = void (*)(const float*, const float*, float*, int64_t,
+                              int64_t, int64_t, float, float);
+constexpr SmallKRowsFn kSmallKRows[kSmallK + 1] = {
+    nullptr,
+    &GemmTransBSmallKRows<1>,
+    &GemmTransBSmallKRows<2>,
+    &GemmTransBSmallKRows<3>,
+    &GemmTransBSmallKRows<4>,
+    &GemmTransBSmallKRows<5>,
+    &GemmTransBSmallKRows<6>,
+    &GemmTransBSmallKRows<7>,
+    &GemmTransBSmallKRows<8>};
+
+// Shape routing under kAuto and kNever (the small-k path packs only to
+// reorder B, not to block for L2); kAlways keeps forcing the packed path.
+bool UseSmallKTransB(int64_t k) {
+  return k >= 1 && k <= kSmallK &&
+         g_pack_mode.load(std::memory_order_relaxed) != GemmPackMode::kAlways;
+}
+
 }  // namespace
 
 void SetGemmPackMode(GemmPackMode mode) {
@@ -533,6 +625,25 @@ void GemmTransB(std::span<const float> a, std::span<const float> b,
   if (n == 0 || m == 0) return;
   const uint64_t flops = GemmFlops(n, k, m);
   par::KernelTimer timer("gemm_tb", flops, GemmBytes(n, k, m, beta));
+  if (UseSmallKTransB(k)) {
+    thread_local std::vector<float> bt;
+    bt.resize(static_cast<size_t>(k * m));
+    PackTransBSmallK(b.data(), k, m, bt.data());
+    timer.AddPanel(static_cast<uint64_t>(k * m) * sizeof(float),
+                   static_cast<uint64_t>(n));
+    // A lambda naming `bt` would reach each worker's own thread_local copy,
+    // so the workers get the caller's buffer by pointer.
+    const float* packed_b = bt.data();
+    const SmallKRowsFn rows = kSmallKRows[k];
+    if (flops < kSerialInlineFlops) {
+      rows(a.data(), packed_b, c.data(), 0, n, m, alpha, beta);
+      return;
+    }
+    par::ParallelFor(GemmRowGrain(k, m), n, [&](int64_t begin, int64_t end) {
+      rows(a.data(), packed_b, c.data(), begin, end, m, alpha, beta);
+    });
+    return;
+  }
   const bool packed = UsePackedTransB(n, k, m);
   if (flops < kSerialInlineFlops) {
     if (packed) {

@@ -26,7 +26,11 @@
 //  * dot-form kernels (GemmTransB, Gemv) accumulate a_ik * b_jk into 8
 //    fixed interleaved fp32 lanes (lane l takes k ≡ l mod 8), combine the
 //    lanes in a fixed pairwise tree, and apply alpha once to the combined
-//    dot product.
+//    dot product. For 1 <= k <= 8 (the rank-r reconstruction P·Qᵀ)
+//    GemmTransB copies B once into k-major order and vectorizes across
+//    output columns; this is bitwise safe because each lane then gets at
+//    most one product, so an element's chain is just `0 + a_il * b_jl` per
+//    lane plus the fixed tree, whatever columns it is computed beside.
 // Tiling and row-partitioning never reorder any element's accumulation
 // chain, which is what makes kernel == naive bitwise at every thread count.
 //
@@ -48,7 +52,8 @@ namespace acps {
 // default) picks packed vs direct per call from the problem shape; kAlways
 // forces every GEMM through the packed path (parity tests use this to pin
 // the packed kernels against the naive references at boundary shapes);
-// kNever forces the pre-packing register-blocked path. All three produce
+// kNever forces the pre-packing register-blocked path. Under kAuto and
+// kNever a GemmTransB with k <= 8 takes the small-k path. All three produce
 // bitwise-identical results — the mode only moves data layout and
 // scheduling, never an accumulation chain.
 enum class GemmPackMode { kAuto, kAlways, kNever };

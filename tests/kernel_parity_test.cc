@@ -31,6 +31,8 @@ namespace {
   if (a.size() != b.size())
     return ::testing::AssertionFailure()
            << "size " << a.size() << " vs " << b.size();
+  if (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0)
+    return ::testing::AssertionSuccess();
   for (size_t i = 0; i < a.size(); ++i) {
     if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0)
       return ::testing::AssertionFailure()
@@ -202,6 +204,65 @@ TEST(KernelParity, GemmTransBBetaZeroOverwritesGarbage) {
   std::vector<float> c2(4, std::numeric_limits<float>::quiet_NaN());
   Gemm(a, b, c2, 2, 3, 2, 1.0f, 0.0f);
   for (float v : c2) EXPECT_FALSE(std::isnan(v));
+}
+
+// Operands for the small-k TransB path: normals sprinkled with signed zeros
+// (so products come out as -0, which a lane's `0 + x*y` turns into +0) and
+// with tiny values whose products underflow.
+std::vector<float> SmallKOperand(size_t n, uint64_t seed) {
+  std::vector<float> v = RandomVec(n, seed);
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 5 == 0) v[i] = (i / 5) % 2 == 0 ? -0.0f : 0.0f;
+    if (i % 11 == 3) v[i] = (i % 2 == 0 ? 1.0f : -1.0f) * 1e-30f;
+  }
+  return v;
+}
+
+// The small-k dot-form path (k <= 8: at most one product per Dot8 lane)
+// against the naive reference, across every remainder of the vectorized
+// column loop, both sides of k = 8, every thread budget and every pack mode
+// (kAlways still forces the packed path).
+TEST(KernelParity, SmallKTransBMatchesNaiveBitwise) {
+  ThreadGuard guard;
+  PackModeGuard pack_guard;
+  std::vector<Shape3> shapes;
+  for (int64_t k = 1; k <= 9; ++k)
+    for (const int64_t m : {1, 7, 8, 9, 33, 4608})
+      for (const int64_t n : {1, 5, 97}) shapes.push_back({n, k, m});
+  // Large enough to leave the serial inline cutoff and split rows.
+  shapes.push_back({1031, 4, 1031});
+  shapes.push_back({1031, 8, 521});
+  shapes.push_back({2053, 1, 2053});
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const auto& s : shapes) {
+    const auto a = SmallKOperand(static_cast<size_t>(s.n * s.k), 71);
+    const auto b = SmallKOperand(static_cast<size_t>(s.m * s.k), 72);
+    const auto c_rand = RandomVec(static_cast<size_t>(s.n * s.m), 73);
+    for (const float alpha : {1.0f, -0.5f}) {
+      for (const float beta : {0.0f, 1.0f, 0.25f}) {
+        // beta == 0 must overwrite, so start it from NaN garbage.
+        const std::vector<float> c0 =
+            beta == 0.0f ? std::vector<float>(c_rand.size(), nan) : c_rand;
+        std::vector<float> want = c0;
+        GemmTransBNaive(a, b, want, s.n, s.k, s.m, alpha, beta);
+        for (const int threads : {1, 2, 4, 8}) {
+          par::SetNumThreads(threads);
+          for (const GemmPackMode mode :
+               {GemmPackMode::kAuto, GemmPackMode::kNever,
+                GemmPackMode::kAlways}) {
+            SetGemmPackMode(mode);
+            std::vector<float> got = c0;
+            GemmTransB(a, b, got, s.n, s.k, s.m, alpha, beta);
+            EXPECT_TRUE(BitsEqual(got, want))
+                << "gemm_tb " << s.n << "x" << s.k << "x" << s.m
+                << " alpha=" << alpha << " beta=" << beta
+                << " mode=" << static_cast<int>(mode)
+                << " threads=" << threads;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(KernelParity, GemvAxpyTransposeMatchNaiveBitwise) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <vector>
 
 #include "comm/communicator.h"
 #include "compress/acpsgd.h"
@@ -106,6 +107,38 @@ TEST(PowerSgd, ShapeChangeThrows) {
   EXPECT_THROW(psgd.Step(0, b, kIdentity), Error);
 }
 
+// Without error feedback there is no n×m residual to betray the row count,
+// so the state check has to compare n itself.
+TEST(PowerSgd, RowCountChangeThrowsWithoutErrorFeedback) {
+  PowerSgdConfig cfg;
+  cfg.error_feedback = false;
+  PowerSgd psgd(cfg);
+  Tensor a = RandomMatrix(8, 8, 5);
+  psgd.Step(0, a, kIdentity);
+  Tensor b = RandomMatrix(9, 8, 6);
+  EXPECT_THROW(psgd.Step(0, b, kIdentity), Error);
+}
+
+// E is rewritten only after both all-reduces, so a failing collective (on
+// the P or on the Q factor) leaves the residual exactly as it was.
+TEST(PowerSgd, ThrowingAllReduceLeavesResidualUnchanged) {
+  for (const int fail_on : {1, 2}) {
+    PowerSgd psgd(PowerSgdConfig{});
+    Tensor g = RandomMatrix(12, 10, 9);
+    psgd.Step(0, g, kIdentity);
+    const std::span<float> e = psgd.residual_e(0, 12, 10);
+    const std::vector<float> before(e.begin(), e.end());
+    int calls = 0;
+    const AllReduceMeanFn failing = [&](std::span<float>) {
+      if (++calls == fail_on) throw Error("all-reduce failed");
+    };
+    Tensor h = RandomMatrix(12, 10, 10);
+    EXPECT_THROW(psgd.Step(0, h, failing), Error);
+    EXPECT_EQ(std::vector<float>(e.begin(), e.end()), before)
+        << "failure on all-reduce " << fail_on;
+  }
+}
+
 TEST(PowerSgd, CommElements) {
   PowerSgdConfig cfg;
   cfg.rank = 4;
@@ -151,6 +184,22 @@ TEST(AcpSgd, FinishWithoutLocalStepThrows) {
   AcpSgd acp(AcpSgdConfig{});
   Tensor g = RandomMatrix(10, 10, 8);
   EXPECT_THROW(acp.Finish(0, g), Error);
+}
+
+// Finish writes M̂ straight into `out`, so `out` must have the gradient's
+// [n×m] shape, not merely its element count.
+TEST(AcpSgd, FinishRejectsMisshapenOutput) {
+  AcpSgd acp(AcpSgdConfig{});
+  const Tensor g = RandomMatrix(12, 8, 8);
+  (void)acp.LocalStep(0, g);
+  Tensor transposed({8, 12});
+  EXPECT_THROW(acp.Finish(0, transposed), Error);
+  Tensor flat({96});
+  EXPECT_THROW(acp.Finish(0, flat), Error);
+  // A rejected output leaves the step pending; the right shape finishes it.
+  Tensor out({12, 8});
+  acp.Finish(0, out);
+  EXPECT_EQ(acp.step_of(0), 1u);
 }
 
 TEST(AcpSgd, ConvergesToLowRankMatrix) {

@@ -6,16 +6,18 @@
 #   tools/bench_baseline.sh --check --full   # full run, gate vs committed
 #
 # The baseline file records median-of-N ns/op and speedup-over-naive for
-# every kernel at the paper's shapes. --check compares speedup RATIOS (not
-# raw ns), failing on a >25% drop vs the committed values or when an
-# acceptance kernel falls below its floor (gemm_4096x4096x32 and topk_25m
-# >= 3x, packed gemm_tb_4096x4096x32 >= 10x); that makes
-# the gate portable across machines of different absolute speed. Regenerate
-# (and commit) the baseline whenever a kernel change intentionally shifts
-# the ratios.
+# every kernel at the paper's shapes, and the kernel-pool budget it ran at
+# (1 thread unless BENCH_ARGS says otherwise). --check compares speedup
+# RATIOS (not raw ns) at that same recorded budget, failing on a >25% drop
+# vs the committed values or when an acceptance kernel falls below its
+# floor (gemm_4096x4096x32 and topk_25m >= 3x, packed gemm_tb_4096x4096x32
+# >= 10x, small-k gemm_tb_recon_r4 >= 5x); that makes the gate portable
+# across machines of different absolute speed. Regenerate (and commit) the
+# baseline whenever a kernel change intentionally shifts the ratios.
 #
-# Env: BUILD_DIR (default: build), BENCH_ARGS (extra bench_kernels flags,
-# e.g. --threads=4).
+# Env: BUILD_DIR (default: build), BENCH_ARGS (extra bench_kernels flags;
+# a --threads=N here overrides the baseline's 1 thread when generating, and
+# must match the baseline's budget under --check).
 #
 # Exit status: 0 ok, 1 gate failure, 2 usage/setup error.
 set -euo pipefail
@@ -55,5 +57,9 @@ if [ "$CHECK" -eq 1 ]; then
   exec "$BIN" "${MODE[@]}" --check="$BASELINE" ${BENCH_ARGS:-}
 fi
 
-"$BIN" --out="$BASELINE" ${BENCH_ARGS:-}
+THREADS=--threads=1
+case " ${BENCH_ARGS:-} " in
+  *" --threads="*) THREADS= ;;
+esac
+"$BIN" --out="$BASELINE" $THREADS ${BENCH_ARGS:-}
 echo "bench_baseline: baseline written to $BASELINE — review and commit it."
