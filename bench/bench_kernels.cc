@@ -157,7 +157,7 @@ void NaiveGramSchmidt(std::vector<float>& a, int64_t n, int64_t r) {
 }
 
 // The Power-SGD orthogonalization panel: a 1024×32 tall-skinny factor, the
-// exact shape the packed GEMM family feeds (PowerIteration's Q basis).
+// exact shape the packed GEMM family feeds (Power-SGD's P and Q factors).
 Case OrthoPanelCase(const std::string& name, bool quick, bool use_qr,
                     int64_t n, int64_t r) {
   return {name, quick, [use_qr, n, r](int reps) {

@@ -31,9 +31,9 @@ cd "$(dirname "$0")"
 
 # Merge-time combined line coverage of src/comm + src/compress (see
 # tools/coverage_report.sh). Measured 95.7% at the introduction of the
-# coverage gate; raise when coverage improves, never lower to paper over
-# a drop.
-ACPS_COV_MIN_COMM_COMPRESS=95.0
+# coverage gate and 97.0% once the unused compressors were deleted; raise
+# when coverage improves, never lower to paper over a drop.
+ACPS_COV_MIN_COMM_COMPRESS=96.5
 # Line-coverage floor for the deterministic parallel layer (src/par): the
 # pool is the substrate every kernel trusts, so its machinery stays >= 90%.
 ACPS_COV_MIN_PAR=90.0

@@ -5,12 +5,9 @@
 #include <cstdio>
 
 #include "compress/acpsgd.h"
-#include "compress/fp16.h"
 #include "compress/powersgd.h"
-#include "compress/qsgd.h"
 #include "compress/randomk.h"
 #include "compress/sign.h"
-#include "compress/terngrad.h"
 #include "compress/topk.h"
 #include "metrics/table.h"
 #include "tensor/rng.h"
@@ -52,10 +49,7 @@ int main() {
   metrics::Table table({"Compressor", "wire KB", "ratio", "rel. error"});
   const auto numel = static_cast<size_t>(grad.numel());
   std::vector<std::unique_ptr<compress::Compressor>> compressors;
-  compressors.push_back(std::make_unique<compress::Fp16Compressor>());
   compressors.push_back(std::make_unique<compress::SignCompressor>());
-  compressors.push_back(std::make_unique<compress::QsgdCompressor>(16));
-  compressors.push_back(std::make_unique<compress::TernGradCompressor>());
   compressors.push_back(std::make_unique<compress::TopkCompressor>(0.01));
   compressors.push_back(std::make_unique<compress::TopkCompressor>(
       0.001, compress::TopkSelection::kSampledThreshold));

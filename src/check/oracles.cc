@@ -251,16 +251,14 @@ std::string OracleReport::Summary() const {
 
 double EfTolerance(const std::string& spec) {
   // Sparsifiers copy kept values verbatim (residual is exactly the dropped
-  // mass) and fp16's round-trip subtraction is exact by Sterbenz's lemma, so
-  // those conserve bit-exactly. Quantizers reconstruct at magnitudes up to
-  // ‖g‖, where the fp32 residual arithmetic rounds; their tolerance is a
+  // mass), so they conserve bit-exactly. Sign reconstructs at magnitudes up
+  // to ‖g‖, where the fp32 residual arithmetic rounds; its tolerance is a
   // small multiple of machine epsilon on the (1 + max|g| + max|recon|) scale.
   const std::string name = BaseName(spec);
-  if (name == "topk" || name == "topk-sampled" || name == "randomk" ||
-      name == "fp16") {
+  if (name == "topk" || name == "topk-sampled" || name == "randomk") {
     return 0.0;
   }
-  return 1e-6;  // sign, blockwise-sign, qsgd, terngrad
+  return 1e-6;  // sign
 }
 
 OracleReport CheckCompressorInvariants(const std::string& spec,

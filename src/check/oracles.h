@@ -40,7 +40,7 @@ struct OracleOptions {
 };
 
 struct OracleFailure {
-  std::string compressor;  // registry spec, e.g. "qsgd:16"
+  std::string compressor;  // registry spec, e.g. "topk-sampled:0.001"
   std::string property;    // which oracle
   int64_t numel = 0;
   uint64_t seed = 0;

@@ -1,9 +1,8 @@
 // Name-based compressor factory: builds any one-shot compressor from a
-// spec string, e.g. "sign", "blockwise-sign:2048", "topk:0.001",
-// "topk-sampled:0.01", "randomk:0.01", "qsgd:8", "terngrad", "fp16".
+// spec string: "sign", "topk:0.001", "topk-sampled:0.01" or "randomk:0.01".
 //
-// Used by the examples/CLI surface so users can switch compressors without
-// recompiling, and by tests to sweep the whole family uniformly.
+// Used by the compressor oracles (check/oracles.h), and through them by the
+// benches' oracle gate, and by tests to sweep the whole family uniformly.
 #pragma once
 
 #include <memory>

@@ -71,14 +71,6 @@ void SignCompressor::Decode(std::span<const std::byte> blob,
                    });
 }
 
-bool SignCompressor::SignBit(std::span<const std::byte> blob, size_t i) {
-  const auto n = wire::Read<uint64_t>(blob, sizeof(float));
-  ACPS_CHECK_MSG(i < n, "SignBit index out of range");
-  const std::byte* bits = blob.data() + kHeaderBytes;
-  return (bits[i / 8] & static_cast<std::byte>(1u << (i % 8))) !=
-         std::byte{0};
-}
-
 void SignCompressor::MajorityVote(
     std::span<const std::vector<std::byte>> blobs, std::span<float> out) {
   ACPS_CHECK_MSG(!blobs.empty(), "MajorityVote needs at least one blob");

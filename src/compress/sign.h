@@ -35,10 +35,6 @@ class SignCompressor final : public Compressor {
   // sign(0)=+1 convention the paper uses for quantization.
   static void MajorityVote(std::span<const std::vector<std::byte>> blobs,
                            std::span<float> out);
-
-  // Reads the sign bit of element i from a blob (true => negative).
-  [[nodiscard]] static bool SignBit(std::span<const std::byte> blob,
-                                    size_t i);
 };
 
 }  // namespace acps::compress

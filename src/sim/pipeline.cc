@@ -35,6 +35,14 @@ namespace {
 using models::LayerSpec;
 using models::ModelSpec;
 
+// Trace label `prefix` + decimal `index`, e.g. "M3". Built by appending:
+// GCC 12 reports a false -Wrestrict on `"M" + std::to_string(i)` at -O2.
+std::string Label(const char* prefix, size_t index) {
+  std::string label(prefix);
+  label += std::to_string(index);
+  return label;
+}
+
 // Single-resource FIFO timeline.
 class Timeline {
  public:
@@ -150,8 +158,7 @@ Breakdown SimulateSSGD(const Ctx& ctx) {
   const auto bytes = GradBytes(ctx);
   if (ctx.cfg.trace != nullptr) {
     for (size_t i = 0; i < ctx.tensors.size(); ++i)
-      ctx.Trace("M" + std::to_string(i), "compute", ready[i] - ctx.bwd_time[i],
-                ready[i]);
+      ctx.Trace(Label("M", i), "compute", ready[i] - ctx.bwd_time[i], ready[i]);
   }
   const bool overlap = ctx.cfg.sysopt != SysOptLevel::kNaive;
   const int64_t buffer = ctx.cfg.sysopt == SysOptLevel::kWfbpTf
@@ -492,12 +499,12 @@ Breakdown SimulateAcp(const Ctx& ctx) {
 
   for (size_t i = 0; i < ctx.tensors.size(); ++i) {
     t_c += ctx.bwd_time[i];
-    ctx.Trace("M" + std::to_string(i), "compute", t_c - ctx.bwd_time[i], t_c);
+    ctx.Trace(Label("M", i), "compute", t_c - ctx.bwd_time[i], t_c);
     const auto& ti = ctx.tensors[i];
     if (ti.lowrank) {
       t_c += comp_cost[i];
       compress_busy += comp_cost[i];
-      ctx.Trace((p_step ? "P" : "Q") + std::to_string(i), "compute",
+      ctx.Trace(Label(p_step ? "P" : "Q", i), "compute",
                 t_c - comp_cost[i], t_c);
       const int b = factor_bucket_of[i];
       if (factor_buckets[static_cast<size_t>(b)].back() ==

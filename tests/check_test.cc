@@ -288,9 +288,8 @@ TEST(OracleTest, RegistryCoversThePaperCompressors) {
       return s.starts_with(prefix);
     });
   };
-  EXPECT_TRUE(has("fp16"));
-  EXPECT_TRUE(has("qsgd"));
-  EXPECT_TRUE(has("terngrad"));
+  EXPECT_TRUE(has("sign"));
+  EXPECT_TRUE(has("topk-sampled"));
   EXPECT_TRUE(has("randomk"));
 }
 
@@ -313,19 +312,18 @@ TEST(OracleTest, KernelsAreThreadCountInvariant) {
 TEST(OracleTest, SparsifiersConserveExactlyQuantizersToRounding) {
   EXPECT_EQ(EfTolerance("topk:0.001"), 0.0);
   EXPECT_EQ(EfTolerance("randomk:0.01"), 0.0);
-  EXPECT_EQ(EfTolerance("fp16"), 0.0);
-  EXPECT_GT(EfTolerance("qsgd:16"), 0.0);
+  EXPECT_EQ(EfTolerance("topk-sampled:0.001"), 0.0);
   EXPECT_GT(EfTolerance("sign"), 0.0);
 }
 
 TEST(OracleTest, FailureReportNamesCompressorShapeSeedAndProperty) {
-  const OracleFailure f{.compressor = "qsgd:16",
+  const OracleFailure f{.compressor = "topk-sampled:0.001",
                         .property = "ef-conservation",
                         .numel = 1000,
                         .seed = 0xBEEF,
                         .detail = "example"};
   const std::string msg = f.Describe();
-  EXPECT_NE(msg.find("qsgd:16"), std::string::npos);
+  EXPECT_NE(msg.find("topk-sampled:0.001"), std::string::npos);
   EXPECT_NE(msg.find("ef-conservation"), std::string::npos);
   EXPECT_NE(msg.find("[1000]"), std::string::npos);
   EXPECT_NE(msg.find("48879"), std::string::npos);  // 0xBEEF in decimal

@@ -1,19 +1,15 @@
 // Tests for the extension modules: hierarchical collectives + topology
-// model, buffer auto-tuning, blockwise 1-bit compression, trace export,
-// CSV output.
+// model, buffer auto-tuning, trace export, CSV output.
 #include <gtest/gtest.h>
 
 #include <atomic>
 
 #include "comm/hierarchical.h"
 #include "comm/topology.h"
-#include "compress/blockwise_sign.h"
-#include "compress/sign.h"
 #include "metrics/csv.h"
 #include "models/model_zoo.h"
 #include "sim/buffer_tuner.h"
 #include "sim/trace_export.h"
-#include "tensor/rng.h"
 
 namespace acps {
 namespace {
@@ -141,63 +137,6 @@ TEST(TraceExport, EscapesSpecials) {
   std::vector<sim::TraceEvent> trace{{"a\"b", "compute", 0.0, 1.0}};
   const std::string json = sim::ToChromeTracingJson(trace);
   EXPECT_NE(json.find("a\\\"b"), std::string::npos);
-}
-
-// ------------------------------------------------------ blockwise sign ----
-
-TEST(BlockwiseSign, RoundTripUsesPerBlockScales) {
-  compress::BlockwiseSignCompressor c(4);
-  // Two blocks with very different magnitudes.
-  const std::vector<float> g{1.0f, -1.0f, 1.0f, -1.0f,
-                             100.0f, -100.0f, 100.0f, -100.0f};
-  const auto blob = c.Encode(g);
-  EXPECT_EQ(blob.size(), c.EncodedBytes(g.size()));
-  std::vector<float> out(g.size());
-  c.Decode(blob, out);
-  EXPECT_NEAR(out[0], 1.0f, 1e-5f);
-  EXPECT_NEAR(out[4], 100.0f, 1e-3f);
-  EXPECT_NEAR(out[5], -100.0f, 1e-3f);
-}
-
-TEST(BlockwiseSign, BetterReconstructionThanGlobalSign) {
-  Rng rng(3);
-  std::vector<float> g(4096);
-  // Heteroscedastic gradient: magnitude varies by segment, like layers.
-  for (size_t i = 0; i < g.size(); ++i)
-    g[i] = rng.normal() * (1.0f + static_cast<float>(i / 512));
-  auto err = [&](compress::Compressor& c) {
-    const auto blob = c.Encode(g);
-    std::vector<float> out(g.size());
-    c.Decode(blob, out);
-    double e = 0.0;
-    for (size_t i = 0; i < g.size(); ++i)
-      e += double(out[i] - g[i]) * (out[i] - g[i]);
-    return e;
-  };
-  compress::SignCompressor global;
-  compress::BlockwiseSignCompressor blockwise(512);
-  EXPECT_LT(err(blockwise), err(global));
-}
-
-TEST(BlockwiseSign, PartialLastBlock) {
-  compress::BlockwiseSignCompressor c(8);
-  const std::vector<float> g{3.0f, -3.0f, 3.0f};  // one partial block
-  const auto blob = c.Encode(g);
-  std::vector<float> out(3);
-  c.Decode(blob, out);
-  EXPECT_NEAR(out[1], -3.0f, 1e-5f);
-}
-
-TEST(BlockwiseSign, MismatchedBlockSizeThrows) {
-  compress::BlockwiseSignCompressor a(8), b(16);
-  const auto blob = a.Encode(std::vector<float>{1.0f, 2.0f});
-  std::vector<float> out(2);
-  EXPECT_THROW(b.Decode(blob, out), Error);
-}
-
-TEST(BlockwiseSign, CompressionRatioNear32ForLargeBlocks) {
-  compress::BlockwiseSignCompressor c(4096);
-  EXPECT_GT(c.CompressionRatio(1 << 20), 28.0);
 }
 
 // ---------------------------------------------------------------- CSV -----

@@ -10,12 +10,7 @@
 #include <atomic>
 #include <cmath>
 
-#include "compress/blockwise_sign.h"
-#include "compress/fp16.h"
-#include "compress/qsgd.h"
-#include "compress/sign.h"
-#include "compress/terngrad.h"
-#include "compress/topk.h"
+#include "compress/registry.h"
 #include "core/grad_reducer.h"
 #include "core/trainer.h"
 #include "models/model_zoo.h"
@@ -81,45 +76,33 @@ INSTANTIATE_TEST_SUITE_P(
 // -------------------------------------------- compressor round-trip grid --
 
 struct RoundTripCase {
-  const char* name;
+  const char* spec;  // compress::MakeCompressor spec
   size_t numel;
 };
 
 class CompressorGridTest : public ::testing::TestWithParam<RoundTripCase> {};
 
-std::unique_ptr<compress::Compressor> MakeByName(const std::string& name) {
-  if (name == "sign") return std::make_unique<compress::SignCompressor>();
-  if (name == "blockwise")
-    return std::make_unique<compress::BlockwiseSignCompressor>(64);
-  if (name == "topk") return std::make_unique<compress::TopkCompressor>(0.1);
-  if (name == "qsgd") return std::make_unique<compress::QsgdCompressor>(16);
-  if (name == "terngrad")
-    return std::make_unique<compress::TernGradCompressor>();
-  if (name == "fp16") return std::make_unique<compress::Fp16Compressor>();
-  ACPS_CHECK_MSG(false, "unknown compressor " << name);
-}
-
 TEST_P(CompressorGridTest, EncodedSizeExactAndDecodeSafe) {
   const auto& c = GetParam();
-  auto compressor = MakeByName(c.name);
+  auto compressor = compress::MakeCompressor(c.spec);
   Rng rng(c.numel + 17);
   std::vector<float> g(c.numel);
   for (auto& v : g) v = rng.normal();
   const auto blob = compressor->Encode(g);
-  EXPECT_EQ(blob.size(), compressor->EncodedBytes(c.numel)) << c.name;
+  EXPECT_EQ(blob.size(), compressor->EncodedBytes(c.numel)) << c.spec;
   std::vector<float> out(c.numel, -777.0f);
   compressor->Decode(blob, out);
   for (float v : out) {
-    EXPECT_TRUE(std::isfinite(v)) << c.name;
-    EXPECT_NE(v, -777.0f) << c.name << ": element left unwritten";
+    EXPECT_TRUE(std::isfinite(v)) << c.spec;
+    EXPECT_NE(v, -777.0f) << c.spec << ": element left unwritten";
   }
 }
 
 std::vector<RoundTripCase> GridCases() {
   std::vector<RoundTripCase> cases;
-  for (const char* name :
-       {"sign", "blockwise", "topk", "qsgd", "terngrad", "fp16"}) {
-    for (size_t n : {1u, 63u, 64u, 65u, 1000u}) cases.push_back({name, n});
+  for (const char* spec :
+       {"sign", "topk:0.1", "topk-sampled:0.1", "randomk:0.1"}) {
+    for (size_t n : {1u, 63u, 64u, 65u, 1000u}) cases.push_back({spec, n});
   }
   return cases;
 }

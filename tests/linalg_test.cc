@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "linalg/orthogonalize.h"
-#include "linalg/power_iter.h"
 #include "linalg/qr.h"
 #include "tensor/matrix_ops.h"
 #include "tensor/rng.h"
@@ -97,62 +96,6 @@ TEST(Orthogonalize, DeterministicAcrossCalls) {
   Orthogonalize(a);
   Orthogonalize(b);
   EXPECT_TRUE(a.all_close(b, 0.0f));
-}
-
-TEST(PowerIteration, ExactForLowRankMatrix) {
-  // Build an exactly rank-2 matrix; rank-2 power iteration must recover it.
-  Rng rng(88);
-  Tensor u({16, 2});
-  Tensor v({12, 2});
-  rng.fill_normal(u);
-  rng.fill_normal(v);
-  const Tensor m = MatMulTB(u, v);
-  Rng seed(1);
-  const LowRankFactors f = PowerIteration(m, 2, 10, seed);
-  EXPECT_LT(RelativeError(m, f), 1e-3f);
-}
-
-TEST(PowerIteration, ErrorDecreasesWithRank) {
-  Rng rng(99);
-  Tensor m({24, 24});
-  rng.fill_normal(m);
-  double prev = 1e9;
-  for (int64_t r : {1, 4, 8, 16, 24}) {
-    Rng seed(2);
-    const LowRankFactors f = PowerIteration(m, r, 15, seed);
-    const double err = RelativeError(m, f);
-    EXPECT_LE(err, prev + 1e-4);
-    prev = err;
-  }
-  // Full rank reconstructs exactly (up to float noise).
-  Rng seed(2);
-  EXPECT_LT(RelativeError(m, PowerIteration(m, 24, 25, seed)), 1e-2f);
-}
-
-TEST(PowerIteration, MoreItersNoWorse) {
-  Rng rng(111);
-  Tensor m({20, 30});
-  rng.fill_normal(m);
-  Rng s1(3), s2(3);
-  const double e1 = RelativeError(m, PowerIteration(m, 3, 1, s1));
-  const double e20 = RelativeError(m, PowerIteration(m, 3, 20, s2));
-  EXPECT_LE(e20, e1 + 1e-4);
-}
-
-TEST(PowerIteration, RejectsBadArgs) {
-  Tensor m({4, 4});
-  Rng rng(1);
-  EXPECT_THROW((void)PowerIteration(m, 0, 1, rng), Error);
-  EXPECT_THROW((void)PowerIteration(m, 5, 1, rng), Error);
-  EXPECT_THROW((void)PowerIteration(m, 2, 0, rng), Error);
-}
-
-TEST(PowerIteration, ZeroMatrix) {
-  Tensor m({6, 6});
-  Rng rng(4);
-  const LowRankFactors f = PowerIteration(m, 2, 3, rng);
-  EXPECT_EQ(RelativeError(m, f), 0.0f);
-  EXPECT_LT(Reconstruct(f).norm2(), 1e-5f);
 }
 
 }  // namespace

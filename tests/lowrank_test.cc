@@ -344,6 +344,16 @@ TEST(AcpSgd, AggregatedEqualsCompressedMeanGradient) {
     EXPECT_TRUE(results[static_cast<size_t>(r)].all_close(expect, 1e-3f));
 }
 
+TEST(AcpSgd, ValidateReportsEveryBadField) {
+  AcpSgdConfig cfg;
+  EXPECT_EQ(cfg.Validate(), "");
+  cfg.rank = 0;
+  cfg.ortho = static_cast<OrthoScheme>(99);
+  EXPECT_EQ(cfg.Validate(),
+            "rank must be >= 1, got 0; unknown orthogonalization scheme");
+  EXPECT_THROW(AcpSgd{cfg}, Error);
+}
+
 TEST(AcpSgd, RejectsNonMatrix) {
   AcpSgd acp(AcpSgdConfig{});
   Tensor v({16});

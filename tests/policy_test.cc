@@ -171,12 +171,14 @@ TEST(Registry, BuildsEveryKnownSpec) {
 }
 
 TEST(Registry, ParsesParameters) {
+  // Ratio 0.5 on 10 elements keeps 5 records.
   auto topk = compress::MakeCompressor("topk:0.5");
-  // ratio 0.5 on 10 elements keeps 5 records.
-  std::vector<float> g(10, 1.0f);
   EXPECT_EQ(topk->EncodedBytes(10), 16u + 5u * 8u);
-  auto block = compress::MakeCompressor("blockwise-sign:2");
-  EXPECT_EQ(block->name(), "blockwise-sign");
+  auto sampled = compress::MakeCompressor("topk-sampled:0.5");
+  EXPECT_EQ(sampled->name(), "topk-sampled");
+  EXPECT_EQ(sampled->EncodedBytes(10), 16u + 5u * 8u);
+  auto randomk = compress::MakeCompressor("randomk:0.5");
+  EXPECT_EQ(randomk->EncodedBytes(10), 24u + 5u * 4u);
 }
 
 TEST(Registry, RejectsBadSpecs) {

@@ -201,7 +201,9 @@ TEST(Stress, AggregatorsSurviveManyTinyParams) {
     Rng shapes(7);  // same shapes everywhere
     for (size_t i = 0; i < params.size(); ++i) {
       const int64_t n = 1 + static_cast<int64_t>(shapes.next_below(5));
-      params[i].name = "p" + std::to_string(i);
+      std::string name("p");  // not "p" + to_string: GCC 12 -Wrestrict
+      name += std::to_string(i);
+      params[i].name = std::move(name);
       params[i].value = Tensor({n});
       params[i].grad = Tensor({n});
       rng.fill_normal(params[i].grad);

@@ -22,8 +22,10 @@ SymbolIndex SymbolIndex::Build(const Corpus& corpus) {
       std::string qualified =
           fr.scope.empty() ? fr.qual : fr.scope + "::" + fr.qual;
       const int anon_file = anon ? static_cast<int>(fi) : -1;
-      if (anon_file >= 0)
-        qualified += "@" + std::to_string(fi);  // keep statics distinct
+      if (anon_file >= 0) {  // keep statics distinct
+        qualified += '@';
+        qualified += std::to_string(fi);
+      }
 
       int id;
       if (auto it = by_qualified.find(qualified); it != by_qualified.end()) {
