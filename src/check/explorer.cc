@@ -253,39 +253,25 @@ RunOutcome RunWorkload(Workload w, const ExploreOptions& opt,
         case Workload::kRejoin: {
           // Three all-reduce steps with a membership commit after each;
           // the victim dies at its step-2 all-reduce and is readmitted at
-          // the next commit, where the lowest-ranked survivor broadcasts
-          // the running sums plus the step counter. Any explored schedule
+          // the next commit, where comm::ResyncJoiners has the lowest-
+          // ranked survivor broadcast the running sums and the step
+          // counter. Any explored schedule
           // must reproduce the same final bits on every rank. Naive
           // all-reduce keeps the workload at one hand-off window per step
           // (the gather publish; the root re-publish is kRootPublish), so
           // exhaustive mode can enumerate every publish order at p=3.
           auto data = IntInputs(r, n);
-          int step = 0;
-          const auto resync = [&](const comm::detail::ViewTransition& t) {
-            if (t.joined.empty()) return;
-            int donor = -1;
-            for (const int a : comm.alive_ranks()) {
-              if (std::find(t.joined.begin(), t.joined.end(), a) ==
-                  t.joined.end()) {
-                donor = a;
-                break;
-              }
-            }
-            std::vector<float> wire(data.size() + 1);
-            wire[0] = static_cast<float>(step);
-            std::copy(data.begin(), data.end(), wire.begin() + 1);
-            comm.broadcast(wire, donor);
-            step = static_cast<int>(wire[0]);
-            std::copy(wire.begin() + 1, wire.end(), data.begin());
-          };
+          uint64_t step = 0;
+          const std::vector<std::span<float>> state = {data};
           // A readmitted generation starts mid-commit: its first
           // collective is the resync broadcast the survivors are issuing.
-          if (comm.join_generation() > 0) resync(comm.last_transition());
+          if (comm.join_generation() > 0)
+            comm::ResyncJoiners(comm, comm.last_transition(), state, step);
           while (step < 3) {
             comm.all_reduce(data, comm::ReduceOp::kSum,
                             comm::AllReduceAlgo::kNaive);
             ++step;
-            resync(comm.commit_view());
+            comm::ResyncJoiners(comm, comm.commit_view(), state, step);
           }
           slot = FloatsToBytes(data);
           break;

@@ -1,6 +1,7 @@
 #include "comm/communicator.h"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 #include <string>
 
@@ -622,6 +623,44 @@ void Communicator::broadcast(std::span<float> data, int root) {
                  ACPS_CHECK(incoming.size() == data.size());
                  std::copy(incoming.begin(), incoming.end(), data.begin());
                });
+}
+
+void ResyncJoiners(Communicator& comm, const detail::ViewTransition& transition,
+                   const std::vector<std::span<float>>& state,
+                   uint64_t& step) {
+  if (transition.joined.empty()) return;
+  const auto joined = [&](int r) {
+    return std::find(transition.joined.begin(), transition.joined.end(), r) !=
+           transition.joined.end();
+  };
+  const auto donor = std::find_if_not(comm.alive_ranks().begin(),
+                                      comm.alive_ranks().end(), joined);
+  ACPS_CHECK_MSG(donor != comm.alive_ranks().end(),
+                 "membership commit with no surviving donor");
+  // The float wire carries the 64-bit step as two 32-bit bit patterns, so
+  // it arrives exactly (a float value would round past 2^24).
+  static_assert(sizeof(float) == sizeof(uint32_t));
+  size_t total = 2;
+  for (const auto& s : state) total += s.size();
+  std::vector<float> wire(total);
+  const uint32_t halves[2] = {static_cast<uint32_t>(step),
+                              static_cast<uint32_t>(step >> 32)};
+  std::memcpy(wire.data(), halves, sizeof(halves));
+  size_t off = 2;
+  for (const auto& s : state) {
+    std::copy(s.begin(), s.end(), wire.begin() + static_cast<ptrdiff_t>(off));
+    off += s.size();
+  }
+  comm.broadcast(wire, *donor);
+  uint32_t got[2];
+  std::memcpy(got, wire.data(), sizeof(got));
+  step = static_cast<uint64_t>(got[0]) | (static_cast<uint64_t>(got[1]) << 32);
+  off = 2;
+  for (const auto& s : state) {
+    std::copy_n(wire.begin() + static_cast<ptrdiff_t>(off), s.size(),
+                s.begin());
+    off += s.size();
+  }
 }
 
 }  // namespace acps::comm

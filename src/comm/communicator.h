@@ -222,6 +222,16 @@ class Communicator {
   std::vector<uint8_t> view_alive_;  // indexed by rank
 };
 
+// Donor hand-off after a membership commit (DESIGN.md §6h): when
+// `transition` admitted ranks, the donor — the lowest-ranked alive rank not
+// admitted at this commit — broadcasts `step` (bit-exact) and the
+// concatenation of `state`, and every rank adopts both. A commit that
+// admitted no one is a no-op and issues no collective. Collective: every
+// alive rank of the committed view calls it with the same `transition`
+// and equally sized `state`.
+void ResyncJoiners(Communicator& comm, const detail::ViewTransition& transition,
+                   const std::vector<std::span<float>>& state, uint64_t& step);
+
 // The contiguous range [begin, end) of chunk `chunk` when splitting `n`
 // elements into `p` chunks (first n%p chunks get one extra element).
 struct ChunkRange {

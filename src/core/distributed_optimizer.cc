@@ -1,7 +1,6 @@
 #include "core/distributed_optimizer.h"
 
 #include "check/sched_point.h"
-#include "core/resync.h"
 
 namespace acps::core {
 
@@ -21,14 +20,6 @@ void DistributedOptimizer::Step(comm::Communicator& comm, double epoch) {
   check::SchedPoint(check::PointKind::kOptStep, comm.rank());
   aggregator_->Aggregate(params_, comm);
   sgd_.Step(epoch);
-}
-
-void DistributedOptimizer::ResyncFrom(comm::Communicator& comm, int donor) {
-  std::vector<std::span<float>> bufs;
-  bufs.reserve(params_.size() + sgd_.velocities().size());
-  for (dnn::Param* p : params_) bufs.push_back(p->value.data());
-  for (Tensor& v : sgd_.velocities()) bufs.push_back(v.data());
-  BroadcastFlat(comm, bufs, donor);
 }
 
 }  // namespace acps::core

@@ -31,14 +31,6 @@ class DistributedOptimizer {
   // worker must call it in lockstep.
   void Step(comm::Communicator& comm, double epoch);
 
-  // Elastic-membership state resync (core/resync.h): broadcasts parameter
-  // values and momentum buffers from `donor`, overwriting local replicas.
-  // Called by every alive rank of the committed view at the same step
-  // boundary after a membership transition admitted joiners — one flat
-  // broadcast, so the whole model+optimizer transfer is a single
-  // fingerprint-checked collective.
-  void ResyncFrom(comm::Communicator& comm, int donor);
-
   [[nodiscard]] float last_lr() const { return sgd_.last_lr(); }
 
  private:

@@ -29,14 +29,6 @@ class SgdOptimizer {
 
   [[nodiscard]] float last_lr() const noexcept { return last_lr_; }
 
-  // Momentum buffers, one per param in construction order. Mutable access
-  // exists for elastic-membership state resync (core/resync.h): a rejoining
-  // rank overwrites its velocities with a donor's broadcast replica so the
-  // next Step is bitwise identical across the group.
-  [[nodiscard]] std::vector<Tensor>& velocities() noexcept {
-    return velocity_;
-  }
-
  private:
   std::vector<Param*> params_;
   std::vector<Tensor> velocity_;

@@ -1,17 +1,17 @@
 #include "fault/chaos.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <sstream>
 
 #include "comm/communicator.h"
 #include "comm/hierarchical.h"
 #include "compress/acpsgd.h"
-#include "compress/error_feedback.h"
 #include "compress/powersgd.h"
 #include "compress/sign.h"
 #include "compress/topk.h"
+#include "core/distributed_optimizer.h"
+#include "core/grad_reducer.h"
 #include "fault/plan.h"
 #include "tensor/check.h"
 
@@ -98,11 +98,9 @@ std::vector<float> MethodPayload(ChaosMethod m, int rank, int64_t n) {
 // Shared tail of both workloads: run `body` on a fresh group and fold the
 // outcome (outputs, crash record, error classification) into a ChaosRun.
 ChaosRun RunGroup(int world_size,
-                  const std::function<void(comm::Communicator&, ChaosRun&)>& body,
-                  bool with_ef_gap = false) {
+                  const std::function<void(comm::Communicator&, ChaosRun&)>& body) {
   ChaosRun run;
   run.outputs.assign(static_cast<size_t>(world_size), {});
-  if (with_ef_gap) run.ef_gap.assign(static_cast<size_t>(world_size), 0.0);
   comm::Transport transport;
   comm::Session group(transport, "chaos", world_size);
   try {
@@ -192,16 +190,6 @@ ChaosCaseResult Classify(const ChaosRun& baseline, const ChaosRun& run,
         }
       }
     }
-    for (size_t r = 0; r < run.ef_gap.size(); ++r) {
-      if (static_cast<int>(r) == crash_rank) continue;
-      if (!(run.ef_gap[r] < 1e-3)) {
-        result.outcome = ChaosOutcome::kSilentCorruption;
-        result.detail = "error-feedback mass not conserved on rank " +
-                        std::to_string(r) +
-                        ": gap = " + std::to_string(run.ef_gap[r]);
-        return result;
-      }
-    }
     result.outcome = ChaosOutcome::kRecovered;
     result.detail = "completed with " + std::to_string(p - 1) +
                     " survivors after rank " + std::to_string(crash_rank) +
@@ -216,15 +204,6 @@ ChaosCaseResult Classify(const ChaosRun& baseline, const ChaosRun& run,
           "rank " + std::to_string(r) + " diverged from fault-free bits: " +
           DescribeByteDiff(baseline.outputs[static_cast<size_t>(r)],
                            run.outputs[static_cast<size_t>(r)]);
-      return result;
-    }
-  }
-  for (size_t r = 0; r < run.ef_gap.size(); ++r) {
-    if (!(run.ef_gap[r] < 1e-3)) {
-      result.outcome = ChaosOutcome::kSilentCorruption;
-      result.detail = "error-feedback mass not conserved on rank " +
-                      std::to_string(r) +
-                      ": gap = " + std::to_string(run.ef_gap[r]);
       return result;
     }
   }
@@ -256,9 +235,10 @@ FaultPlanConfig PlanFor(FaultKind kind, uint64_t seed, double rate,
       cfg.straggler_ticks = opt.straggler_ticks;
       break;
     case FaultKind::kCrash:
-      cfg.crash_rank = opt.crash_rank >= 0 ? opt.crash_rank
-                                           : opt.world_size - 1;
-      cfg.crash_at_collective = crash_at;
+      cfg.membership = {{MembershipEvent::Kind::kCrash,
+                         opt.crash_rank >= 0 ? opt.crash_rank
+                                             : opt.world_size - 1,
+                         crash_at}};
       break;
     case FaultKind::kNone:
       break;
@@ -411,157 +391,52 @@ ChaosRun RunCollectiveWorkload(ChaosCollective c, ChaosMethod m,
 }
 
 ChaosRun RunTrainingWorkload(ChaosMethod m, const ChaosOptions& opt) {
-  const int p = opt.world_size;
-  const int steps = opt.steps;
-  const bool with_ef_gap =
-      m == ChaosMethod::kTopk || m == ChaosMethod::kSign;
-  ChaosRun run = RunGroup(p, [&](comm::Communicator& comm, ChaosRun& out) {
+  // The production aggregator spec of each method, indexed by ChaosMethod.
+  static constexpr const char* kSpecs[] = {"acpsgd:2", "powersgd:2",
+                                           "topk:0.25", "sign"};
+  const core::AggregatorFactory factory =
+      core::MakeAggregatorFactory(kSpecs[static_cast<size_t>(m)]);
+  // A matrix that silently stopped compressing would still pass, so the
+  // table must build the method it claims to.
+  const std::string built = factory(0, opt.world_size)->name();
+  ACPS_CHECK_MSG(built == ToString(m),
+                 "chaos method " << ToString(m) << " built aggregator "
+                                 << built);
+  const bool lowrank =
+      m == ChaosMethod::kAcpSgd || m == ChaosMethod::kPowerSgd;
+  const auto body = [&](comm::Communicator& comm, ChaosRun& out) {
     const int r = comm.rank();
-    Tensor w({8, 12});
-    Tensor b({10});
+    dnn::Param w{"w", Tensor({8, 12}), Tensor({8, 12}), 8, 12};
+    dnn::Param b{"b", Tensor({10}), Tensor({10})};
     {
       int64_t i = 0;
-      for (Tensor* t : {&w, &b})
-        for (float& v : t->data())
+      for (dnn::Param* p : {&w, &b})
+        for (float& v : p->value.data())
           v = static_cast<float>(((i++ * 3 + 5) % 11) - 5) * 0.5f;
     }
-    Tensor wg({8, 12});
-    Tensor bg({10});
-
-    compress::AcpSgdConfig acp_cfg;
-    acp_cfg.rank = 2;
-    compress::AcpSgd acp(acp_cfg);
-    compress::PowerSgdConfig psgd_cfg;
-    psgd_cfg.rank = 2;
-    compress::PowerSgd psgd(psgd_cfg);
-    compress::TopkCompressor topk(0.25, compress::TopkSelection::kExact);
-    compress::SignCompressor sign;
-    compress::ErrorFeedback ef;
-
-    // EF conservation ledgers (harness-owned EF methods only): per element,
-    // sum of raw gradients fed in and sum of reconstructions applied.
-    const bool harness_ef =
-        m == ChaosMethod::kTopk || m == ChaosMethod::kSign;
-    std::vector<double> grad_mass;
-    std::vector<double> recon_mass;
-    if (harness_ef) {
-      grad_mass.assign(static_cast<size_t>(w.numel() + b.numel()), 0.0);
-      recon_mass.assign(grad_mass.size(), 0.0);
-    }
-
-    const auto mean = [&comm](std::span<float> v) {
-      comm.all_reduce(v);
-      const float inv = 1.0f / static_cast<float>(comm.alive_world_size());
-      for (float& x : v) x *= inv;
-    };
-
-    // One sparse/sign aggregation: EF add-in, encode, all-gather blobs,
-    // combine the ALIVE blobs, EF update from the own-blob reconstruction.
-    const auto gather_combine = [&](int64_t id, Tensor& grad,
-                                    int64_t mass_base) {
-      if (harness_ef) {
-        for (int64_t i = 0; i < grad.numel(); ++i)
-          grad_mass[static_cast<size_t>(mass_base + i)] +=
-              static_cast<double>(grad.data()[static_cast<size_t>(i)]);
-      }
-      ef.AddInto(id, grad);
-      const Tensor input = grad.clone();
-      const size_t nel = static_cast<size_t>(grad.numel());
-      compress::Compressor& comp =
-          m == ChaosMethod::kTopk
-              ? static_cast<compress::Compressor&>(topk)
-              : static_cast<compress::Compressor&>(sign);
-      std::vector<std::byte> blob(comp.EncodedBytes(nel));
-      comp.EncodeInto(grad.data(), blob);
-      std::vector<std::byte> gathered(blob.size() *
-                                      static_cast<size_t>(p));
-      comm.all_gather_bytes(blob, gathered);
-      // Own reconstruction BEFORE combining: EF tracks what this worker's
-      // compressor kept, not what the group agreed on.
-      Tensor recon(Shape{grad.numel()});
-      comp.Decode(blob, recon.data());
-      std::vector<float> merged(nel, 0.0f);
-      if (m == ChaosMethod::kTopk) {
-        for (int src : comm.alive_ranks()) {
-          const auto sb = std::span<const std::byte>(gathered).subspan(
-              static_cast<size_t>(src) * blob.size(), blob.size());
-          compress::TopkCompressor::AccumulateInto(
-              sb, merged, comm.alive_world_size());
-        }
-      } else {
-        std::vector<std::vector<std::byte>> blobs;
-        blobs.reserve(static_cast<size_t>(comm.alive_world_size()));
-        for (int src : comm.alive_ranks()) {
-          const auto sb = std::span<const std::byte>(gathered).subspan(
-              static_cast<size_t>(src) * blob.size(), blob.size());
-          blobs.emplace_back(sb.begin(), sb.end());
-        }
-        compress::SignCompressor::MajorityVote(blobs, merged);
-      }
-      ef.Update(id, input, recon);
-      if (harness_ef) {
-        for (size_t i = 0; i < nel; ++i)
-          recon_mass[static_cast<size_t>(mass_base) + i] +=
-              static_cast<double>(recon.data()[i]);
-      }
-      std::copy(merged.begin(), merged.end(), grad.data().begin());
-    };
-
-    for (int s = 0; s < steps; ++s) {
+    std::unique_ptr<core::GradientAggregator> aggregator =
+        factory(r, opt.world_size);
+    const auto& reducer = dynamic_cast<const core::GradReducer&>(*aggregator);
+    core::DistributedOptimizer optimizer(
+        {&w, &b}, std::move(aggregator),
+        dnn::LrSchedule{0.1f, /*warmup_epochs=*/0, {}, 1.0f},
+        /*momentum=*/0.0f);
+    for (int s = 0; s < opt.steps; ++s) {
       int64_t i = 0;
-      for (Tensor* t : {&wg, &bg})
-        for (float& gv : t->data()) gv = GradValue(r, i++, s);
-
-      switch (m) {
-        case ChaosMethod::kAcpSgd: {
-          const std::span<float> factor = acp.LocalStep(0, wg);
-          mean(factor);
-          acp.Finish(0, wg);
-          mean(bg.data());
-          break;
-        }
-        case ChaosMethod::kPowerSgd:
-          psgd.Step(0, wg, mean);
-          mean(bg.data());
-          break;
-        case ChaosMethod::kTopk:
-        case ChaosMethod::kSign:
-          gather_combine(0, wg, 0);
-          gather_combine(1, bg, w.numel());
-          break;
-      }
-      for (int64_t j = 0; j < w.numel(); ++j)
-        w.data()[static_cast<size_t>(j)] -=
-            0.1f * wg.data()[static_cast<size_t>(j)];
-      for (int64_t j = 0; j < b.numel(); ++j)
-        b.data()[static_cast<size_t>(j)] -=
-            0.1f * bg.data()[static_cast<size_t>(j)];
+      for (dnn::Param* p : {&w, &b})
+        for (float& gv : p->grad.data()) gv = GradValue(r, i++, s);
+      optimizer.Step(comm, /*epoch=*/0.0);
     }
-
+    // The 8x12 weight is the one low-rank tensor (r(n+m) = 40 < nm = 96).
+    ACPS_CHECK_MSG(reducer.num_lowrank() == (lowrank ? 1u : 0u),
+                   "chaos method " << ToString(m) << " compressed "
+                                   << reducer.num_lowrank()
+                                   << " tensors low-rank");
     auto& slot = out.outputs[static_cast<size_t>(r)];
-    AppendBytes(slot, w.data());
-    AppendBytes(slot, b.data());
-    if (harness_ef) {
-      // Telescoping invariant: sum(grad) == sum(reconstruction) + residual.
-      double gap = 0.0;
-      const Tensor& rw = ef.residual(0, wg.shape());
-      const Tensor& rb = ef.residual(1, bg.shape());
-      for (int64_t j = 0; j < w.numel(); ++j)
-        gap = std::max(
-            gap, std::abs(grad_mass[static_cast<size_t>(j)] -
-                          recon_mass[static_cast<size_t>(j)] -
-                          static_cast<double>(
-                              rw.data()[static_cast<size_t>(j)])));
-      for (int64_t j = 0; j < b.numel(); ++j)
-        gap = std::max(
-            gap,
-            std::abs(grad_mass[static_cast<size_t>(w.numel() + j)] -
-                     recon_mass[static_cast<size_t>(w.numel() + j)] -
-                     static_cast<double>(rb.data()[static_cast<size_t>(j)])));
-      out.ef_gap[static_cast<size_t>(r)] = gap;
-    }
-  }, with_ef_gap);
-  return run;
+    AppendBytes(slot, w.value.data());
+    AppendBytes(slot, b.value.data());
+  };
+  return RunGroup(opt.world_size, body);
 }
 
 ChaosCaseResult RunCollectiveChaos(FaultKind kind, ChaosCollective c,
@@ -569,7 +444,7 @@ ChaosCaseResult RunCollectiveChaos(FaultKind kind, ChaosCollective c,
   const ChaosRun baseline = RunCollectiveWorkload(c, m, opt);
   const bool rank_invariant = c != ChaosCollective::kReduceScatter;
   return RunPlannedCase(
-      kind, ToString(c), m, opt, opt.crash_at_collective, rank_invariant,
+      kind, ToString(c), m, opt, opt.crash_at, rank_invariant,
       baseline, [&] { return RunCollectiveWorkload(c, m, opt); });
 }
 
@@ -577,7 +452,7 @@ ChaosCaseResult RunTrainingChaos(FaultKind kind, ChaosMethod m,
                                  const ChaosOptions& opt) {
   const ChaosRun baseline = RunTrainingWorkload(m, opt);
   // Die mid-training, not at the very first collective.
-  const uint64_t crash_at = std::max<uint64_t>(opt.crash_at_collective, 3);
+  const uint64_t crash_at = std::max<uint64_t>(opt.crash_at, 3);
   return RunPlannedCase(kind, std::string("training[") + ToString(m) + "]", m,
                         opt, crash_at, /*rank_invariant=*/true, baseline,
                         [&] { return RunTrainingWorkload(m, opt); });
@@ -588,8 +463,8 @@ ChaosCaseResult RunDeadRootBroadcast(const ChaosOptions& opt) {
   result.name = "crash x broadcast[dead-root]";
   FaultPlanConfig cfg;
   cfg.seed = opt.seed;
-  cfg.crash_rank = 0;  // the broadcast root below
-  cfg.crash_at_collective = 1;
+  // Rank 0, the broadcast root below, dies at its first collective.
+  cfg.membership = {{MembershipEvent::Kind::kCrash, 0, 1}};
   FaultPlan plan(cfg);
   ChaosRun run;
   {

@@ -18,10 +18,11 @@
 // Two granularities:
 //  * RunCollectiveChaos — one collective op over method-flavored payloads
 //    (the compressed representations each method actually puts on the wire).
-//  * RunTrainingChaos — a short compressed training loop (error feedback,
-//    factor reuse, momentum-free SGD); recoverable faults must leave the
-//    final model bitwise identical, a rank crash must leave the survivors
-//    mutually identical with conserved error-feedback mass.
+//  * RunTrainingChaos — a short training run of the production path: two
+//    dnn::Params stepped by core::DistributedOptimizer (momentum-free SGD)
+//    over the method's core::GradReducer, built by MakeAggregatorFactory.
+//    Recoverable faults must leave the final model bitwise identical; a
+//    rank crash must leave the survivors mutually identical.
 //
 // Every decision is replayable: the result records the plan seed that was
 // used, and re-running the same case with the same ChaosOptions reproduces
@@ -92,7 +93,7 @@ struct ChaosOptions {
   // 1-based collective entry it dies at (training cases die later so the
   // crash lands mid-run).
   int crash_rank = -1;
-  uint64_t crash_at_collective = 1;
+  uint64_t crash_at = 1;
 };
 
 // Raw outcome of one group run: per-rank output bytes (crashed ranks hold
@@ -101,13 +102,6 @@ struct ChaosOptions {
 struct ChaosRun {
   std::vector<std::vector<std::byte>> outputs;  // per rank
   std::vector<int> crashed;                     // from Session
-  // Per-rank error-feedback conservation gap (training runs with
-  // harness-owned EF only, i.e. Top-k and Sign):
-  //   max_i | sum_t grad_t[i] - (sum_t reconstruction_t[i] + residual_T[i]) |
-  // The telescoping EF invariant makes this ~0 for any fault the run
-  // absorbed; a lost or double-counted update shows up here even when the
-  // final models happen to agree.
-  std::vector<double> ef_gap;  // empty for methods with internal EF
   std::string error;     // non-empty when the run failed
   bool detected = false; // the failure was a structured fault::DetectedError
 };
@@ -119,8 +113,11 @@ struct ChaosRun {
 [[nodiscard]] ChaosRun RunCollectiveWorkload(ChaosCollective c, ChaosMethod m,
                                              const ChaosOptions& opt);
 
-// Short compressed training loop (see file comment) under the installed
-// injector. Outputs are the final parameter bytes per rank.
+// Short production training run (see file comment) under the installed
+// injector. Outputs are the final parameter bytes per rank. Throws
+// acps::Error if the method's spec builds a different aggregator, and a
+// rank fails if the 8x12 weight is not compressed low-rank exactly when
+// the method is ACP-SGD or Power-SGD.
 [[nodiscard]] ChaosRun RunTrainingWorkload(ChaosMethod m,
                                            const ChaosOptions& opt);
 
@@ -148,7 +145,7 @@ struct ChaosCaseResult {
                                                  const ChaosOptions& opt);
 
 // One cell of the training-level matrix (kCrash cases die at
-// max(crash_at_collective, 3) so the crash lands mid-training).
+// max(crash_at, 3) so the crash lands mid-training).
 [[nodiscard]] ChaosCaseResult RunTrainingChaos(FaultKind kind, ChaosMethod m,
                                                const ChaosOptions& opt);
 

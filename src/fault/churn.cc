@@ -15,7 +15,7 @@
 namespace acps::fault {
 namespace {
 
-// Deterministic gradients, same scheme as the chaos harness: multiples of
+// Deterministic gradients, same scheme as the chaos trainer: multiples of
 // 0.25 keep exact-arithmetic parts exactly representable.
 float GradValue(int rank, int64_t i, uint64_t step) {
   return static_cast<float>(
@@ -113,45 +113,18 @@ void ElasticBody(const ScenarioSpec& spec, std::vector<EscrowSlot>& board,
     for (float& x : v) x *= inv;
   };
 
-  // Post-commit resync. Runs on EVERY alive rank of the committed view
-  // whenever the commit admitted ranks — donor, bystanders and joiners
-  // issue the same collectives in lockstep, so the transfer is itself
-  // contract-checked.
-  const auto handle_transition = [&](const auto& t) {
-    if (t.joined.empty()) return;
-    // Donor: the lowest-ranked survivor (alive but not admitted at this
-    // commit). At least one exists — a commit needs a surviving applier.
-    int donor = -1;
-    for (const int a : comm.alive_ranks()) {
-      if (std::find(t.joined.begin(), t.joined.end(), a) == t.joined.end()) {
-        donor = a;
-        break;
-      }
-    }
-    ACPS_CHECK_MSG(donor >= 0, "membership commit with no surviving donor");
-    // Model + step counter, one flat broadcast.
-    std::vector<float> wire(1 + static_cast<size_t>(kNumelW + kNumelB));
-    wire[0] = static_cast<float>(step);
-    std::memcpy(wire.data() + 1, w.data().data(),
-                static_cast<size_t>(kNumelW) * sizeof(float));
-    std::memcpy(wire.data() + 1 + kNumelW, b.data().data(),
-                static_cast<size_t>(kNumelB) * sizeof(float));
-    comm.broadcast(wire, donor);
-    step = static_cast<uint64_t>(wire[0]);
-    std::memcpy(w.data().data(), wire.data() + 1,
-                static_cast<size_t>(kNumelW) * sizeof(float));
-    std::memcpy(b.data().data(), wire.data() + 1 + kNumelW,
-                static_cast<size_t>(kNumelB) * sizeof(float));
-    if (spec.method == ChurnMethod::kPowerSgd) {
-      // Factor re-broadcast: Q is all-reduced every step, so every
-      // survivor holds the donor's bits already — the broadcast only
-      // *syncs the joiner* while staying a uniform collective for all.
-      const std::span<float> q = psgd.factor_q(kWId, kRowsW, kColsW);
-      comm.broadcast(q, donor);
-    }
-    const bool me_joined =
-        std::find(t.joined.begin(), t.joined.end(), r) != t.joined.end();
-    if (!me_joined) return;
+  // Post-commit resync. Runs on EVERY alive rank of the committed view;
+  // when the commit admitted ranks, comm::ResyncJoiners moves the donor's
+  // model, step counter and (for Power-SGD) reused query factor Q in one
+  // broadcast. Q is all-reduced every step, so every survivor already holds
+  // the donor's bits — the broadcast only syncs the joiner.
+  std::vector<std::span<float>> state = {w.data(), b.data()};
+  if (spec.method == ChurnMethod::kPowerSgd)
+    state.push_back(psgd.factor_q(kWId, kRowsW, kColsW));
+  const auto handle_transition = [&](const comm::detail::ViewTransition& t) {
+    comm::ResyncJoiners(comm, t, state, step);
+    if (std::find(t.joined.begin(), t.joined.end(), r) == t.joined.end())
+      return;
     // Joiner-local state: a REJOINER restores its escrowed residual and
     // ledgers (rolled back to its last committed step — the mass it still
     // owes the group); a FRESH joiner keeps zeros.
@@ -177,9 +150,9 @@ void ElasticBody(const ScenarioSpec& spec, std::vector<EscrowSlot>& board,
   // to issue.
   if (comm.join_generation() > 0) handle_transition(comm.last_transition());
 
-  // One Top-k + EF aggregation (the chaos harness's gather_combine, over
-  // the live view): EF add-in, encode, all-gather blobs, combine the ALIVE
-  // blobs, EF update from the own-blob reconstruction.
+  // One Top-k + EF aggregation over the live view: EF add-in, encode,
+  // all-gather blobs, combine the ALIVE blobs, EF update from the own-blob
+  // reconstruction.
   const auto gather_combine = [&](int64_t id, Tensor& grad,
                                   int64_t mass_base) {
     for (int64_t i = 0; i < grad.numel(); ++i)
@@ -330,7 +303,7 @@ ChurnRun RunElastic(const ScenarioSpec& spec) {
 // rejoiner resumes from the group's snapshot): a Top-k step costs 3
 // entries (two all_gathers + the commit), a Power-SGD step 4 (two factor
 // all-reduces, the bias all-reduce, the commit), and a resync after a
-// joining commit adds 1 broadcast (2 for Power-SGD).
+// joining commit adds 1 broadcast for every method.
 // -----------------------------------------------------------------------
 ScenarioSpec SpecFor(ChurnScenario s, const ChurnOptions& opt) {
   using Kind = MembershipEvent::Kind;
@@ -410,8 +383,8 @@ ScenarioSpec SpecFor(ChurnScenario s, const ChurnOptions& opt) {
       break;
     case ChurnScenario::kPowerSgdRejoin:
       // Dies between the two factor all-reduces of step 2 (entry 6 of the
-      // 4-entry Power-SGD steps), readmitted at the next commit with the
-      // donor's Q re-broadcast.
+      // 4-entry Power-SGD steps), readmitted at the next commit; the
+      // donor's Q rides the resync broadcast.
       spec.method = ChurnMethod::kPowerSgd;
       spec.events = {{Kind::kCrash, last, 6}, {Kind::kRejoin, last, 1}};
       spec.expect_crashed = {last};

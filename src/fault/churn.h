@@ -5,15 +5,17 @@
 // with the chaos taxonomy (fault/chaos.h): recovered, detected, or the
 // failure mode the layer exists to rule out, silent divergence.
 //
-// The training loop is the elastic extension of RunTrainingWorkload: one
-// membership commit (Communicator::commit_view) per step, a harness-owned
-// *escrow board* holding each rank's commit-boundary snapshot (EF residual,
-// conservation ledgers, Power-SGD residual), and a resync protocol after
-// every commit that admitted ranks:
+// The training loop is a synthetic elastic body over the same 8x12 weight
+// and 10-bias as the chaos trainer: one membership commit
+// (Communicator::commit_view) per step, a harness-owned *escrow board*
+// holding each rank's commit-boundary snapshot (EF residual, conservation
+// ledgers, Power-SGD residual), and a resync protocol after every commit
+// that admitted ranks:
 //
-//   * the donor — the lowest-ranked survivor of the committed view —
-//     broadcasts the current model and step counter (and, for Power-SGD,
-//     its reused query factor Q, which is identical on every survivor);
+//   * comm::ResyncJoiners has the donor — the lowest-ranked survivor of
+//     the committed view — broadcast the current model, the step counter
+//     and, for Power-SGD, its reused query factor Q (identical on every
+//     survivor), all in one broadcast;
 //   * a REJOINING rank restores its own escrowed EF residual and ledgers —
 //     the mass it still owes the group — rolled back to its last committed
 //     step, so the telescoping EF invariant
@@ -45,7 +47,7 @@ enum class ChurnScenario : uint8_t {
                           // flight; admission must wait for the commit
   kLeaderCrashHier,       // node-leader crash mid-phase of the hierarchical
                           // inter-node stage, then rejoin
-  kPowerSgdRejoin,        // crash+rejoin with donor factor re-broadcast
+  kPowerSgdRejoin,        // crash+rejoin; Q rides the donor broadcast
   kSoak,                  // long horizon: join + crash + leave + repeated
                           // crash, convergence-tolerance envelope vs the
                           // fault-free baseline

@@ -23,17 +23,7 @@ const char* ToString(MembershipEvent::Kind kind) noexcept {
   return "?";
 }
 
-FaultPlan::FaultPlan(FaultPlanConfig config) : config_(std::move(config)) {
-  // Fold the legacy single-crash fields into the membership schedule so
-  // every downstream consumer sees one event stream. The optional is
-  // cleared to keep the fold idempotent if the config round-trips.
-  if (config_.crash_rank) {
-    config_.membership.push_back({MembershipEvent::Kind::kCrash,
-                                  *config_.crash_rank,
-                                  config_.crash_at_collective});
-    config_.crash_rank.reset();
-  }
-}
+FaultPlan::FaultPlan(FaultPlanConfig config) : config_(std::move(config)) {}
 
 uint64_t Mix64(uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;

@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,9 +23,9 @@ namespace acps::fault {
 [[nodiscard]] uint64_t Mix64(uint64_t x) noexcept;
 
 // One membership-churn event in a plan's ordered schedule. `at` is 1-based:
-// for kCrash it is the victim's per-rank collective-entry index (matching
-// the legacy crash_at_collective); for kRejoin/kJoin/kLeave it is the
-// membership-commit index the event targets. kRejoin and kJoin share
+// for kCrash it is the victim's per-rank collective-entry index; for
+// kRejoin/kJoin/kLeave it is the membership-commit index the event
+// targets. kRejoin and kJoin share
 // admission semantics (first commit >= `at` at which the rank is down) and
 // differ only in intent: kRejoin re-admits a previously crashed/departed
 // rank, kJoin admits a latent rank that has never run.
@@ -52,13 +51,6 @@ struct FaultPlanConfig {
   // Straggler injection at collective entry: with probability `rate`, the
   // entering rank is charged `straggler_ticks` of virtual delay.
   int64_t straggler_ticks = 64;
-
-  // Legacy single fail-stop crash: `crash_rank` dies when it enters its
-  // `crash_at_collective`-th collective (1-based). Folded into
-  // `membership` at FaultPlan construction; kept so existing configs and
-  // replay handles stay valid.
-  std::optional<int> crash_rank;
-  uint64_t crash_at_collective = 1;
 
   // Ordered membership schedule: repeated crashes, rejoins, fresh joins
   // and graceful leaves. Order in the vector is documentation only —

@@ -205,6 +205,84 @@ TEST(Broadcast, BadRootThrows) {
                Error);
 }
 
+// Elastic-membership resync: every rank calls ResyncJoiners with the same
+// transition; each starts with buffers and a step tagged by its rank, and
+// records what it ends with.
+struct ResyncResult {
+  std::vector<std::vector<float>> a, b;
+  std::vector<uint64_t> steps;
+  std::vector<TrafficStats> traffic;  // stats() change across the call
+};
+
+constexpr uint64_t kBaseStep = (7ull << 32) | 0xC0FFEEull;  // both halves
+
+ResyncResult RunResync(std::vector<int> joined) {
+  constexpr int kWorld = 3;
+  ResyncResult res;
+  res.a.resize(kWorld);
+  res.b.resize(kWorld);
+  res.steps.resize(kWorld);
+  res.traffic.resize(kWorld);
+  detail::ViewTransition transition;
+  transition.joined = std::move(joined);
+  Transport transport;
+  Session group(transport, "comm-test", kWorld);
+  group.Run([&](Communicator& comm) {
+    const auto r = static_cast<size_t>(comm.rank());
+    const float tag = static_cast<float>(comm.rank() + 1);
+    std::vector<float> a(5, tag), b(3, -tag);
+    uint64_t step = kBaseStep + r;
+    const TrafficStats before = comm.stats();
+    ResyncJoiners(comm, transition, {std::span<float>(a), std::span<float>(b)},
+                  step);
+    const TrafficStats& after = comm.stats();
+    res.traffic[r] = {after.bytes_sent - before.bytes_sent,
+                      after.messages_sent - before.messages_sent,
+                      after.collectives - before.collectives};
+    res.a[r] = a;
+    res.b[r] = b;
+    res.steps[r] = step;
+  });
+  return res;
+}
+
+// Rank 2 rejoins: the donor, rank 0, moves its concatenated state onto
+// every rank in one broadcast, and the 64-bit step counter crosses the
+// float wire bit-exactly.
+TEST(Resync, JoinersAdoptDonorStateAndStep) {
+  const ResyncResult res = RunResync({2});
+  for (size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(res.a[r], std::vector<float>(5, 1.0f));
+    EXPECT_EQ(res.b[r], std::vector<float>(3, -1.0f));
+    EXPECT_EQ(res.steps[r], kBaseStep);
+    EXPECT_EQ(res.traffic[r].collectives, 1u);
+  }
+}
+
+// When rank 0 rejoins, the donor is the lowest-ranked rank not admitted at
+// this commit: rank 1.
+TEST(Resync, RankZeroRejoinTakesRankOneAsDonor) {
+  const ResyncResult res = RunResync({0});
+  for (size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(res.a[r], std::vector<float>(5, 2.0f)) << "rank " << r;
+    EXPECT_EQ(res.steps[r], kBaseStep + 1) << "rank " << r;
+  }
+}
+
+// A commit that admitted no one moves nothing and issues no collective.
+TEST(Resync, CommitAdmittingNoOneIsNoOp) {
+  const ResyncResult res = RunResync({});
+  for (size_t r = 0; r < 3; ++r) {
+    const float tag = static_cast<float>(r + 1);
+    EXPECT_EQ(res.a[r], std::vector<float>(5, tag));
+    EXPECT_EQ(res.b[r], std::vector<float>(3, -tag));
+    EXPECT_EQ(res.steps[r], kBaseStep + r);
+    EXPECT_EQ(res.traffic[r].bytes_sent, 0u);
+    EXPECT_EQ(res.traffic[r].messages_sent, 0u);
+    EXPECT_EQ(res.traffic[r].collectives, 0u);
+  }
+}
+
 // Communication-volume properties from Table II: ring all-reduce moves
 // 2(p-1)/p * N elements per worker; ring all-gather (p-1) * N_send.
 TEST(TrafficStats, RingAllReduceVolumeMatchesTableII) {
@@ -472,8 +550,7 @@ uint64_t GoldenCollectiveDigest(GoldenOp which, bool crash) {
   for (int p = 1; p <= 5; ++p) {
     std::vector<std::vector<std::byte>> out(static_cast<size_t>(p));
     fault::FaultPlanConfig cfg;
-    cfg.crash_rank = p - 1;
-    cfg.crash_at_collective = 2;
+    cfg.membership = {{fault::MembershipEvent::Kind::kCrash, p - 1, 2}};
     fault::FaultPlan plan(cfg);
     Transport transport;
     Session session(transport, "golden", p);

@@ -1,13 +1,9 @@
-// Tests for checkpointing, the compressor registry, and the per-tensor
-// compression policy (ByteComp-lite).
+// Tests for the compressor registry and the per-tensor compression policy
+// (ByteComp-lite).
 #include <gtest/gtest.h>
-
-#include <cstdio>
 
 #include "compress/registry.h"
 #include "core/policy.h"
-#include "dnn/checkpoint.h"
-#include "dnn/mini_models.h"
 #include "models/model_zoo.h"
 #include "tensor/rng.h"
 
@@ -98,60 +94,6 @@ TEST(Policy, EvaluateRejectsIllegalAssignments) {
   EXPECT_THROW(
       (void)core::EvaluatePolicy(model, wrong_size, net, PaperGpu(), cfg),
       Error);
-}
-
-// --------------------------------------------------------- checkpoints ----
-
-TEST(Checkpoint, RoundTripsExactWeights) {
-  dnn::Network a = dnn::VggMini();
-  a.Init(123);
-  const std::string path = ::testing::TempDir() + "/acps_ckpt_test.bin";
-  ASSERT_TRUE(dnn::SaveCheckpoint(a, path));
-
-  dnn::Network b = dnn::VggMini();
-  b.Init(456);  // different weights
-  ASSERT_TRUE(dnn::LoadCheckpoint(b, path));
-  const auto pa = a.params();
-  const auto pb = b.params();
-  for (size_t i = 0; i < pa.size(); ++i)
-    EXPECT_TRUE(pa[i]->value.all_close(pb[i]->value, 0.0f)) << pa[i]->name;
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, RejectsStructureMismatch) {
-  dnn::Network vgg = dnn::VggMini();
-  vgg.Init(1);
-  const std::string path = ::testing::TempDir() + "/acps_ckpt_mismatch.bin";
-  ASSERT_TRUE(dnn::SaveCheckpoint(vgg, path));
-  dnn::Network res = dnn::ResMini();
-  res.Init(1);
-  EXPECT_THROW((void)dnn::LoadCheckpoint(res, path), Error);
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, RejectsCorruption) {
-  dnn::Network net = dnn::ResMini();
-  net.Init(9);
-  const std::string path = ::testing::TempDir() + "/acps_ckpt_corrupt.bin";
-  ASSERT_TRUE(dnn::SaveCheckpoint(net, path));
-  // Truncate the file.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, 0, SEEK_END), 0);
-    const long size = std::ftell(f);
-    std::fclose(f);
-    ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
-  }
-  EXPECT_THROW((void)dnn::LoadCheckpoint(net, path), Error);
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, MissingFileReturnsFalse) {
-  dnn::Network net = dnn::VggMini();
-  net.Init(1);
-  EXPECT_FALSE(dnn::LoadCheckpoint(net, "/nonexistent/ckpt.bin"));
-  EXPECT_FALSE(dnn::SaveCheckpoint(net, "/nonexistent/ckpt.bin"));
 }
 
 // ------------------------------------------------------------ registry ----

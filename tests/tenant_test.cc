@@ -354,8 +354,9 @@ TEST_P(TenantChaosTest, FaultsNeverCrossTenants) {
   fault::FaultPlanConfig plan_config;
   plan_config.seed = 0xC0FFEEull;
   if (chaos.kind == fault::FaultKind::kCrash) {
-    plan_config.crash_rank = kChaosWorld - 1;  // keep broadcast root 0 alive
-    plan_config.crash_at_collective = 5;
+    // Rank p-1 dies at its 5th collective; broadcast root 0 stays alive.
+    plan_config.membership = {
+        {fault::MembershipEvent::Kind::kCrash, kChaosWorld - 1, 5}};
   } else {
     plan_config.kind = chaos.kind;
     plan_config.rate = 0.2;

@@ -3,12 +3,10 @@
 
 #include <functional>
 #include <limits>
-#include <span>
 #include <utility>
 
 #include "core/distributed_optimizer.h"
 #include "core/grad_reducer.h"
-#include "core/resync.h"
 #include "core/trainer.h"
 #include "dnn/loss.h"
 #include "dnn/mini_models.h"
@@ -176,61 +174,6 @@ TEST(DistributedOptimizer, RejectsNullAggregator) {
   EXPECT_THROW(DistributedOptimizer(net.params(), nullptr,
                                     dnn::LrSchedule{}),
                Error);
-}
-
-// Elastic-membership resync (core/resync.h): BroadcastFlat moves the
-// donor's concatenated buffers onto every rank, BroadcastScalar moves a
-// 64-bit counter bit-exactly through the float wire, and ResyncFrom
-// overwrites a diverged replica with the donor's parameters.
-TEST(Resync, BroadcastFlatAndScalarAdoptDonorState) {
-  comm::Transport group_transport;
-  comm::Session group(group_transport, "trainer", 3);
-  constexpr uint64_t kDonorStep = (7ull << 32) | 0xC0FFEEull;  // both halves
-  std::vector<std::vector<float>> a_after(3), b_after(3);
-  std::vector<uint64_t> steps(3);
-  group.Run([&](comm::Communicator& comm) {
-    const float tag = static_cast<float>(comm.rank() + 1);
-    std::vector<float> a(5, tag), b(3, -tag);
-    BroadcastFlat(comm, {std::span<float>(a), std::span<float>(b)},
-                  /*root=*/1);
-    const uint64_t local =
-        comm.rank() == 1 ? kDonorStep : 0ull;
-    steps[static_cast<size_t>(comm.rank())] =
-        BroadcastScalar(comm, local, /*root=*/1);
-    a_after[static_cast<size_t>(comm.rank())] = a;
-    b_after[static_cast<size_t>(comm.rank())] = b;
-  });
-  for (int r = 0; r < 3; ++r) {
-    EXPECT_EQ(a_after[static_cast<size_t>(r)], std::vector<float>(5, 2.0f));
-    EXPECT_EQ(b_after[static_cast<size_t>(r)], std::vector<float>(3, -2.0f));
-    EXPECT_EQ(steps[static_cast<size_t>(r)], kDonorStep);
-  }
-}
-
-TEST(Resync, ResyncFromOverwritesDivergedReplica) {
-  comm::Transport group_transport;
-  comm::Session group(group_transport, "trainer", 2);
-  std::vector<std::vector<float>> weights(2);
-  group.Run([&](comm::Communicator& comm) {
-    dnn::Network net = dnn::VggMini();
-    net.Init(5);
-    DistributedOptimizer opt(net.params(),
-                             std::make_unique<GradReducer>(),
-                             dnn::LrSchedule{0.1f, 0, {}, 1.0f});
-    if (comm.rank() == 1) {
-      // Diverge: a joiner's replica holds garbage before resync.
-      for (auto* p : net.params())
-        for (int64_t i = 0; i < p->value.numel(); ++i)
-          p->value.at(i) = -99.0f;
-    }
-    opt.ResyncFrom(comm, /*donor=*/0);
-    auto& w = weights[static_cast<size_t>(comm.rank())];
-    for (auto* p : net.params())
-      for (int64_t i = 0; i < p->value.numel(); ++i)
-        w.push_back(p->value.at(i));
-  });
-  ASSERT_FALSE(weights[0].empty());
-  EXPECT_EQ(weights[0], weights[1]) << "resync did not restore lockstep";
 }
 
 }  // namespace
