@@ -132,7 +132,6 @@ class Communicator {
   // Traffic counters for this worker (session-scoped: only this job's
   // bytes).
   [[nodiscard]] const TrafficStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_.reset(); }
 
   // Tracer attached to the owning Transport (nullptr when tracing is off).
   // Runtimes built on the communicator (GradReducer, trainer) emit their

@@ -62,8 +62,6 @@ struct TrafficStats {
   uint64_t bytes_sent = 0;
   uint64_t messages_sent = 0;
   uint64_t collectives = 0;
-
-  void reset() { *this = TrafficStats{}; }
 };
 
 // Sentinel for barrier-timeout parameters: resolve the timeout from the

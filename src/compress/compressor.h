@@ -68,14 +68,7 @@ class Compressor {
 // Little-endian scalar (de)serialization helpers shared by the encoders.
 namespace wire {
 
-template <typename T>
-void Append(std::vector<std::byte>& out, const T& value) {
-  const auto* p = reinterpret_cast<const std::byte*>(&value);
-  out.insert(out.end(), p, p + sizeof(T));
-}
-
-// Fixed-position write into a preallocated blob (the EncodeInto analogue of
-// Append).
+// Fixed-position write into a preallocated blob.
 template <typename T>
 void Write(std::span<std::byte> out, size_t offset, const T& value) {
   ACPS_CHECK_MSG(offset + sizeof(T) <= out.size(), "wire write out of range");

@@ -73,13 +73,14 @@ class PowerSgd {
   // (both factors).
   [[nodiscard]] int64_t CommElements(int64_t n, int64_t m) const;
 
-  // Elastic-membership state resync: mutable views of the persistent
-  // per-tensor state for an n×m matrix, creating it (Q seeded, E zero) if
-  // absent. `factor_q` is the reused query factor [m×r_eff] — identical
-  // across ranks (it is all-reduced every step), so a rejoining rank adopts
-  // a live donor's broadcast replica and query reuse stays bitwise aligned.
-  // `residual_e` is this rank's own EF residual [n×m] — per-rank state that
-  // a rejoiner restores from its escrowed snapshot, never from a donor.
+  // Mutable views of the persistent per-tensor state for an n×m matrix,
+  // creating it (Q seeded, E zero) if absent; core::GradReducer::state
+  // exposes them per low-rank tensor. `factor_q` is the reused query factor
+  // [m×r_eff] — identical across ranks (it is all-reduced every step), so a
+  // rejoining rank adopts a live donor's broadcast replica and query reuse
+  // stays bitwise aligned. `residual_e` is this rank's own EF residual
+  // [n×m] — per-rank state that a rejoiner restores from its own escrowed
+  // snapshot, never from a donor.
   [[nodiscard]] std::span<float> factor_q(int64_t tensor_id, int64_t n,
                                           int64_t m);
   [[nodiscard]] std::span<float> residual_e(int64_t tensor_id, int64_t n,

@@ -10,28 +10,25 @@
 
 namespace acps::core {
 
-GradReducer::GradReducer(int64_t buffer_bytes, obs::MetricsRegistry* metrics)
-    : buffer_bytes_(buffer_bytes), metrics_(metrics) {
+GradReducer::GradReducer(int64_t buffer_bytes) : buffer_bytes_(buffer_bytes) {
   ACPS_CHECK_MSG(buffer_bytes_ > 0,
                  "buffer_bytes must be > 0, got " << buffer_bytes_);
 }
 
-GradReducer::GradReducer(compress::AcpSgdConfig config, int64_t buffer_bytes,
-                         obs::MetricsRegistry* metrics)
-    : GradReducer(buffer_bytes, metrics) {
+GradReducer::GradReducer(compress::AcpSgdConfig config, int64_t buffer_bytes)
+    : GradReducer(buffer_bytes) {
   // AcpSgd's ctor runs AcpSgdConfig::Validate.
   method_.emplace<compress::AcpSgd>(config);
 }
 
-GradReducer::GradReducer(compress::PowerSgdConfig config, int64_t buffer_bytes,
-                         obs::MetricsRegistry* metrics)
-    : GradReducer(buffer_bytes, metrics) {
+GradReducer::GradReducer(compress::PowerSgdConfig config, int64_t buffer_bytes)
+    : GradReducer(buffer_bytes) {
   method_.emplace<compress::PowerSgd>(config);
 }
 
-GradReducer::GradReducer(Codec codec, obs::MetricsRegistry* metrics)
+GradReducer::GradReducer(Codec codec)
     // An unbounded budget plans the one packed bucket of every gradient.
-    : GradReducer(std::numeric_limits<int64_t>::max(), metrics) {
+    : GradReducer(std::numeric_limits<int64_t>::max()) {
   std::visit([this](auto& c) { method_ = std::move(c); }, codec);
 }
 
@@ -127,17 +124,49 @@ void GradReducer::Plan() {
   ready_.assign(n, false);
 }
 
+void GradReducer::Adopt(const std::vector<dnn::Param*>& params) {
+  // The first call plans (an empty list plans nothing).
+  const bool planned = !ready_.empty();
+  ACPS_CHECK_MSG(!planned || params.size() == ready_.size(),
+                 "got " << params.size() << " params, planned for "
+                        << ready_.size());
+  params_ = params;
+  if (!planned) Plan();
+}
+
+GradReducer::State GradReducer::state(const std::vector<dnn::Param*>& params) {
+  ACPS_CHECK_MSG(!in_step_, "state() called inside a step");
+  ACPS_CHECK_MSG(!std::holds_alternative<compress::AcpSgd>(method_) &&
+                     !std::holds_alternative<compress::RandomkCompressor>(
+                         method_),
+                 name() << " keeps step-counter state outside "
+                           "GradReducer::State");
+  Adopt(params);
+  State st;
+  if (auto* powersgd = std::get_if<compress::PowerSgd>(&method_)) {
+    // Keyed and shaped exactly as OnGradReady's PowerSgd::Step.
+    for (size_t i = 0; i < params_.size(); ++i) {
+      if (!lowrank_[i]) continue;
+      const Tensor& grad = params_[i]->grad;
+      const auto id = static_cast<int64_t>(i);
+      st.shared.push_back(powersgd->factor_q(id, grad.rows(), grad.cols()));
+      if (powersgd->config().error_feedback)
+        st.own.push_back(powersgd->residual_e(id, grad.rows(), grad.cols()));
+    }
+  } else if (codec() != nullptr) {
+    // The one packed bucket holds every gradient.
+    int64_t total = 0;
+    for (const dnn::Param* p : params_) total += p->grad.numel();
+    st.own.push_back(ef_.residual(/*tensor_id=*/0, {total}).data());
+  }
+  return st;
+}
+
 void GradReducer::BeginStep(const std::vector<dnn::Param*>& params,
                             comm::Communicator& comm) {
   ACPS_CHECK_MSG(!in_step_, "BeginStep called twice without FinishStep");
-  // The first step plans (an empty list plans nothing).
-  const bool planned = !ready_.empty();
-  ACPS_CHECK_MSG(!planned || params.size() == ready_.size(),
-                 "BeginStep got " << params.size() << " params, planned for "
-                                  << ready_.size());
-  params_ = params;
+  Adopt(params);
   comm_ = &comm;
-  if (!planned) Plan();
   in_step_ = true;
   remaining_ = params_.size();
   std::fill(ready_.begin(), ready_.end(), false);
@@ -274,12 +303,6 @@ void GradReducer::IssueBucket(const Bucket& bucket, int id) {
       std::get<compress::AcpSgd>(method_).Finish(static_cast<int64_t>(m),
                                                  params_[m]->grad);
     }
-  }
-  if (metrics_) {
-    metrics_->counter("reducer.buckets_issued").Add();
-    metrics_->counter("reducer.params_reduced").Add(bucket.members.size());
-    metrics_->histogram("reducer.bucket_bytes")
-        .Observe(static_cast<double>(bucket_bytes));
   }
 }
 

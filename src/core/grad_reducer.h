@@ -44,7 +44,6 @@
 #include "fusion/bucket_assigner.h"
 #include "fusion/fusion_buffer.h"
 #include "dnn/layer.h"
-#include "obs/metrics_registry.h"
 
 namespace acps::core {
 
@@ -59,23 +58,19 @@ class GradReducer final : public GradientAggregator {
                              compress::RandomkCompressor>;
 
   // S-SGD: every tensor rides a dense bucket. `buffer_bytes` must be
-  // positive. If `metrics` is non-null (not owned), bucket counters and
-  // histograms are recorded there; if the communicator carries an enabled
-  // obs::Tracer, every hook/compress/bucket/decompress emits a span.
-  explicit GradReducer(int64_t buffer_bytes = fusion::kDefaultBufferBytes,
-                       obs::MetricsRegistry* metrics = nullptr);
+  // positive. If the communicator carries an enabled obs::Tracer, every
+  // hook/compress/bucket/decompress emits a span.
+  explicit GradReducer(int64_t buffer_bytes = fusion::kDefaultBufferBytes);
   // ACP-SGD (Algorithm 2); `config` is validated here.
   explicit GradReducer(compress::AcpSgdConfig config,
-                       int64_t buffer_bytes = fusion::kDefaultBufferBytes,
-                       obs::MetricsRegistry* metrics = nullptr);
+                       int64_t buffer_bytes = fusion::kDefaultBufferBytes);
   // Power-SGD (Algorithm 1).
   explicit GradReducer(compress::PowerSgdConfig config,
-                       int64_t buffer_bytes = fusion::kDefaultBufferBytes,
-                       obs::MetricsRegistry* metrics = nullptr);
+                       int64_t buffer_bytes = fusion::kDefaultBufferBytes);
   // A packed codec with error feedback, e.g.
   // GradReducer(compress::TopkCompressor(0.1)). Ratio, selection and seed
   // are the compressor's.
-  explicit GradReducer(Codec codec, obs::MetricsRegistry* metrics = nullptr);
+  explicit GradReducer(Codec codec);
 
   [[nodiscard]] std::string name() const override;
   void Aggregate(const std::vector<dnn::Param*>& params,
@@ -99,6 +94,20 @@ class GradReducer final : public GradientAggregator {
   [[nodiscard]] uint64_t steps() const noexcept { return steps_; }
   [[nodiscard]] size_t num_lowrank() const noexcept;
 
+  // The persistent state the next step reads (DESIGN.md §6h), as spans
+  // aliasing the live buffers. `shared` is identical on every rank after
+  // each step: Power-SGD's Q per low-rank tensor. `own` is this rank's
+  // alone: Power-SGD's E per low-rank tensor, or the packed codec bucket's
+  // EF residual. The first call plans over `params` (forward order) and
+  // creates the state as the first step would (Q seeded, residuals zero);
+  // later calls must pass a structurally identical list. Throws for
+  // ACP-SGD and Random-k, whose step counters (P/Q parity, seed step) are
+  // not part of this state. Not callable inside a step.
+  struct State {
+    std::vector<std::span<float>> shared, own;
+  };
+  [[nodiscard]] State state(const std::vector<dnn::Param*>& params);
+
  private:
   struct Bucket {
     std::vector<size_t> members;  // param indices, in pack order
@@ -106,6 +115,8 @@ class GradReducer final : public GradientAggregator {
   };
 
   void Plan();
+  // Binds `params` for this step or state view, planning on first use.
+  void Adopt(const std::vector<dnn::Param*>& params);
   void IssueBucket(const Bucket& bucket, int id);
   void AllReduceMean(std::span<float> v);
   // The codecs' stand-in for AllReduceMean: overwrites `flat` with the
@@ -119,7 +130,6 @@ class GradReducer final : public GradientAggregator {
                compress::RandomkCompressor>
       method_;
   int64_t buffer_bytes_;
-  obs::MetricsRegistry* metrics_;  // optional, not owned
 
   // Plan (fixed at the first BeginStep): per param, whether it is
   // compressed, and per parity (0 = Q step, 1 = P step) its bucket or -1

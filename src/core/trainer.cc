@@ -9,7 +9,6 @@
 #include "core/distributed_optimizer.h"
 #include "dnn/loss.h"
 #include "dnn/mini_models.h"
-#include "metrics/csv.h"
 #include "obs/kernel_metrics.h"
 #include "obs/tracer.h"
 #include "par/kernel_stats.h"
@@ -193,16 +192,6 @@ TrainResult TrainImpl(comm::Session& session, const TrainConfig& config,
     result.final_test_acc = result.history.back().test_acc;
     for (const auto& s : result.history)
       result.best_test_acc = std::max(result.best_test_acc, s.test_acc);
-  }
-  if (!config.history_csv_path.empty()) {
-    metrics::CsvWriter csv({"epoch", "train_loss", "test_acc"});
-    for (const auto& s : result.history) {
-      csv.AddRow({std::to_string(s.epoch), std::to_string(s.train_loss),
-                  std::to_string(s.test_acc)});
-    }
-    ACPS_CHECK_MSG(csv.WriteFile(config.history_csv_path),
-                   "failed to write history CSV to "
-                       << config.history_csv_path);
   }
   return result;
 }

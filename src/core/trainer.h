@@ -37,9 +37,6 @@ struct TrainConfig {
   // before running so pool + session workers never oversubscribe the
   // machine. Kernels are bitwise deterministic for any value (§6e).
   int compute_threads = 0;
-  // If non-empty, the per-epoch history (epoch, train_loss, test_acc) is
-  // written there as CSV when training finishes.
-  std::string history_csv_path;
   // Optional metrics sink (not owned; may be null). When set and enabled,
   // the trainer records step_us / epoch_us histograms and a steps counter.
   // Span tracing is configured separately, on the Transport's Tracer.

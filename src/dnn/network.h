@@ -35,8 +35,6 @@ class Network {
 
   [[nodiscard]] int64_t total_params();
 
-  [[nodiscard]] size_t num_layers() const { return layers_.size(); }
-
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
 };

@@ -7,9 +7,8 @@
 
 #include "comm/communicator.h"
 #include "comm/hierarchical.h"
-#include "compress/error_feedback.h"
-#include "compress/powersgd.h"
-#include "compress/topk.h"
+#include "core/distributed_optimizer.h"
+#include "core/grad_reducer.h"
 #include "tensor/check.h"
 
 namespace acps::fault {
@@ -27,22 +26,22 @@ float GradValue(int rank, int64_t i, uint64_t step) {
 // Model geometry shared by every scenario.
 constexpr int64_t kRowsW = 8;
 constexpr int64_t kColsW = 12;
-constexpr int64_t kNumelW = kRowsW * kColsW;
 constexpr int64_t kNumelB = 10;
-constexpr float kLr = 0.1f;
-constexpr int64_t kWId = 0;
-constexpr int64_t kBId = 1;
 
-enum class ChurnMethod : uint8_t { kTopkEf, kPowerSgd, kDenseHier };
+// kLowRank is Power-SGD, the low-rank method with persistent shared state.
+enum class ChurnMethod : uint8_t { kTopkEf, kLowRank, kDenseHier };
+
+// The production aggregator spec of each compressed method, indexed by
+// ChurnMethod.
+constexpr const char* kSpecs[] = {"topk:0.25", "powersgd:2"};
 
 // One rank's commit-boundary snapshot on the harness-owned escrow board:
-// the EF residual (the mass this rank still owes the group) and the
+// the reducer's own state (the mass this rank still owes the group) and the
 // conservation ledgers, rolled forward only at step boundaries so a
 // mid-step crash rolls back to the last committed state.
 struct EscrowSlot {
   bool valid = false;
-  std::vector<float> res_w;
-  std::vector<float> res_b;
+  std::vector<std::vector<float>> own;
   std::vector<double> grad_mass;
   std::vector<double> recon_mass;
 };
@@ -63,6 +62,26 @@ struct ScenarioSpec {
   bool envelope = false;   // kSoak: compare vs fault-free baseline
 };
 
+// kDenseHier's aggregator: the mean by comm::HierarchicalAllReduce, the
+// collective that scenario exists to test (no GradReducer path uses it).
+class HierarchicalMean final : public core::GradientAggregator {
+ public:
+  explicit HierarchicalMean(int gpus_per_node)
+      : gpus_per_node_(gpus_per_node) {}
+  [[nodiscard]] std::string name() const override { return "hierarchical"; }
+  void Aggregate(const std::vector<dnn::Param*>& params,
+                 comm::Communicator& comm) override {
+    for (dnn::Param* p : params) {
+      comm::HierarchicalAllReduce(comm, p->grad.data(), gpus_per_node_);
+      const float inv = 1.0f / static_cast<float>(comm.alive_world_size());
+      for (float& gv : p->grad.data()) gv *= inv;
+    }
+  }
+
+ private:
+  int gpus_per_node_;
+};
+
 void AppendFloats(std::vector<std::byte>& slot, std::span<const float> v) {
   const size_t old = slot.size();
   slot.resize(old + v.size() * sizeof(float));
@@ -80,68 +99,69 @@ void ElasticBody(const ScenarioSpec& spec, std::vector<EscrowSlot>& board,
 
   // Identical deterministic init on every rank (and every generation — a
   // joiner's replica is overwritten by the donor broadcast before use).
-  Tensor w({kRowsW, kColsW});
-  Tensor b({kNumelB});
+  dnn::Param w{"w", Tensor({kRowsW, kColsW}), Tensor({kRowsW, kColsW}),
+               kRowsW, kColsW};
+  dnn::Param b{"b", Tensor({kNumelB}), Tensor({kNumelB})};
+  const std::vector<dnn::Param*> params = {&w, &b};
   {
     int64_t i = 0;
-    for (Tensor* t : {&w, &b})
-      for (float& v : t->data())
+    for (dnn::Param* p : params)
+      for (float& v : p->value.data())
         v = static_cast<float>(((i++ * 3 + 5) % 11) - 5) * 0.5f;
   }
-  Tensor wg({kRowsW, kColsW});
-  Tensor bg({kNumelB});
 
-  compress::TopkCompressor topk(0.25, compress::TopkSelection::kExact);
-  compress::ErrorFeedback ef;
-  compress::PowerSgdConfig pcfg;
-  pcfg.rank = 2;
-  compress::PowerSgd psgd(pcfg);
+  std::unique_ptr<core::GradientAggregator> aggregator;
+  core::GradReducer::State view;
+  if (spec.method == ChurnMethod::kDenseHier) {
+    aggregator = std::make_unique<HierarchicalMean>(spec.gpus_per_node);
+  } else {
+    aggregator = core::MakeAggregatorFactory(
+        kSpecs[static_cast<size_t>(spec.method)])(r, comm.world_size());
+    auto& reducer = dynamic_cast<core::GradReducer&>(*aggregator);
+    view = reducer.state(params);
+    // The 8x12 weight is the one low-rank tensor, as in the chaos trainer.
+    const bool lowrank = spec.method == ChurnMethod::kLowRank;
+    ACPS_CHECK_MSG(reducer.num_lowrank() == (lowrank ? 1u : 0u),
+                   reducer.name() << " compressed " << reducer.num_lowrank()
+                                  << " tensors low-rank");
+  }
+  core::DistributedOptimizer optimizer(
+      params, std::move(aggregator),
+      dnn::LrSchedule{0.1f, /*warmup_epochs=*/0, {}, 1.0f},
+      /*momentum=*/0.0f);
 
-  const bool harness_ef = spec.method == ChurnMethod::kTopkEf;
+  // Top-k's packed EF residual is the one own buffer; its ledgers track
+  // per element the mass fed in and the mass this rank's blob carried out.
+  const bool ledger = spec.method == ChurnMethod::kTopkEf;
   std::vector<double> grad_mass;
   std::vector<double> recon_mass;
-  if (harness_ef) {
-    grad_mass.assign(static_cast<size_t>(kNumelW + kNumelB), 0.0);
+  if (ledger) {
+    grad_mass.assign(view.own[0].size(), 0.0);
     recon_mass.assign(grad_mass.size(), 0.0);
   }
 
   uint64_t step = 0;
 
-  const auto mean = [&comm](std::span<float> v) {
-    comm.all_reduce(v);
-    const float inv = 1.0f / static_cast<float>(comm.alive_world_size());
-    for (float& x : v) x *= inv;
-  };
-
   // Post-commit resync. Runs on EVERY alive rank of the committed view;
   // when the commit admitted ranks, comm::ResyncJoiners moves the donor's
-  // model, step counter and (for Power-SGD) reused query factor Q in one
-  // broadcast. Q is all-reduced every step, so every survivor already holds
-  // the donor's bits — the broadcast only syncs the joiner.
-  std::vector<std::span<float>> state = {w.data(), b.data()};
-  if (spec.method == ChurnMethod::kPowerSgd)
-    state.push_back(psgd.factor_q(kWId, kRowsW, kColsW));
+  // model, step counter and the reducer's shared state (Power-SGD's Q) in
+  // one broadcast. The shared state is identical on every survivor, so the
+  // broadcast only syncs the joiner.
+  std::vector<std::span<float>> resync = {w.value.data(), b.value.data()};
+  resync.insert(resync.end(), view.shared.begin(), view.shared.end());
   const auto handle_transition = [&](const comm::detail::ViewTransition& t) {
-    comm::ResyncJoiners(comm, t, state, step);
+    comm::ResyncJoiners(comm, t, resync, step);
     if (std::find(t.joined.begin(), t.joined.end(), r) == t.joined.end())
       return;
-    // Joiner-local state: a REJOINER restores its escrowed residual and
+    // Joiner-local state: a REJOINER restores its escrowed own state and
     // ledgers (rolled back to its last committed step — the mass it still
     // owes the group); a FRESH joiner keeps zeros.
     if (!escrow.valid) return;
-    if (harness_ef) {
-      Tensor& rw = ef.residual(kWId, wg.shape());
-      Tensor& rb = ef.residual(kBId, bg.shape());
-      std::copy(escrow.res_w.begin(), escrow.res_w.end(),
-                rw.data().begin());
-      std::copy(escrow.res_b.begin(), escrow.res_b.end(),
-                rb.data().begin());
-      grad_mass = escrow.grad_mass;
-      recon_mass = escrow.recon_mass;
-    } else if (spec.method == ChurnMethod::kPowerSgd) {
-      const std::span<float> e = psgd.residual_e(kWId, kRowsW, kColsW);
-      std::copy(escrow.res_w.begin(), escrow.res_w.end(), e.begin());
-    }
+    for (size_t i = 0; i < view.own.size(); ++i)
+      std::copy(escrow.own[i].begin(), escrow.own[i].end(),
+                view.own[i].begin());
+    grad_mass = escrow.grad_mass;
+    recon_mass = escrow.recon_mass;
   };
 
   // A readmitted (or freshly admitted) generation starts mid-commit: it
@@ -150,87 +170,45 @@ void ElasticBody(const ScenarioSpec& spec, std::vector<EscrowSlot>& board,
   // to issue.
   if (comm.join_generation() > 0) handle_transition(comm.last_transition());
 
-  // One Top-k + EF aggregation over the live view: EF add-in, encode,
-  // all-gather blobs, combine the ALIVE blobs, EF update from the own-blob
-  // reconstruction.
-  const auto gather_combine = [&](int64_t id, Tensor& grad,
-                                  int64_t mass_base) {
-    for (int64_t i = 0; i < grad.numel(); ++i)
-      grad_mass[static_cast<size_t>(mass_base + i)] +=
-          static_cast<double>(grad.data()[static_cast<size_t>(i)]);
-    ef.AddInto(id, grad);
-    const Tensor input = grad.clone();
-    const auto nel = static_cast<size_t>(grad.numel());
-    std::vector<std::byte> blob(topk.EncodedBytes(nel));
-    topk.EncodeInto(grad.data(), blob);
-    std::vector<std::byte> gathered(
-        blob.size() * static_cast<size_t>(comm.world_size()));
-    comm.all_gather_bytes(blob, gathered);
-    Tensor recon(Shape{grad.numel()});
-    topk.Decode(blob, recon.data());
-    std::vector<float> merged(nel, 0.0f);
-    for (const int src : comm.alive_ranks()) {
-      const auto sb = std::span<const std::byte>(gathered).subspan(
-          static_cast<size_t>(src) * blob.size(), blob.size());
-      compress::TopkCompressor::AccumulateInto(sb, merged,
-                                               comm.alive_world_size());
-    }
-    ef.Update(id, input, recon);
-    for (size_t i = 0; i < nel; ++i)
-      recon_mass[static_cast<size_t>(mass_base) + i] +=
-          static_cast<double>(recon.data()[i]);
-    std::copy(merged.begin(), merged.end(), grad.data().begin());
-  };
-
+  std::vector<float> packed;
+  std::vector<float> before;
   while (step < steps_total) {
     {
       int64_t i = 0;
-      for (Tensor* t : {&wg, &bg})
-        for (float& gv : t->data()) gv = GradValue(r, i++, step);
+      for (dnn::Param* p : params)
+        for (float& gv : p->grad.data()) gv = GradValue(r, i++, step);
     }
-    switch (spec.method) {
-      case ChurnMethod::kTopkEf:
-        gather_combine(kWId, wg, 0);
-        gather_combine(kBId, bg, kNumelW);
-        break;
-      case ChurnMethod::kPowerSgd:
-        psgd.Step(kWId, wg, mean);
-        mean(bg.data());
-        break;
-      case ChurnMethod::kDenseHier:
-        comm::HierarchicalAllReduce(comm, wg.data(), spec.gpus_per_node);
-        comm::HierarchicalAllReduce(comm, bg.data(), spec.gpus_per_node);
-        for (Tensor* t : {&wg, &bg}) {
-          const float inv =
-              1.0f / static_cast<float>(comm.alive_world_size());
-          for (float& gv : t->data()) gv *= inv;
-        }
-        break;
+    if (ledger) {
+      // This rank's gradient in the packed bucket's layout (gradient-ready,
+      // i.e. reverse param, order) and the residual it adds in.
+      packed.clear();
+      for (auto p = params.rbegin(); p != params.rend(); ++p)
+        packed.insert(packed.end(), (*p)->grad.data().begin(),
+                      (*p)->grad.data().end());
+      before.assign(view.own[0].begin(), view.own[0].end());
     }
-    for (int64_t j = 0; j < w.numel(); ++j)
-      w.data()[static_cast<size_t>(j)] -=
-          kLr * wg.data()[static_cast<size_t>(j)];
-    for (int64_t j = 0; j < b.numel(); ++j)
-      b.data()[static_cast<size_t>(j)] -=
-          kLr * bg.data()[static_cast<size_t>(j)];
+    optimizer.Step(comm, /*epoch=*/0.0);
+    if (ledger) {
+      // EF: own_after = grad + own_before - reconstruction.
+      const std::span<const float> after = view.own[0];
+      for (size_t j = 0; j < packed.size(); ++j) {
+        grad_mass[j] += static_cast<double>(packed[j]);
+        recon_mass[j] += static_cast<double>(packed[j]) +
+                         static_cast<double>(before[j]) -
+                         static_cast<double>(after[j]);
+      }
+    }
     ++step;
 
     // Escrow the committed state BEFORE the commit: a crash inside any of
     // the next step's collectives (or the commit entry itself) rolls this
     // rank back exactly here.
-    if (harness_ef) {
-      const Tensor& rw = ef.residual(kWId, wg.shape());
-      const Tensor& rb = ef.residual(kBId, bg.shape());
-      escrow.res_w.assign(rw.data().begin(), rw.data().end());
-      escrow.res_b.assign(rb.data().begin(), rb.data().end());
-      escrow.grad_mass = grad_mass;
-      escrow.recon_mass = recon_mass;
-      escrow.valid = true;
-    } else if (spec.method == ChurnMethod::kPowerSgd) {
-      const std::span<const float> e = psgd.residual_e(kWId, kRowsW, kColsW);
-      escrow.res_w.assign(e.begin(), e.end());
-      escrow.valid = true;
-    }
+    escrow.own.resize(view.own.size());
+    for (size_t i = 0; i < view.own.size(); ++i)
+      escrow.own[i].assign(view.own[i].begin(), view.own[i].end());
+    escrow.grad_mass = grad_mass;
+    escrow.recon_mass = recon_mass;
+    escrow.valid = true;
 
     // Barrier-aligned membership commit: the only point where ranks join
     // or leave. Throws RankDeparted on a scheduled graceful departure.
@@ -240,28 +218,17 @@ void ElasticBody(const ScenarioSpec& spec, std::vector<EscrowSlot>& board,
 
   auto& out = run.outputs[static_cast<size_t>(r)];
   out.clear();
-  AppendFloats(out, w.data());
-  AppendFloats(out, b.data());
+  AppendFloats(out, w.value.data());
+  AppendFloats(out, b.value.data());
   run.finished[static_cast<size_t>(r)] = 1;
   run.generation[static_cast<size_t>(r)] = comm.join_generation();
-  if (harness_ef) {
+  if (ledger) {
     // Telescoping invariant across the whole churn history:
     // sum(grad) == sum(reconstruction) + residual, per element.
     double gap = 0.0;
-    const Tensor& rw = ef.residual(kWId, wg.shape());
-    const Tensor& rb = ef.residual(kBId, bg.shape());
-    for (int64_t j = 0; j < kNumelW; ++j)
-      gap = std::max(
-          gap, std::abs(grad_mass[static_cast<size_t>(j)] -
-                        recon_mass[static_cast<size_t>(j)] -
-                        static_cast<double>(
-                            rw.data()[static_cast<size_t>(j)])));
-    for (int64_t j = 0; j < kNumelB; ++j)
-      gap = std::max(
-          gap,
-          std::abs(grad_mass[static_cast<size_t>(kNumelW + j)] -
-                   recon_mass[static_cast<size_t>(kNumelW + j)] -
-                   static_cast<double>(rb.data()[static_cast<size_t>(j)])));
+    for (size_t j = 0; j < grad_mass.size(); ++j)
+      gap = std::max(gap, std::abs(grad_mass[j] - recon_mass[j] -
+                                   static_cast<double>(view.own[0][j])));
     run.ef_gap[static_cast<size_t>(r)] = gap;
   }
 }
@@ -300,10 +267,11 @@ ChurnRun RunElastic(const ScenarioSpec& spec) {
 // -----------------------------------------------------------------------
 // Scenario schedules. Collective-entry indexes below are GLOBAL lockstep
 // counts (every alive rank's per-rank index equals the group's, and a
-// rejoiner resumes from the group's snapshot): a Top-k step costs 3
-// entries (two all_gathers + the commit), a Power-SGD step 4 (two factor
-// all-reduces, the bias all-reduce, the commit), and a resync after a
-// joining commit adds 1 broadcast for every method.
+// rejoiner resumes from the group's snapshot). A Top-k step costs 2
+// entries (the packed bucket's all-gather + the commit). A Power-SGD step
+// costs 4: the reducer's hooks fire in reverse param order, so the bias
+// all-reduce comes first, then the P and Q all-reduces, then the commit.
+// A resync after a joining commit adds 1 broadcast for every method.
 // -----------------------------------------------------------------------
 ScenarioSpec SpecFor(ChurnScenario s, const ChurnOptions& opt) {
   using Kind = MembershipEvent::Kind;
@@ -319,21 +287,21 @@ ScenarioSpec SpecFor(ChurnScenario s, const ChurnOptions& opt) {
   };
   switch (s) {
     case ChurnScenario::kCrashRejoin:
-      // Dies at step 2's first all_gather (entry 4), readmitted at the
-      // next commit.
-      spec.events = {{Kind::kCrash, last, 4}, {Kind::kRejoin, last, 1}};
+      // Dies at step 2's all-gather (entry 3), readmitted at the next
+      // commit.
+      spec.events = {{Kind::kCrash, last, 3}, {Kind::kRejoin, last, 1}};
       spec.expect_crashed = {last};
       spec.expect_finished = everyone();
       spec.expect_generation.assign(static_cast<size_t>(spec.capacity), 0);
       spec.expect_generation[static_cast<size_t>(last)] = 1;
       break;
     case ChurnScenario::kRepeatedCrashRejoin:
-      // First crash mid step 2 (entry 4) → readmitted at commit 2 (entry
-      // 6), resync 7, step 3 = 8,9,10, step 4 = 11,12,13; second crash at
-      // step 4's second all_gather (entry 12) → readmitted at commit 4.
-      spec.events = {{Kind::kCrash, last, 4},
+      // First crash at step 2's all-gather (entry 3) → readmitted at
+      // commit 2 (entry 4), resync 5, step 3 = 6,7, step 4 = 8,9; second
+      // crash at step 4's all-gather (entry 8) → readmitted at commit 4.
+      spec.events = {{Kind::kCrash, last, 3},
                      {Kind::kRejoin, last, 1},
-                     {Kind::kCrash, last, 12},
+                     {Kind::kCrash, last, 8},
                      {Kind::kRejoin, last, 1}};
       spec.expect_crashed = {last, last};
       spec.expect_finished = everyone();
@@ -381,12 +349,12 @@ ScenarioSpec SpecFor(ChurnScenario s, const ChurnOptions& opt) {
       spec.expect_generation.assign(static_cast<size_t>(spec.capacity), 0);
       spec.expect_generation[0] = 1;
       break;
-    case ChurnScenario::kPowerSgdRejoin:
-      // Dies between the two factor all-reduces of step 2 (entry 6 of the
-      // 4-entry Power-SGD steps), readmitted at the next commit; the
+    case ChurnScenario::kLowRankRejoin:
+      // Dies at step 2's Q all-reduce (entry 7 of the 4-entry Power-SGD
+      // steps: bias 5, P 6, Q 7), readmitted at the next commit; the
       // donor's Q rides the resync broadcast.
-      spec.method = ChurnMethod::kPowerSgd;
-      spec.events = {{Kind::kCrash, last, 6}, {Kind::kRejoin, last, 1}};
+      spec.method = ChurnMethod::kLowRank;
+      spec.events = {{Kind::kCrash, last, 7}, {Kind::kRejoin, last, 1}};
       spec.expect_crashed = {last};
       spec.expect_finished = everyone();
       spec.expect_generation.assign(static_cast<size_t>(spec.capacity), 0);
@@ -395,16 +363,17 @@ ScenarioSpec SpecFor(ChurnScenario s, const ChurnOptions& opt) {
     case ChurnScenario::kSoak:
       // Long horizon, every event kind, including a commit that admits a
       // rejoiner and loses a leaver at once (commit 6): fresh join at
-      // commit 2, crash r2 mid step 2 (readmitted alongside the joiner),
-      // graceful leave of r1 at commit 6, second crash of r2 at step 6's
-      // second all_gather (entry 18, readmitted at commit 6).
+      // commit 2, crash r2 at step 2's all-gather (entry 3, readmitted
+      // alongside the joiner at commit 2 = entry 4, resync 5), graceful
+      // leave of r1 at commit 6, second crash of r2 at step 6's all-gather
+      // (steps 3-5 = entries 6-11, so entry 12; readmitted at commit 6).
       spec.capacity = opt.world_size + 1;
       spec.steps = std::max(opt.steps * 2, 12);
       spec.events = {{Kind::kJoin, opt.world_size, 2},
-                     {Kind::kCrash, 2, 5},
+                     {Kind::kCrash, 2, 3},
                      {Kind::kRejoin, 2, 1},
                      {Kind::kLeave, 1, 6},
-                     {Kind::kCrash, 2, 18},
+                     {Kind::kCrash, 2, 12},
                      {Kind::kRejoin, 2, 1}};
       spec.expect_crashed = {2, 2};
       spec.expect_departed = {1};
@@ -457,7 +426,7 @@ const char* ToString(ChurnScenario s) noexcept {
     case ChurnScenario::kGracefulLeave: return "graceful-leave";
     case ChurnScenario::kJoinDuringCollective: return "join-during-collective";
     case ChurnScenario::kLeaderCrashHier: return "leader-crash-hier";
-    case ChurnScenario::kPowerSgdRejoin: return "powersgd-rejoin";
+    case ChurnScenario::kLowRankRejoin: return "powersgd-rejoin";
     case ChurnScenario::kSoak: return "soak";
   }
   return "unknown";
@@ -470,7 +439,7 @@ std::vector<ChurnScenario> AllChurnScenarios() {
           ChurnScenario::kGracefulLeave,
           ChurnScenario::kJoinDuringCollective,
           ChurnScenario::kLeaderCrashHier,
-          ChurnScenario::kPowerSgdRejoin,
+          ChurnScenario::kLowRankRejoin,
           ChurnScenario::kSoak};
 }
 

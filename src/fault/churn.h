@@ -5,18 +5,23 @@
 // with the chaos taxonomy (fault/chaos.h): recovered, detected, or the
 // failure mode the layer exists to rule out, silent divergence.
 //
-// The training loop is a synthetic elastic body over the same 8x12 weight
-// and 10-bias as the chaos trainer: one membership commit
-// (Communicator::commit_view) per step, a harness-owned *escrow board*
-// holding each rank's commit-boundary snapshot (EF residual, conservation
-// ledgers, Power-SGD residual), and a resync protocol after every commit
-// that admitted ranks:
+// The training loop steps the chaos trainer's 8x12 weight and 10-bias
+// through core::DistributedOptimizer over the production core::GradReducer
+// that core::MakeAggregatorFactory builds (`topk:0.25` or `powersgd:2`;
+// the node-leader scenario aggregates with comm::HierarchicalAllReduce,
+// the collective it tests), with one membership commit
+// (Communicator::commit_view) per step. The harness owns no exchange, EF
+// or update code; it moves the reducer's persistent state through
+// GradReducer::state. A harness-owned *escrow board* holds each rank's
+// commit-boundary snapshot (the reducer's own state — Top-k's packed EF
+// residual or Power-SGD's E — and the Top-k conservation ledgers), and a
+// resync protocol runs after every commit that admitted ranks:
 //
 //   * comm::ResyncJoiners has the donor — the lowest-ranked survivor of
 //     the committed view — broadcast the current model, the step counter
-//     and, for Power-SGD, its reused query factor Q (identical on every
-//     survivor), all in one broadcast;
-//   * a REJOINING rank restores its own escrowed EF residual and ledgers —
+//     and the reducer's shared state (Power-SGD's query factor Q,
+//     identical on every survivor), all in one broadcast;
+//   * a REJOINING rank copies its escrowed own state and ledgers back —
 //     the mass it still owes the group — rolled back to its last committed
 //     step, so the telescoping EF invariant
 //       sum(grad) == sum(reconstruction) + residual
@@ -47,7 +52,8 @@ enum class ChurnScenario : uint8_t {
                           // flight; admission must wait for the commit
   kLeaderCrashHier,       // node-leader crash mid-phase of the hierarchical
                           // inter-node stage, then rejoin
-  kPowerSgdRejoin,        // crash+rejoin; Q rides the donor broadcast
+  kLowRankRejoin,         // Power-SGD crash+rejoin; Q rides the donor
+                          // broadcast
   kSoak,                  // long horizon: join + crash + leave + repeated
                           // crash, convergence-tolerance envelope vs the
                           // fault-free baseline
@@ -76,7 +82,7 @@ struct ChurnRun {
   std::vector<std::vector<std::byte>> outputs;  // final model bytes
   std::vector<uint8_t> finished;    // slot was alive at the end of the run
   std::vector<int> generation;      // Communicator::join_generation() at end
-  std::vector<double> ef_gap;       // telescoping ledger gap (EF methods)
+  std::vector<double> ef_gap;       // telescoping ledger gap (Top-k)
   std::vector<int> crashed;         // Session::crashed_ranks (crash order)
   std::vector<int> departed;        // Session::departed_ranks (commit order)
   uint64_t epoch = 0;               // Session::membership_epoch

@@ -21,7 +21,6 @@ class FusionBuffer {
   int AddSlot(int64_t numel);
 
   [[nodiscard]] int64_t total_elements() const noexcept { return total_; }
-  [[nodiscard]] size_t num_slots() const noexcept { return slots_.size(); }
 
   // Copies `src` into slot `slot` (sizes must match).
   void Pack(int slot, std::span<const float> src);

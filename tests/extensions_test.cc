@@ -6,7 +6,6 @@
 
 #include "comm/hierarchical.h"
 #include "comm/topology.h"
-#include "metrics/csv.h"
 #include "models/model_zoo.h"
 #include "sim/buffer_tuner.h"
 #include "sim/trace_export.h"
@@ -137,31 +136,6 @@ TEST(TraceExport, EscapesSpecials) {
   std::vector<sim::TraceEvent> trace{{"a\"b", "compute", 0.0, 1.0}};
   const std::string json = sim::ToChromeTracingJson(trace);
   EXPECT_NE(json.find("a\\\"b"), std::string::npos);
-}
-
-// ---------------------------------------------------------------- CSV -----
-
-TEST(Csv, RendersAndEscapes) {
-  metrics::CsvWriter csv({"name", "value"});
-  csv.AddRow({"plain", "1"});
-  csv.AddRow({"with,comma", "he said \"hi\""});
-  const std::string out = csv.Render();
-  EXPECT_NE(out.find("name,value\n"), std::string::npos);
-  EXPECT_NE(out.find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(out.find("\"he said \"\"hi\"\"\""), std::string::npos);
-}
-
-TEST(Csv, RowWidthChecked) {
-  metrics::CsvWriter csv({"a"});
-  EXPECT_THROW(csv.AddRow({"1", "2"}), Error);
-}
-
-TEST(Csv, WritesFile) {
-  metrics::CsvWriter csv({"x"});
-  csv.AddRow({"42"});
-  const std::string path = ::testing::TempDir() + "/acps_csv_test.csv";
-  EXPECT_TRUE(csv.WriteFile(path));
-  EXPECT_FALSE(csv.WriteFile("/nonexistent-dir/impossible.csv"));
 }
 
 }  // namespace

@@ -144,6 +144,81 @@ TEST(GradReducer, AlternatesParityAcrossSteps) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+// Copies one state list into another of the same structure.
+void CopyState(const std::vector<std::span<float>>& from,
+               const std::vector<std::span<float>>& to) {
+  ASSERT_EQ(from.size(), to.size());
+  for (size_t i = 0; i < from.size(); ++i) {
+    ASSERT_EQ(from[i].size(), to[i].size());
+    std::copy(from[i].begin(), from[i].end(), to[i].begin());
+  }
+}
+
+// Every rank's aggregated gradient bytes over 4 steps of `spec` at p = 2,
+// with new gradients each step. If `resume_rank` >= 0, that rank replaces
+// its reducer with a fresh one after step 2, carrying the old reducer's
+// state over through the state view.
+std::vector<std::vector<float>> ResumeRun(const std::string& spec,
+                                          int resume_rank) {
+  const int p = 2;
+  const AggregatorFactory factory = MakeAggregatorFactory(spec);
+  std::vector<std::vector<float>> out(static_cast<size_t>(p));
+  comm::Transport group_transport;
+  comm::Session group(group_transport, "grad-reducer", p);
+  group.Run([&](comm::Communicator& comm) {
+    const int r = comm.rank();
+    TestParams tp(r);
+    std::unique_ptr<GradientAggregator> agg = factory(r, p);
+    for (int step = 0; step < 4; ++step) {
+      if (step == 2 && r == resume_rank) {
+        std::unique_ptr<GradientAggregator> fresh = factory(r, p);
+        const GradReducer::State from =
+            dynamic_cast<GradReducer&>(*agg).state(tp.list());
+        const GradReducer::State to =
+            dynamic_cast<GradReducer&>(*fresh).state(tp.list());
+        EXPECT_FALSE(from.own.empty()) << spec;
+        CopyState(from.shared, to.shared);
+        CopyState(from.own, to.own);
+        agg = std::move(fresh);
+      }
+      TestParams fresh_grads(r + p * step);
+      tp.w1.grad.copy_from(fresh_grads.w1.grad);
+      tp.w2.grad.copy_from(fresh_grads.w2.grad);
+      tp.bias.grad.copy_from(fresh_grads.bias.grad);
+      agg->Aggregate(tp.list(), comm);
+      auto& bytes = out[static_cast<size_t>(r)];
+      for (auto* prm : tp.list())
+        bytes.insert(bytes.end(), prm->grad.data().begin(),
+                     prm->grad.data().end());
+    }
+  });
+  return out;
+}
+
+TEST(GradReducer, StateViewResumesAFreshReducerBitwise) {
+  // Power-SGD's Q (shared) and E (own), and Top-k's packed EF residual
+  // (own), are all the state a fresh reducer needs to continue a run.
+  for (const char* spec : {"powersgd:2", "topk:0.25"}) {
+    const auto uninterrupted = ResumeRun(spec, -1);
+    const auto resumed = ResumeRun(spec, 1);
+    for (size_t r = 0; r < resumed.size(); ++r) {
+      ASSERT_EQ(resumed[r].size(), uninterrupted[r].size());
+      EXPECT_EQ(std::memcmp(resumed[r].data(), uninterrupted[r].data(),
+                            resumed[r].size() * sizeof(float)),
+                0)
+          << spec << ": rank " << r;
+    }
+  }
+  // ACP-SGD's P/Q parity and Random-k's seed step are not in the view.
+  TestParams tp(0);
+  for (const char* spec : {"acpsgd", "randomk"}) {
+    const auto agg = MakeAggregatorFactory(spec)(0, 1);
+    EXPECT_THROW((void)dynamic_cast<GradReducer&>(*agg).state(tp.list()),
+                 Error)
+        << spec;
+  }
+}
+
 TEST(NetworkHook, FiresOncePerParamInBackwardOrder) {
   dnn::Network net = dnn::VggMini();
   net.Init(3);
