@@ -55,13 +55,15 @@ inline void OracleGate(const std::string& spec) {
 // Registry spec backing a simulated method's element-wise compressor, or ""
 // for methods with none: kSSGD is dense, and the low-rank pair (Power-SGD,
 // ACP-SGD) is matrix-factorization verified by lowrank_test / check_test
-// rather than the element-wise registry oracles.
+// rather than the element-wise registry oracles. Top-k SGD gates the
+// sampled-threshold selection the paper's method and
+// MakeAggregatorFactory("topk") use, not exact selection.
 inline std::string MethodOracleSpec(sim::Method method) {
   switch (method) {
     case sim::Method::kSignSGD:
       return "sign";
     case sim::Method::kTopkSGD:
-      return "topk:0.001";
+      return "topk-sampled:0.001";
     default:
       return "";
   }

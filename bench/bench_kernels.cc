@@ -246,7 +246,7 @@ std::vector<Case> BuildCases() {
   // Production = full EncodeInto (bit-pattern histogram + gather + pack);
   // naive = the definitional exact selection (nth_element over all d
   // candidates) ALONE — the scheme the paper's sampling approach exists to
-  // avoid. SelectSampledBinarySearch sits between the two for A/B runs.
+  // avoid.
   cases.push_back({"topk_25m", true, [](int reps) {
                      const size_t d = 25'000'000;
                      const double ratio = 0.001;

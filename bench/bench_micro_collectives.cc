@@ -36,7 +36,7 @@ void BM_NaiveAllReduce(benchmark::State& state) {
   for (auto _ : state) {
     group.Run([&](comm::Communicator& c) {
       std::vector<float> v(n, static_cast<float>(c.rank()));
-      c.all_reduce(v, comm::ReduceOp::kSum, comm::AllReduceAlgo::kNaive);
+      c.all_reduce(v, comm::AllReduceAlgo::kNaive);
       benchmark::DoNotOptimize(v.data());
     });
   }

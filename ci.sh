@@ -95,8 +95,8 @@ for leg in "${LEGS[@]}"; do
       ;;
     churn)
       # Elastic-membership gates (DESIGN.md "Elastic membership"): the churn
-      # chaos matrix (crash→rejoin, fresh join, graceful leave, leader crash,
-      # soak) plus the exhaustive rejoin-handshake exploration, run twice —
+      # chaos matrix (crash→rejoin, fresh join, graceful leave, Power-SGD
+      # rejoin, soak) plus the exhaustive rejoin-handshake exploration, run twice —
       # optimized (release) and race-checked (tsan), since the rejoin
       # protocol is pure synchronization code.
       echo

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "comm/communicator.h"
-#include "comm/hierarchical.h"
 #include "core/distributed_optimizer.h"
 #include "core/grad_reducer.h"
 #include "dnn/layer.h"
@@ -127,19 +126,15 @@ RunOutcome RunWorkload(Workload w, const ExploreOptions& opt,
   // kRejoin runs under its membership injector in every mode — baseline
   // included, so the baseline is the unperturbed run of the SAME
   // crash→rejoin history and the oracle isolates pure schedule effects.
-  std::optional<RejoinInjector> rejoin;
-  std::optional<fault::ScopedFaultInjector> install_rejoin;
-  if (w == Workload::kRejoin && p >= 2) {
-    // Entry 3 is the victim's step-2 all-reduce (2 entries per step:
-    // the all-reduce and the commit), so the crash lands mid-run and the
-    // readmission at commit 2 still leaves a step to run after resync.
-    rejoin.emplace(/*victim=*/p - 1, /*crash_at=*/3);
-    install_rejoin.emplace(&*rejoin);
-  }
+  // Entry 3 is the victim's step-2 all-reduce (2 entries per step: the
+  // all-reduce and the commit), so the crash lands mid-run and the
+  // readmission at commit 2 still leaves a step to run after resync.
+  RejoinInjector rejoin(/*victim=*/p - 1, /*crash_at=*/3);
 
   comm::Transport transport;
   comm::Session group(transport, "explore", p);
   group.set_contract_checking(opt.contract_checking);
+  if (w == Workload::kRejoin && p >= 2) group.set_fault_injector(&rejoin);
   ScopedSchedListener install(controller);
   // A reused controller must re-enforce / re-inject from window 0, not from
   // wherever the previous run left its window counter.
@@ -152,10 +147,9 @@ RunOutcome RunWorkload(Workload w, const ExploreOptions& opt,
         case Workload::kAllReduceRing:
         case Workload::kAllReduceNaive: {
           auto data = IntInputs(r, n);
-          comm.all_reduce(data, comm::ReduceOp::kSum,
-                          w == Workload::kAllReduceRing
-                              ? comm::AllReduceAlgo::kRing
-                              : comm::AllReduceAlgo::kNaive);
+          comm.all_reduce(data, w == Workload::kAllReduceRing
+                                    ? comm::AllReduceAlgo::kRing
+                                    : comm::AllReduceAlgo::kNaive);
           slot = FloatsToBytes(data);
           break;
         }
@@ -216,15 +210,6 @@ RunOutcome RunWorkload(Workload w, const ExploreOptions& opt,
           }
           break;
         }
-        case Workload::kHierarchical: {
-          // gpus_per_node must divide p; odd group sizes degrade to a single
-          // node (phase 1 + 3 only), even sizes exercise the leader ring too.
-          const int g = (p % 2 == 0) ? 2 : p;
-          auto data = IntInputs(r, n);
-          comm::HierarchicalAllReduce(comm, data, g);
-          slot = FloatsToBytes(data);
-          break;
-        }
         case Workload::kOptimizerStep: {
           WfbpFixture fix(r);
           // Values start identical on every rank (data-parallel invariant);
@@ -268,8 +253,7 @@ RunOutcome RunWorkload(Workload w, const ExploreOptions& opt,
           if (comm.join_generation() > 0)
             comm::ResyncJoiners(comm, comm.last_transition(), state, step);
           while (step < 3) {
-            comm.all_reduce(data, comm::ReduceOp::kSum,
-                            comm::AllReduceAlgo::kNaive);
+            comm.all_reduce(data, comm::AllReduceAlgo::kNaive);
             ++step;
             comm::ResyncJoiners(comm, comm.commit_view(), state, step);
           }
@@ -343,15 +327,6 @@ std::vector<std::vector<std::byte>> ReferenceOutputs(Workload w,
       std::vector<float> sum(static_cast<size_t>(m), 0.0f);
       for (int r = 0; r < p; ++r)
         for (int64_t i = 0; i < m; ++i)
-          sum[static_cast<size_t>(i)] += IntInput(r, i);
-      for (int r = 0; r < p; ++r) ref[static_cast<size_t>(r)] = FloatsToBytes(sum);
-      break;
-    }
-    case Workload::kHierarchical: {
-      // Same contract as a flat all-reduce: every rank ends with the sum.
-      std::vector<float> sum(static_cast<size_t>(n), 0.0f);
-      for (int r = 0; r < p; ++r)
-        for (int64_t i = 0; i < n; ++i)
           sum[static_cast<size_t>(i)] += IntInput(r, i);
       for (int r = 0; r < p; ++r) ref[static_cast<size_t>(r)] = FloatsToBytes(sum);
       break;
@@ -489,7 +464,6 @@ const char* ToString(Workload w) noexcept {
     case Workload::kBroadcast: return "broadcast";
     case Workload::kBarrier: return "barrier";
     case Workload::kWfbpStep: return "wfbp_step";
-    case Workload::kHierarchical: return "hierarchical";
     case Workload::kOptimizerStep: return "optimizer_step";
     case Workload::kRejoin: return "rejoin";
   }

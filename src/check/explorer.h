@@ -43,7 +43,6 @@ enum class Workload {
   kWfbpStep,   // GradReducer hook-driven step (low-rank + dense buckets)
   // Higher layers, explorable but not in AllCollectiveWorkloads() (they
   // compose the collectives above and would double-count enumeration):
-  kHierarchical,   // two-level node-aware all-reduce (kHierPhase points)
   kOptimizerStep,  // DistributedOptimizer::Step over the same GradReducer
                    // via Aggregate (kOptStep point + SGD)
   kRejoin,         // elastic membership: crash mid-run, barrier-aligned

@@ -18,7 +18,6 @@ const char* ToString(PointKind kind) noexcept {
     case PointKind::kBarrierEnter: return "barrier_enter";
     case PointKind::kWfbpReady: return "wfbp_ready";
     case PointKind::kBucketIssue: return "bucket_issue";
-    case PointKind::kHierPhase: return "hier_phase";
     case PointKind::kOptStep: return "opt_step";
     case PointKind::kJoinIntent: return "join_intent";
     case PointKind::kViewCommit: return "view_commit";

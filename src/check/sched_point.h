@@ -43,12 +43,6 @@ enum class PointKind : uint8_t {
   kWfbpReady,
   // GradReducer: a fused bucket's all-reduce is about to be issued.
   kBucketIssue,
-  // HierarchicalAllReduce: a phase boundary (intra-node reduce, inter-node
-  // all-reduce, intra-node broadcast) is about to run. Perturb-only — every
-  // rank passes it, but the inner collectives own the hand-off windows.
-  // Doubles as a fault site: entry-kind faults fire at the nested
-  // collectives this point precedes.
-  kHierPhase,
   // DistributedOptimizer: one training step (aggregate + SGD update) is
   // about to run. Perturb-only; fault site for step-granular injection.
   kOptStep,

@@ -35,18 +35,9 @@ uint32_t EnvelopeChecksum(std::span<const std::byte> bytes, uint64_t seq,
   return h;
 }
 
-void ReduceInto(std::span<float> dst, std::span<const float> src,
-                ReduceOp op) {
+void ReduceInto(std::span<float> dst, std::span<const float> src) {
   ACPS_CHECK(dst.size() == src.size());
-  switch (op) {
-    case ReduceOp::kSum:
-      for (size_t i = 0; i < dst.size(); ++i) dst[i] += src[i];
-      return;
-    case ReduceOp::kMax:
-      for (size_t i = 0; i < dst.size(); ++i) dst[i] = std::max(dst[i], src[i]);
-      return;
-  }
-  ACPS_FAIL_MSG("unknown ReduceOp");
+  for (size_t i = 0; i < dst.size(); ++i) dst[i] += src[i];
 }
 
 std::span<const std::byte> AsBytes(std::span<const float> v) {
@@ -118,11 +109,6 @@ Communicator::Communicator(detail::GroupState* state, int rank, int world_size,
     ctr_leave_ranks_ = &metrics_->counter(pre + "fault.leave.ranks");
   }
   RefreshView();
-}
-
-fault::FaultInjector* Communicator::ActiveInjector() const noexcept {
-  fault::FaultInjector* inj = state_->injector;
-  return inj != nullptr ? inj : fault::InstalledFaultInjector();
 }
 
 void Communicator::RefreshView() {
@@ -420,8 +406,7 @@ detail::ViewTransition Communicator::last_transition() const {
   return state_->last_transition;
 }
 
-void Communicator::all_reduce(std::span<float> data, ReduceOp op,
-                              AllReduceAlgo algo) {
+void Communicator::all_reduce(std::span<float> data, AllReduceAlgo algo) {
   obs::ScopedSpan span(tracer_,
                        algo == AllReduceAlgo::kRing ? "all_reduce"
                                                     : "all_reduce_naive",
@@ -431,17 +416,16 @@ void Communicator::all_reduce(std::span<float> data, ReduceOp op,
       state_, rank_,
       CollectiveFingerprint{.kind = CollectiveKind::kAllReduce,
                             .bytes = data.size() * sizeof(float),
-                            .op = static_cast<int>(op),
                             .algo = static_cast<int>(algo),
                             .epoch = epoch_});
   if (algo == AllReduceAlgo::kNaive) {
-    AllReduceNaive(data, op);
+    AllReduceNaive(data);
     return;
   }
   ++stats_.collectives;
   const int pa = alive_world_size();
   if (pa == 1 || data.empty()) return;
-  RingReduceScatter(data, op);
+  RingReduceScatter(data);
   // Phase 1: ring all-gather of the reduced chunks, chunk i being owned by
   // view position i.
   const int64_t n = static_cast<int64_t>(data.size());
@@ -452,7 +436,7 @@ void Communicator::all_reduce(std::span<float> data, ReduceOp op,
   });
 }
 
-void Communicator::RingReduceScatter(std::span<float> data, ReduceOp op) {
+void Communicator::RingReduceScatter(std::span<float> data) {
   const int pa = alive_world_size();
   const int64_t n = static_cast<int64_t>(data.size());
   const int vi = ViewIndex();
@@ -468,7 +452,7 @@ void Communicator::RingReduceScatter(std::span<float> data, ReduceOp op) {
         [&](int, std::span<const std::byte> bytes) {
           ReduceInto(data.subspan(static_cast<size_t>(rc.begin),
                                   static_cast<size_t>(rc.size())),
-                     AsFloats(bytes), op);
+                     AsFloats(bytes));
         });
   }
 }
@@ -489,7 +473,7 @@ void Communicator::RingAllGather(int phase, const BlockFn& block_of) {
   }
 }
 
-void Communicator::AllReduceNaive(std::span<float> data, ReduceOp op) {
+void Communicator::AllReduceNaive(std::span<float> data) {
   ++stats_.collectives;
   const int pa = alive_world_size();
   if (pa == 1 || data.empty()) return;
@@ -508,7 +492,7 @@ void Communicator::AllReduceNaive(std::span<float> data, ReduceOp op) {
   ReliableStep(StepSeq(0, 0), /*publish=*/true, AsBytes(data),
                check::PointKind::kHandoffSend, /*fanout=*/1, others,
                [&](int, std::span<const std::byte> bytes) {
-                 ReduceInto(data, AsFloats(bytes), op);
+                 ReduceInto(data, AsFloats(bytes));
                });
 
   const int root_src[] = {root};
@@ -571,7 +555,7 @@ void Communicator::AllGatherBlocks(CollectiveKind kind,
   });
 }
 
-void Communicator::reduce_scatter(std::span<float> data, ReduceOp op) {
+void Communicator::reduce_scatter(std::span<float> data) {
   obs::ScopedSpan span(tracer_, "reduce_scatter", obs::kCatComm, rank_,
                        data.size() * sizeof(float));
   EnterCollective();
@@ -579,11 +563,10 @@ void Communicator::reduce_scatter(std::span<float> data, ReduceOp op) {
       state_, rank_,
       CollectiveFingerprint{.kind = CollectiveKind::kReduceScatter,
                             .bytes = data.size() * sizeof(float),
-                            .op = static_cast<int>(op),
                             .epoch = epoch_});
   ++stats_.collectives;
   if (alive_world_size() == 1 || data.empty()) return;
-  RingReduceScatter(data, op);
+  RingReduceScatter(data);
 }
 
 void Communicator::broadcast(std::span<float> data, int root) {

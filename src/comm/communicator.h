@@ -17,7 +17,7 @@
 // Resilience (DESIGN.md §6f): every mailbox publish carries a sequence
 // number + checksum envelope sealed under the session's salt. Readers
 // validate both; a failed validation (dropped, replayed, stale, or corrupted
-// chunk — injectable via fault/injector.h, process-wide or per session)
+// chunk — injectable per session via Session::set_fault_injector)
 // triggers a bounded, deterministic group retry with virtual-time backoff,
 // so recoverable wire faults are absorbed with bitwise-identical results. A
 // rank that fail-stops at a collective entry is removed from the membership
@@ -104,7 +104,7 @@ class Communicator {
   // model checker compare the ring against. After a rank crash the
   // reduction covers the surviving ranks only — divide by
   // alive_world_size() for a mean.
-  void all_reduce(std::span<float> data, ReduceOp op = ReduceOp::kSum,
+  void all_reduce(std::span<float> data,
                   AllReduceAlgo algo = AllReduceAlgo::kRing);
 
   // Ring all-gather: worker i contributes `send`; `recv` (size p*|send|)
@@ -123,7 +123,7 @@ class Communicator {
   // of `data` split into alive_world_size() chunks (other chunks are
   // garbage). With full membership this is chunk `rank` of `world_size`
   // chunks, per GetChunkRange below.
-  void reduce_scatter(std::span<float> data, ReduceOp op = ReduceOp::kSum);
+  void reduce_scatter(std::span<float> data);
 
   // Broadcast from `root`. Throws fault::DetectedError on every surviving
   // rank (in lockstep) if the root has crashed.
@@ -147,14 +147,15 @@ class Communicator {
   Communicator(detail::GroupState* state, int rank, int world_size,
                uint64_t resume_seq = 0, int generation = 0);
 
-  // The fault injector governing this worker's transport events: the
-  // session-scoped one when installed (tenant-isolated chaos), else the
-  // process-global fault::InstalledFaultInjector().
-  [[nodiscard]] fault::FaultInjector* ActiveInjector() const noexcept;
+  // The session's fault injector (Session::set_fault_injector), or nullptr
+  // when the session runs fault-free.
+  [[nodiscard]] fault::FaultInjector* ActiveInjector() const noexcept {
+    return state_->injector;
+  }
 
   // Per-collective entry hook: bumps the collective sequence number, runs
-  // the fault-injection entry site (crash / straggler) when an injector is
-  // installed, and resamples the membership view behind an entry barrier so
+  // the fault-injection entry site (crash / straggler) when the session has
+  // an injector, and resamples the membership view behind an entry barrier so
   // all survivors agree on it before the collective body runs.
   void EnterCollective();
   void RefreshView();
@@ -182,7 +183,7 @@ class Communicator {
   // RingReduceScatter: pa-1 steps of phase 0; afterwards the worker at view
   // position i owns the fully reduced chunk i of `data` split into pa
   // chunks (reduce_scatter, and all_reduce's first half).
-  void RingReduceScatter(std::span<float> data, ReduceOp op);
+  void RingReduceScatter(std::span<float> data);
   // RingAllGather: pa-1 steps of `phase`, circulating byte blocks addressed
   // by alive-view position; block_of(i) must already hold view position
   // i's block on the worker that owns it (all_gather, all_gather_bytes, and
@@ -195,7 +196,7 @@ class Communicator {
                        std::span<std::byte> recv);
 
   // Naive (reduce-to-root + broadcast) all-reduce body.
-  void AllReduceNaive(std::span<float> data, ReduceOp op);
+  void AllReduceNaive(std::span<float> data);
 
   detail::GroupState* state_;
   int rank_;

@@ -26,8 +26,8 @@ bool CollectiveFingerprint::Matches(const CollectiveFingerprint& other) const {
 
 bool CollectiveFingerprint::MatchesIgnoringEpoch(
     const CollectiveFingerprint& other) const {
-  return kind == other.kind && op == other.op && algo == other.algo &&
-         root == other.root && bytes == other.bytes;
+  return kind == other.kind && algo == other.algo && root == other.root &&
+         bytes == other.bytes;
 }
 
 std::string CollectiveFingerprint::Describe() const {
@@ -40,7 +40,6 @@ std::string CollectiveFingerprint::Describe() const {
     return oss;
   };
   if (algo >= 0) sep() << (algo == 0 ? "ring" : "naive");
-  if (op >= 0) sep() << (op == 0 ? "sum" : "max");
   if (root >= 0) sep() << "root=" << root;
   if (epoch > 0) sep() << "epoch=" << epoch;
   if (kind != CollectiveKind::kBarrier && kind != CollectiveKind::kViewCommit)

@@ -5,8 +5,7 @@
 // and a real cluster deadlocks or silently mis-reduces. In checked builds
 // (sanitizer presets, or ACPS_COLLECTIVE_CONTRACT=1) every collective entry
 // becomes an explicit rendezvous: each rank deposits a fingerprint of the
-// call it is about to make — (op kind, byte size, ReduceOp, algorithm,
-// root) — and the group fails fast with a per-rank diff when the
+// call it is about to make — (op kind, byte size, algorithm, root) — and the group fails fast with a per-rank diff when the
 // fingerprints diverge, instead of hanging until the watchdog or corrupting
 // the reduction.
 //
@@ -45,7 +44,6 @@ enum class CollectiveKind {
 struct CollectiveFingerprint {
   CollectiveKind kind = CollectiveKind::kNone;
   uint64_t bytes = 0;  // payload bytes this rank contributes
-  int op = -1;         // static_cast<int>(ReduceOp), -1 when not applicable
   int algo = -1;       // static_cast<int>(AllReduceAlgo), -1 when n/a
   int root = -1;       // broadcast root, -1 when n/a
   // Membership epoch the issuing rank believes it is in (0 in non-elastic
@@ -63,7 +61,7 @@ struct CollectiveFingerprint {
   [[nodiscard]] bool MatchesIgnoringEpoch(
       const CollectiveFingerprint& other) const;
 
-  // "all_reduce[ring, sum, 4096 B]" — the form used in diffs and reports.
+  // "all_reduce[ring, 4096 B]" — the form used in diffs and reports.
   [[nodiscard]] std::string Describe() const;
 };
 

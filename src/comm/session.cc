@@ -119,10 +119,9 @@ void Session::Run(const std::function<void(Communicator&)>& fn) {
   // All (re)admission intents are registered before any worker starts:
   // admission becomes a pure function of (commit index, membership state),
   // never of when a crashed thread happened to reach its wait loop.
-  fault::FaultInjector* inj =
-      st->injector != nullptr ? st->injector : fault::InstalledFaultInjector();
-  if (inj != nullptr) {
-    for (const fault::AdmissionIntent& intent : inj->AdmissionSchedule()) {
+  if (st->injector != nullptr) {
+    for (const fault::AdmissionIntent& intent :
+         st->injector->AdmissionSchedule()) {
       ACPS_CHECK_MSG(intent.rank >= 0 && intent.rank < capacity_,
                      "admission intent rank " << intent.rank
                                               << " out of capacity range [0, "

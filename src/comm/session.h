@@ -91,10 +91,10 @@ class Session {
   void set_contract_checking(bool on) noexcept;
   [[nodiscard]] bool contract_checking() const noexcept;
 
-  // Installs a tenant-scoped fault injector (not owned; nullptr clears).
-  // While set, every fault hook of this session routes here INSTEAD of the
-  // process-global fault::InstalledFaultInjector, so faults aimed at this
-  // job never touch other tenants. Must only be called between Runs.
+  // Installs this session's fault injector (not owned; nullptr clears). It
+  // is the only way a FaultInjector reaches the transport: every fault hook
+  // of this session's workers routes here, so faults aimed at this job
+  // never touch other tenants. Must only be called between Runs.
   void set_fault_injector(fault::FaultInjector* injector) noexcept;
   [[nodiscard]] fault::FaultInjector* fault_injector() const noexcept;
 

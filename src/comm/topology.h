@@ -8,8 +8,7 @@
 //     intra-node reduce-scatter -> inter-node all-reduce (leaders only)
 //     -> intra-node all-gather,
 // paying the slow network only 1/gpus_per_node of the flat volume per NIC.
-// This module provides the analytic model; comm/hierarchical.h provides a
-// real two-level implementation on the thread cluster.
+// This module provides the analytic model.
 #pragma once
 
 #include "comm/cost_model.h"

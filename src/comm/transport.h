@@ -43,9 +43,6 @@ class FaultInjector;
 
 namespace acps::comm {
 
-// Reduction operator for all_reduce / reduce_scatter.
-enum class ReduceOp { kSum, kMax };
-
 // All-reduce algorithm, chosen per Communicator::all_reduce call. kRing is
 // the bandwidth-optimal default (reduce-scatter + all-gather, 2*(p-1)/p * N
 // per worker); kNaive is the flat reduce-to-root + broadcast reference
@@ -204,9 +201,9 @@ struct GroupState {
   // metrics are recorded under this prefix so one tenant's retransmissions
   // never pollute another's counters.
   std::string metric_prefix;
-  // Tenant-scoped fault injector (not owned; may be null). When set, all
-  // fault hooks of this session route here INSTEAD of the process-global
-  // injector, so a chaos plan aimed at one tenant cannot leak into another.
+  // Tenant-scoped fault injector (not owned; null runs fault-free). Every
+  // fault hook of this session routes here, so a chaos plan aimed at one
+  // tenant cannot leak into another.
   fault::FaultInjector* injector = nullptr;
   // Observability attachment, copied from the transport at Run entry.
   obs::Tracer* tracer = nullptr;

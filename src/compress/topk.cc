@@ -92,9 +92,8 @@ std::vector<uint32_t> TopkCompressor::SelectSampled(
   //                       max/range pass, and integer counts make the
   //                       cross-chunk merge exact and order-independent
   //   2. gather pass    — indices with |g| >= threshold
-  // versus ~25 counting passes for the binary search it replaces
-  // (SelectSampledBinarySearch below, kept for A/B runs) and 3 passes for
-  // the max-then-linear-scale histogram this scheme supersedes.
+  // versus ~25 counting passes for a binary search over the threshold and 3
+  // passes for a max-then-linear-scale histogram.
   par::KernelTimer timer("topk_select", 0);
   const size_t n = grad.size();
   const int64_t n64 = static_cast<int64_t>(n);
@@ -154,71 +153,6 @@ std::vector<uint32_t> TopkCompressor::SelectSampled(
     rest.reserve(n - idx.size());
     for (uint32_t i = 0; i < n; ++i)
       if (!(std::abs(grad[i]) >= threshold)) rest.push_back(i);
-    const size_t need = k - idx.size();
-    std::nth_element(rest.begin(), rest.begin() + static_cast<ptrdiff_t>(need),
-                     rest.end(), [&](uint32_t a, uint32_t b) {
-                       return std::abs(grad[a]) > std::abs(grad[b]);
-                     });
-    idx.insert(idx.end(), rest.begin(),
-               rest.begin() + static_cast<ptrdiff_t>(need));
-  }
-  return idx;
-}
-
-std::vector<uint32_t> TopkCompressor::SelectSampledBinarySearch(
-    std::span<const float> grad, size_t k) {
-  // The original multi-pass scheme: binary-search a magnitude threshold t so
-  // that |{i : |g_i| > t}| ≈ k, one full counting pass per probe. Retained
-  // as the bench_kernels baseline for the histogram selection above.
-  const size_t n = grad.size();
-  float lo = 0.0f, hi = 0.0f;
-  for (float v : grad) hi = std::max(hi, std::abs(v));
-  last_threshold_passes_ = 1;  // the max pass
-
-  float threshold = 0.0f;
-  size_t above = n;
-  for (int pass = 0; pass < 24 && hi - lo > 1e-12f * hi + 1e-30f; ++pass) {
-    const float mid = 0.5f * (lo + hi);
-    size_t count = 0;
-    for (float v : grad)
-      if (std::abs(v) > mid) ++count;
-    ++last_threshold_passes_;
-    if (count >= k) {
-      lo = mid;
-      threshold = mid;
-      above = count;
-    } else {
-      hi = mid;
-    }
-    // Accept once we are within 1% of k (the "close top-k threshold" the
-    // paper's footnote describes).
-    if (count >= k && count <= k + std::max<size_t>(1, k / 100)) {
-      threshold = mid;
-      above = count;
-      break;
-    }
-  }
-
-  // Gather indices above the threshold, trim to exactly k by magnitude
-  // order of the overflow, pad from the remaining largest if short.
-  std::vector<uint32_t> idx;
-  idx.reserve(above);
-  for (uint32_t i = 0; i < n; ++i)
-    if (std::abs(grad[i]) > threshold) idx.push_back(i);
-
-  if (idx.size() > k) {
-    std::nth_element(idx.begin(), idx.begin() + static_cast<ptrdiff_t>(k),
-                     idx.end(), [&](uint32_t a, uint32_t b) {
-                       return std::abs(grad[a]) > std::abs(grad[b]);
-                     });
-    idx.resize(k);
-  } else if (idx.size() < k) {
-    // Threshold cut too deep (ties / tight distributions): fall back to an
-    // exact pass over the remainder to fill up.
-    std::vector<uint32_t> rest;
-    rest.reserve(n - idx.size());
-    for (uint32_t i = 0; i < n; ++i)
-      if (std::abs(grad[i]) <= threshold) rest.push_back(i);
     const size_t need = k - idx.size();
     std::nth_element(rest.begin(), rest.begin() + static_cast<ptrdiff_t>(need),
                      rest.end(), [&](uint32_t a, uint32_t b) {

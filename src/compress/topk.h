@@ -8,8 +8,7 @@
 //    (trimming or padding to exactly k so encoded size stays fixed). The
 //    production path finds the threshold with one 4096-bucket histogram that
 //    buckets |g| directly by IEEE bit pattern — no max/range pass needed, so
-//    selection is 2 data passes total (histogram + gather); the original
-//    ~25-pass binary search is kept as SelectSampledBinarySearch for A/B runs.
+//    selection is 2 data passes total (histogram + gather).
 //
 // Encode: [k][numel][(index, value) × k]. Selected values are the raw
 // gradient entries; aggregation is all-gather + scatter-add-average (Top-k
@@ -56,10 +55,11 @@ class TopkCompressor final : public Compressor {
     return last_threshold_passes_;
   }
 
-  // The pre-histogram multi-pass scheme (one counting pass per binary-search
-  // probe). Public so bench_kernels can measure histogram vs binary search.
-  [[nodiscard]] std::vector<uint32_t> SelectSampledBinarySearch(
-      std::span<const float> grad, size_t k);
+  // The kSampledThreshold selection EncodeInto runs: exactly k distinct
+  // indices, found by the histogram threshold, trimmed to k by magnitude
+  // when edge ties overshoot and padded when NaNs undershoot.
+  [[nodiscard]] std::vector<uint32_t> SelectSampled(std::span<const float> grad,
+                                                    size_t k);
 
   // The definitional reference: true top-k by magnitude via nth_element over
   // all n candidates. Public as the naive baseline of bench_kernels' topk
@@ -68,9 +68,6 @@ class TopkCompressor final : public Compressor {
                                                   size_t k) const;
 
  private:
-  [[nodiscard]] std::vector<uint32_t> SelectSampled(std::span<const float> grad,
-                                                    size_t k);
-
   double ratio_;
   TopkSelection selection_;
   int last_threshold_passes_ = 0;

@@ -1,11 +1,11 @@
 #include "fault/chaos.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <sstream>
 
 #include "comm/communicator.h"
-#include "comm/hierarchical.h"
 #include "compress/acpsgd.h"
 #include "compress/powersgd.h"
 #include "compress/sign.h"
@@ -95,14 +95,16 @@ std::vector<float> MethodPayload(ChaosMethod m, int rank, int64_t n) {
   return g;
 }
 
-// Shared tail of both workloads: run `body` on a fresh group and fold the
-// outcome (outputs, crash record, error classification) into a ChaosRun.
-ChaosRun RunGroup(int world_size,
+// Shared tail of both workloads: run `body` on a fresh group with
+// `injector` attached and fold the outcome (outputs, crash record, error
+// classification) into a ChaosRun.
+ChaosRun RunGroup(int world_size, FaultInjector* injector,
                   const std::function<void(comm::Communicator&, ChaosRun&)>& body) {
   ChaosRun run;
   run.outputs.assign(static_cast<size_t>(world_size), {});
   comm::Transport transport;
   comm::Session group(transport, "chaos", world_size);
+  group.set_fault_injector(injector);
   try {
     group.Run([&](comm::Communicator& comm) { body(comm, run); });
   } catch (const DetectedError& e) {
@@ -251,14 +253,14 @@ std::string CaseName(FaultKind kind, const std::string& workload,
   return std::string(ToString(kind)) + " x " + workload + " x " + ToString(m);
 }
 
-// Seed-bump loop shared by both matrices: a plan that never fired proves
-// nothing, so retry with deterministically bumped seeds before reporting
-// kNoInjection.
-ChaosCaseResult RunPlannedCase(FaultKind kind, const std::string& workload,
-                               ChaosMethod m, const ChaosOptions& opt,
-                               uint64_t crash_at, bool rank_invariant,
-                               const ChaosRun& baseline,
-                               const std::function<ChaosRun()>& faulted) {
+// Shared by both matrices: a fault-free baseline run (`run_with(nullptr)`),
+// then the seed-bump loop — a plan that never fired proves nothing, so retry
+// with deterministically bumped seeds before reporting kNoInjection.
+ChaosCaseResult RunPlannedCase(
+    FaultKind kind, const std::string& workload, ChaosMethod m,
+    const ChaosOptions& opt, uint64_t crash_at, bool rank_invariant,
+    const std::function<ChaosRun(FaultInjector*)>& run_with) {
+  const ChaosRun baseline = run_with(nullptr);
   ChaosCaseResult result;
   result.name = CaseName(kind, workload, m);
   const int expected_crash =
@@ -270,11 +272,7 @@ ChaosCaseResult RunPlannedCase(FaultKind kind, const std::string& workload,
     const double rate =
         std::min(1.0, opt.rate * static_cast<double>(bump + 1));
     FaultPlan plan(PlanFor(kind, seed, rate, opt, crash_at));
-    ChaosRun run;
-    {
-      ScopedFaultInjector install(&plan);
-      run = faulted();
-    }
+    const ChaosRun run = run_with(&plan);
     if (plan.injected() == 0) continue;  // bump the seed, try again
     result = Classify(baseline, run, expected_crash, rank_invariant);
     result.name = CaseName(kind, workload, m);
@@ -296,7 +294,6 @@ const char* ToString(ChaosCollective c) noexcept {
     case ChaosCollective::kAllGather: return "all_gather";
     case ChaosCollective::kReduceScatter: return "reduce_scatter";
     case ChaosCollective::kBroadcast: return "broadcast";
-    case ChaosCollective::kHierarchical: return "hierarchical";
   }
   return "unknown";
 }
@@ -323,8 +320,7 @@ const char* ToString(ChaosOutcome o) noexcept {
 
 std::vector<ChaosCollective> AllChaosCollectives() {
   return {ChaosCollective::kAllReduceRing, ChaosCollective::kAllGather,
-          ChaosCollective::kReduceScatter, ChaosCollective::kBroadcast,
-          ChaosCollective::kHierarchical};
+          ChaosCollective::kReduceScatter, ChaosCollective::kBroadcast};
 }
 
 std::vector<ChaosMethod> AllChaosMethods() {
@@ -346,10 +342,11 @@ std::string ChaosCaseResult::Summary() const {
 }
 
 ChaosRun RunCollectiveWorkload(ChaosCollective c, ChaosMethod m,
-                               const ChaosOptions& opt) {
+                               const ChaosOptions& opt,
+                               FaultInjector* injector) {
   const int p = opt.world_size;
   const int64_t n = opt.numel;
-  return RunGroup(p, [&](comm::Communicator& comm, ChaosRun& run) {
+  return RunGroup(p, injector, [&](comm::Communicator& comm, ChaosRun& run) {
     const int r = comm.rank();
     std::vector<float> data = MethodPayload(m, r, n);
     auto& slot = run.outputs[static_cast<size_t>(r)];
@@ -382,15 +379,12 @@ ChaosRun RunCollectiveWorkload(ChaosCollective c, ChaosMethod m,
         comm.broadcast(data, /*root=*/0);
         slot = FloatsToBytes(data);
         break;
-      case ChaosCollective::kHierarchical:
-        comm::HierarchicalAllReduce(comm, data, p % 2 == 0 ? 2 : p);
-        slot = FloatsToBytes(data);
-        break;
     }
   });
 }
 
-ChaosRun RunTrainingWorkload(ChaosMethod m, const ChaosOptions& opt) {
+ChaosRun RunTrainingWorkload(ChaosMethod m, const ChaosOptions& opt,
+                             FaultInjector* injector) {
   // The production aggregator spec of each method, indexed by ChaosMethod.
   static constexpr const char* kSpecs[] = {"acpsgd:2", "powersgd:2",
                                            "topk:0.25", "sign"};
@@ -436,26 +430,27 @@ ChaosRun RunTrainingWorkload(ChaosMethod m, const ChaosOptions& opt) {
     AppendBytes(slot, w.value.data());
     AppendBytes(slot, b.value.data());
   };
-  return RunGroup(opt.world_size, body);
+  return RunGroup(opt.world_size, injector, body);
 }
 
 ChaosCaseResult RunCollectiveChaos(FaultKind kind, ChaosCollective c,
                                    ChaosMethod m, const ChaosOptions& opt) {
-  const ChaosRun baseline = RunCollectiveWorkload(c, m, opt);
   const bool rank_invariant = c != ChaosCollective::kReduceScatter;
-  return RunPlannedCase(
-      kind, ToString(c), m, opt, opt.crash_at, rank_invariant,
-      baseline, [&] { return RunCollectiveWorkload(c, m, opt); });
+  return RunPlannedCase(kind, ToString(c), m, opt, opt.crash_at,
+                        rank_invariant, [&](FaultInjector* injector) {
+                          return RunCollectiveWorkload(c, m, opt, injector);
+                        });
 }
 
 ChaosCaseResult RunTrainingChaos(FaultKind kind, ChaosMethod m,
                                  const ChaosOptions& opt) {
-  const ChaosRun baseline = RunTrainingWorkload(m, opt);
   // Die mid-training, not at the very first collective.
   const uint64_t crash_at = std::max<uint64_t>(opt.crash_at, 3);
   return RunPlannedCase(kind, std::string("training[") + ToString(m) + "]", m,
-                        opt, crash_at, /*rank_invariant=*/true, baseline,
-                        [&] { return RunTrainingWorkload(m, opt); });
+                        opt, crash_at, /*rank_invariant=*/true,
+                        [&](FaultInjector* injector) {
+                          return RunTrainingWorkload(m, opt, injector);
+                        });
 }
 
 ChaosCaseResult RunDeadRootBroadcast(const ChaosOptions& opt) {
@@ -466,12 +461,8 @@ ChaosCaseResult RunDeadRootBroadcast(const ChaosOptions& opt) {
   // Rank 0, the broadcast root below, dies at its first collective.
   cfg.membership = {{MembershipEvent::Kind::kCrash, 0, 1}};
   FaultPlan plan(cfg);
-  ChaosRun run;
-  {
-    ScopedFaultInjector install(&plan);
-    run = RunCollectiveWorkload(ChaosCollective::kBroadcast,
-                                ChaosMethod::kSign, opt);
-  }
+  const ChaosRun run = RunCollectiveWorkload(ChaosCollective::kBroadcast,
+                                             ChaosMethod::kSign, opt, &plan);
   result.injected = plan.injected();
   result.seed_used = cfg.seed;
   if (run.detected) {
@@ -513,12 +504,8 @@ ChaosCaseResult RunRetryExhaustion(const ChaosOptions& opt) {
   ChaosCaseResult result;
   result.name = "always-drop x all_reduce[ring]";
   AlwaysDropInjector hostile;
-  ChaosRun run;
-  {
-    ScopedFaultInjector install(&hostile);
-    run = RunCollectiveWorkload(ChaosCollective::kAllReduceRing,
-                                ChaosMethod::kSign, opt);
-  }
+  const ChaosRun run = RunCollectiveWorkload(ChaosCollective::kAllReduceRing,
+                                             ChaosMethod::kSign, opt, &hostile);
   result.injected = hostile.injected();
   result.seed_used = 0;
   if (run.detected) {

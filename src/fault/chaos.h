@@ -38,18 +38,17 @@
 
 namespace acps::fault {
 
-// The collectives the matrix covers (ISSUE: ring all-reduce, all-gather,
-// reduce-scatter, broadcast, hierarchical).
+// The collectives the matrix covers: ring all-reduce, all-gather,
+// reduce-scatter and broadcast.
 enum class ChaosCollective : uint8_t {
   kAllReduceRing,
   kAllGather,
   kReduceScatter,
   kBroadcast,
-  kHierarchical,
 };
 
 // The compression methods whose wire payloads / training loops the matrix
-// covers (ISSUE: ACP-SGD, Power-SGD, Top-k, Sign).
+// covers: ACP-SGD, Power-SGD, Top-k, Sign.
 enum class ChaosMethod : uint8_t {
   kAcpSgd,
   kPowerSgd,
@@ -106,20 +105,21 @@ struct ChaosRun {
   bool detected = false; // the failure was a structured fault::DetectedError
 };
 
-// Runs the collective workload under whatever FaultInjector is currently
-// installed (none = fault-free baseline). Payloads are deterministic
-// per (method, rank), so two runs with the same injector state are
-// bitwise-comparable.
+// Runs the collective workload on a fresh session with `injector` attached
+// (nullptr = fault-free baseline). Payloads are deterministic per (method,
+// rank), so two runs with the same injector state are bitwise-comparable.
 [[nodiscard]] ChaosRun RunCollectiveWorkload(ChaosCollective c, ChaosMethod m,
-                                             const ChaosOptions& opt);
+                                             const ChaosOptions& opt,
+                                             FaultInjector* injector);
 
-// Short production training run (see file comment) under the installed
-// injector. Outputs are the final parameter bytes per rank. Throws
-// acps::Error if the method's spec builds a different aggregator, and a
-// rank fails if the 8x12 weight is not compressed low-rank exactly when
-// the method is ACP-SGD or Power-SGD.
+// Short production training run (see file comment) with `injector`
+// attached (nullptr = fault-free). Outputs are the final parameter bytes
+// per rank. Throws acps::Error if the method's spec builds a different
+// aggregator, and a rank fails if the 8x12 weight is not compressed
+// low-rank exactly when the method is ACP-SGD or Power-SGD.
 [[nodiscard]] ChaosRun RunTrainingWorkload(ChaosMethod m,
-                                           const ChaosOptions& opt);
+                                           const ChaosOptions& opt,
+                                           FaultInjector* injector);
 
 // One classified matrix cell. `ok()` is what the chaos test asserts for
 // every cell: the fault fired, and it was either absorbed or detected.

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "comm/communicator.h"
-#include "comm/hierarchical.h"
 #include "core/distributed_optimizer.h"
 #include "core/grad_reducer.h"
 #include "tensor/check.h"
@@ -29,10 +28,9 @@ constexpr int64_t kColsW = 12;
 constexpr int64_t kNumelB = 10;
 
 // kLowRank is Power-SGD, the low-rank method with persistent shared state.
-enum class ChurnMethod : uint8_t { kTopkEf, kLowRank, kDenseHier };
+enum class ChurnMethod : uint8_t { kTopkEf, kLowRank };
 
-// The production aggregator spec of each compressed method, indexed by
-// ChurnMethod.
+// The production aggregator spec of each method, indexed by ChurnMethod.
 constexpr const char* kSpecs[] = {"topk:0.25", "powersgd:2"};
 
 // One rank's commit-boundary snapshot on the harness-owned escrow board:
@@ -51,7 +49,6 @@ struct ScenarioSpec {
   int world_size = 3;
   int capacity = 3;
   int steps = 6;
-  int gpus_per_node = 2;  // kDenseHier only
   std::vector<MembershipEvent> events;
   // Expectations for classification.
   std::vector<int> expect_crashed;     // crash order, repeats allowed
@@ -60,26 +57,6 @@ struct ScenarioSpec {
   std::vector<int> expect_generation;  // per finished slot, join count
   bool join_only = false;  // no crash/leave events (injected() stays 0)
   bool envelope = false;   // kSoak: compare vs fault-free baseline
-};
-
-// kDenseHier's aggregator: the mean by comm::HierarchicalAllReduce, the
-// collective that scenario exists to test (no GradReducer path uses it).
-class HierarchicalMean final : public core::GradientAggregator {
- public:
-  explicit HierarchicalMean(int gpus_per_node)
-      : gpus_per_node_(gpus_per_node) {}
-  [[nodiscard]] std::string name() const override { return "hierarchical"; }
-  void Aggregate(const std::vector<dnn::Param*>& params,
-                 comm::Communicator& comm) override {
-    for (dnn::Param* p : params) {
-      comm::HierarchicalAllReduce(comm, p->grad.data(), gpus_per_node_);
-      const float inv = 1.0f / static_cast<float>(comm.alive_world_size());
-      for (float& gv : p->grad.data()) gv *= inv;
-    }
-  }
-
- private:
-  int gpus_per_node_;
 };
 
 void AppendFloats(std::vector<std::byte>& slot, std::span<const float> v) {
@@ -110,21 +87,16 @@ void ElasticBody(const ScenarioSpec& spec, std::vector<EscrowSlot>& board,
         v = static_cast<float>(((i++ * 3 + 5) % 11) - 5) * 0.5f;
   }
 
-  std::unique_ptr<core::GradientAggregator> aggregator;
-  core::GradReducer::State view;
-  if (spec.method == ChurnMethod::kDenseHier) {
-    aggregator = std::make_unique<HierarchicalMean>(spec.gpus_per_node);
-  } else {
-    aggregator = core::MakeAggregatorFactory(
-        kSpecs[static_cast<size_t>(spec.method)])(r, comm.world_size());
-    auto& reducer = dynamic_cast<core::GradReducer&>(*aggregator);
-    view = reducer.state(params);
-    // The 8x12 weight is the one low-rank tensor, as in the chaos trainer.
-    const bool lowrank = spec.method == ChurnMethod::kLowRank;
-    ACPS_CHECK_MSG(reducer.num_lowrank() == (lowrank ? 1u : 0u),
-                   reducer.name() << " compressed " << reducer.num_lowrank()
-                                  << " tensors low-rank");
-  }
+  std::unique_ptr<core::GradientAggregator> aggregator =
+      core::MakeAggregatorFactory(kSpecs[static_cast<size_t>(spec.method)])(
+          r, comm.world_size());
+  auto& reducer = dynamic_cast<core::GradReducer&>(*aggregator);
+  const core::GradReducer::State view = reducer.state(params);
+  // The 8x12 weight is the one low-rank tensor, as in the chaos trainer.
+  const bool lowrank = spec.method == ChurnMethod::kLowRank;
+  ACPS_CHECK_MSG(reducer.num_lowrank() == (lowrank ? 1u : 0u),
+                 reducer.name() << " compressed " << reducer.num_lowrank()
+                                << " tensors low-rank");
   core::DistributedOptimizer optimizer(
       params, std::move(aggregator),
       dnn::LrSchedule{0.1f, /*warmup_epochs=*/0, {}, 1.0f},
@@ -233,7 +205,9 @@ void ElasticBody(const ScenarioSpec& spec, std::vector<EscrowSlot>& board,
   }
 }
 
-ChurnRun RunElastic(const ScenarioSpec& spec) {
+// Runs `spec` on a fresh elastic session with `injector` attached (nullptr
+// runs fault-free).
+ChurnRun RunElastic(const ScenarioSpec& spec, FaultInjector* injector) {
   const auto cap = static_cast<size_t>(spec.capacity);
   ChurnRun run;
   run.outputs.assign(cap, {});
@@ -248,6 +222,7 @@ ChurnRun RunElastic(const ScenarioSpec& spec) {
   comm::SessionOptions sopt;
   sopt.max_world_size = spec.capacity;
   comm::Session session(transport, "churn", spec.world_size, sopt);
+  session.set_fault_injector(injector);
   try {
     session.Run([&](comm::Communicator& comm) {
       ElasticBody(spec, board, run, comm);
@@ -335,20 +310,6 @@ ScenarioSpec SpecFor(ChurnScenario s, const ChurnOptions& opt) {
       spec.expect_generation[static_cast<size_t>(opt.world_size)] = 1;
       spec.join_only = true;
       break;
-    case ChurnScenario::kLeaderCrashHier:
-      // Rank 0 leads node 0 of the two-rank nodes; it dies at entry 2 —
-      // inside step 1's hierarchical phases, after the intra-node stage
-      // started — and rejoins at the next commit.
-      spec.method = ChurnMethod::kDenseHier;
-      spec.world_size = 4;
-      spec.capacity = 4;
-      spec.gpus_per_node = 2;
-      spec.events = {{Kind::kCrash, 0, 2}, {Kind::kRejoin, 0, 1}};
-      spec.expect_crashed = {0};
-      spec.expect_finished = everyone();
-      spec.expect_generation.assign(static_cast<size_t>(spec.capacity), 0);
-      spec.expect_generation[0] = 1;
-      break;
     case ChurnScenario::kLowRankRejoin:
       // Dies at step 2's Q all-reduce (entry 7 of the 4-entry Power-SGD
       // steps: bias 5, P 6, Q 7), readmitted at the next commit; the
@@ -425,7 +386,6 @@ const char* ToString(ChurnScenario s) noexcept {
     case ChurnScenario::kFreshJoin: return "fresh-join";
     case ChurnScenario::kGracefulLeave: return "graceful-leave";
     case ChurnScenario::kJoinDuringCollective: return "join-during-collective";
-    case ChurnScenario::kLeaderCrashHier: return "leader-crash-hier";
     case ChurnScenario::kLowRankRejoin: return "powersgd-rejoin";
     case ChurnScenario::kSoak: return "soak";
   }
@@ -438,7 +398,6 @@ std::vector<ChurnScenario> AllChurnScenarios() {
           ChurnScenario::kFreshJoin,
           ChurnScenario::kGracefulLeave,
           ChurnScenario::kJoinDuringCollective,
-          ChurnScenario::kLeaderCrashHier,
           ChurnScenario::kLowRankRejoin,
           ChurnScenario::kSoak};
 }
@@ -456,8 +415,7 @@ ChurnRun RunChurnWorkload(ChurnScenario scenario, const ChurnOptions& opt) {
   cfg.seed = opt.seed;
   cfg.membership = spec.events;
   FaultPlan plan(cfg);
-  ScopedFaultInjector install(&plan);
-  return RunElastic(spec);
+  return RunElastic(spec, &plan);
 }
 
 ChurnCaseResult RunChurnScenario(ChurnScenario scenario,
@@ -482,14 +440,12 @@ ChurnCaseResult RunChurnScenario(ChurnScenario scenario,
   int64_t injected = 0;
   {
     FaultPlan plan(cfg);
-    ScopedFaultInjector install(&plan);
-    run = RunElastic(spec);
+    run = RunElastic(spec, &plan);
     injected = plan.injected();
   }
   {
     FaultPlan replay(cfg);
-    ScopedFaultInjector install(&replay);
-    const ChurnRun second = RunElastic(spec);
+    const ChurnRun second = RunElastic(spec, &replay);
     if (const std::string diff = DiffRuns(run, second); !diff.empty())
       return fail("nondeterministic under replay: two runs of seed " +
                   std::to_string(opt.seed) + " differ in " + diff);
@@ -566,7 +522,7 @@ ChurnCaseResult RunChurnScenario(ChurnScenario scenario,
     ScenarioSpec base = spec;
     base.events.clear();
     base.capacity = base.world_size;
-    const ChurnRun baseline = RunElastic(base);
+    const ChurnRun baseline = RunElastic(base, nullptr);
     if (!baseline.error.empty())
       return fail("baseline failed: " + baseline.error);
     const auto& ref = baseline.outputs[0];

@@ -1,21 +1,21 @@
 // Churn chaos harness (DESIGN.md "Elastic membership"): drives membership
-// churn — crash→rejoin, repeated crash, fresh join, graceful leave,
-// node-leader crash on the hierarchical inter-node stage, and a long-horizon
-// soak — through a real elastic training loop, and classifies every scenario
-// with the chaos taxonomy (fault/chaos.h): recovered, detected, or the
-// failure mode the layer exists to rule out, silent divergence.
+// churn — crash→rejoin, repeated crash, fresh join, graceful leave, a
+// Power-SGD rejoin, and a long-horizon soak — through a real elastic
+// training loop, and classifies every scenario with the chaos taxonomy
+// (fault/chaos.h): recovered, detected, or the failure mode the layer
+// exists to rule out, silent divergence.
 //
 // The training loop steps the chaos trainer's 8x12 weight and 10-bias
 // through core::DistributedOptimizer over the production core::GradReducer
-// that core::MakeAggregatorFactory builds (`topk:0.25` or `powersgd:2`;
-// the node-leader scenario aggregates with comm::HierarchicalAllReduce,
-// the collective it tests), with one membership commit
-// (Communicator::commit_view) per step. The harness owns no exchange, EF
-// or update code; it moves the reducer's persistent state through
-// GradReducer::state. A harness-owned *escrow board* holds each rank's
-// commit-boundary snapshot (the reducer's own state — Top-k's packed EF
-// residual or Power-SGD's E — and the Top-k conservation ledgers), and a
-// resync protocol runs after every commit that admitted ranks:
+// that core::MakeAggregatorFactory builds (`topk:0.25` or `powersgd:2`),
+// with one membership commit (Communicator::commit_view) per step; the
+// scenario's membership plan reaches the transport through
+// Session::set_fault_injector. The harness owns no exchange, EF or update
+// code; it moves the reducer's persistent state through GradReducer::state.
+// A harness-owned *escrow board* holds each rank's commit-boundary snapshot
+// (the reducer's own state — Top-k's packed EF residual or Power-SGD's E —
+// and the Top-k conservation ledgers), and a resync protocol runs after
+// every commit that admitted ranks:
 //
 //   * comm::ResyncJoiners has the donor — the lowest-ranked survivor of
 //     the committed view — broadcast the current model, the step counter
@@ -42,7 +42,7 @@
 
 namespace acps::fault {
 
-// The churn matrix (ISSUE: churn chaos gates).
+// The churn matrix.
 enum class ChurnScenario : uint8_t {
   kCrashRejoin,           // crash mid-step, readmitted at the next commit
   kRepeatedCrashRejoin,   // the same rank crashes and rejoins twice
@@ -50,8 +50,6 @@ enum class ChurnScenario : uint8_t {
   kGracefulLeave,         // planned departure at a commit (LEFT, not CRASHED)
   kJoinDuringCollective,  // intent pending while step collectives are in
                           // flight; admission must wait for the commit
-  kLeaderCrashHier,       // node-leader crash mid-phase of the hierarchical
-                          // inter-node stage, then rejoin
   kLowRankRejoin,         // Power-SGD crash+rejoin; Q rides the donor
                           // broadcast
   kSoak,                  // long horizon: join + crash + leave + repeated

@@ -2,10 +2,6 @@
 
 namespace acps::fault {
 
-namespace detail {
-std::atomic<FaultInjector*> g_injector{nullptr};
-}  // namespace detail
-
 const char* ToString(FaultKind kind) noexcept {
   switch (kind) {
     case FaultKind::kNone:      return "none";
@@ -17,10 +13,6 @@ const char* ToString(FaultKind kind) noexcept {
     case FaultKind::kCrash:     return "crash";
   }
   return "?";
-}
-
-FaultInjector* InstallFaultInjector(FaultInjector* injector) {
-  return detail::g_injector.exchange(injector, std::memory_order_acq_rel);
 }
 
 }  // namespace acps::fault

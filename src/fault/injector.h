@@ -6,9 +6,12 @@
 // the "wire" between a publish and the matching read: it can drop the
 // message, replay the previous one, serve a reader a stale mailbox, rotate
 // payload bytes after the checksum was sealed, charge virtual straggler
-// ticks, or kill a rank outright at a collective entry. When no injector is
-// installed (the normal case, including release builds) every hook costs one
-// acquire load and a predicted-not-taken branch.
+// ticks, or kill a rank outright at a collective entry. An injector reaches
+// the transport one way only: comm::Session::set_fault_injector attaches it
+// to one session, so it sees that session's events and no other tenant's.
+// When a session has none (the normal case, including release builds) every
+// hook costs one pointer load from the session's channel block and a
+// predicted-not-taken branch.
 //
 // This header is the only part of acps::fault the transport depends on; it
 // depends on nothing but the standard library, so the dependency arrow stays
@@ -16,7 +19,6 @@
 // FaultPlan and the chaos harness sit above comm, see plan.h / chaos.h).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -55,7 +57,7 @@ struct AdmissionIntent {
   uint64_t at_commit = 1;  // 1-based commit index
 };
 
-// Receives every transport event while installed. Implementations must be
+// Receives every transport event of the session it is attached to. Implementations must be
 // thread-safe (events fire concurrently from all worker threads) and must be
 // pure functions of their arguments plus immutable seed state, so a plan is
 // replayable from (seed, sequence number) alone. `attempt` is the bounded
@@ -105,50 +107,6 @@ class FaultInjector {
     return "unnamed fault injector";
   }
 };
-
-namespace detail {
-extern std::atomic<FaultInjector*> g_injector;
-}  // namespace detail
-
-// Installs `injector` process-wide (nullptr uninstalls); returns the
-// previous one. The caller must guarantee no transport code is running
-// during the swap — in practice the chaos harness installs before
-// Session::Run and uninstalls after it joins.
-FaultInjector* InstallFaultInjector(FaultInjector* injector);
-
-// RAII installation for harness code.
-class ScopedFaultInjector {
- public:
-  explicit ScopedFaultInjector(FaultInjector* injector)
-      : previous_(InstallFaultInjector(injector)) {}
-  ~ScopedFaultInjector() { InstallFaultInjector(previous_); }
-  ScopedFaultInjector(const ScopedFaultInjector&) = delete;
-  ScopedFaultInjector& operator=(const ScopedFaultInjector&) = delete;
-
- private:
-  FaultInjector* previous_;
-};
-
-[[nodiscard]] inline FaultInjector* InstalledFaultInjector() noexcept {
-  return detail::g_injector.load(std::memory_order_acquire);
-}
-
-// The hooks the transport calls. Free when no injector is installed.
-inline FaultKind OnPublish(int rank, uint64_t seq, int attempt) {
-  FaultInjector* f = InstalledFaultInjector();
-  return f != nullptr ? f->OnPublish(rank, seq, attempt) : FaultKind::kNone;
-}
-
-inline FaultKind OnRead(int rank, uint64_t seq, int attempt) {
-  FaultInjector* f = InstalledFaultInjector();
-  return f != nullptr ? f->OnRead(rank, seq, attempt) : FaultKind::kNone;
-}
-
-inline EntryDecision OnCollectiveEntry(int rank, uint64_t collective_index) {
-  FaultInjector* f = InstalledFaultInjector();
-  return f != nullptr ? f->OnCollectiveEntry(rank, collective_index)
-                      : EntryDecision{};
-}
 
 // Thrown (as a plain struct, deliberately NOT a std::exception, so generic
 // catch(const std::exception&) handlers in library code cannot swallow it)

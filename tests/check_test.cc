@@ -120,18 +120,6 @@ TEST(ExplorerTest, WfbpStepSurvivesPerturbation) {
   EXPECT_GT(report.windows, 0);
 }
 
-TEST(ExplorerTest, HierarchicalAllReduceSurvivesPerturbation) {
-  // The two-level all-reduce's phase boundaries (kHierPhase) are schedule
-  // points; p = 4 exercises the full three-phase shape (2 nodes x 2 GPUs)
-  // including the cross-node leader ring.
-  ExploreOptions opt;
-  opt.world_size = 4;
-  opt.runs = std::max(kRunsPerKind / 8, 5);
-  const ExploreReport report = ExplorePerturbed(Workload::kHierarchical, opt);
-  EXPECT_EQ(report.schedules_run, opt.runs);
-  EXPECT_TRUE(report.ok()) << report.Summary();
-}
-
 TEST(ExplorerTest, OptimizerStepSurvivesPerturbation) {
   // Two full DistributedOptimizer steps (kOptStep boundary + WFBP hooks +
   // bucketed all-reduces + SGD) under the schedule sweep: params must stay

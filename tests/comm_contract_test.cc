@@ -40,9 +40,8 @@ std::string ExpectErrorContaining(Session& group, Fn fn,
 TEST(CollectiveFingerprint, DescribeAndMatches) {
   const CollectiveFingerprint ring{.kind = CollectiveKind::kAllReduce,
                                    .bytes = 4096,
-                                   .op = 0,
                                    .algo = 0};
-  EXPECT_EQ(ring.Describe(), "all_reduce[ring, sum, 4096 B]");
+  EXPECT_EQ(ring.Describe(), "all_reduce[ring, 4096 B]");
   EXPECT_TRUE(ring.Matches(ring));
 
   CollectiveFingerprint other = ring;
@@ -50,9 +49,6 @@ TEST(CollectiveFingerprint, DescribeAndMatches) {
   EXPECT_FALSE(ring.Matches(other));
   other = ring;
   other.algo = 1;
-  EXPECT_FALSE(ring.Matches(other));
-  other = ring;
-  other.op = 1;
   EXPECT_FALSE(ring.Matches(other));
 
   // Gathers are fixed-size too: the byte count must match.
@@ -103,10 +99,10 @@ TEST(ContractChecker, SizeMismatchedAllReduceDiagnosed) {
         std::vector<float> v(comm.rank() == 1 ? 8 : 16, 1.0f);
         comm.all_reduce(v);
       },
-      {"collective contract violation", "rank 0: all_reduce[ring, sum, 64 B]",
-       "rank 1: all_reduce[ring, sum, 32 B]", "differs from rank 0"});
+      {"collective contract violation", "rank 0: all_reduce[ring, 64 B]",
+       "rank 1: all_reduce[ring, 32 B]", "differs from rank 0"});
   // Rank 2 agrees with rank 0 and must not be flagged.
-  EXPECT_EQ(msg.find("rank 2: all_reduce[ring, sum, 64 B]   <--"),
+  EXPECT_EQ(msg.find("rank 2: all_reduce[ring, 64 B]   <--"),
             std::string::npos)
       << msg;
 }
@@ -132,19 +128,6 @@ TEST(ContractChecker, DivergentSequenceDetected) {
        "rank 1: all_gather[16 B]"});
 }
 
-TEST(ContractChecker, MismatchedReduceOpDetected) {
-  Transport transport({.barrier_timeout_ms = 30000});
-  Session group(transport, "contract", 2);
-  group.set_contract_checking(true);
-  ExpectErrorContaining(
-      group,
-      [&](Communicator& comm) {
-        std::vector<float> v(4, 1.0f);
-        comm.all_reduce(v, comm.rank() == 0 ? ReduceOp::kSum : ReduceOp::kMax);
-      },
-      {"collective contract violation", "sum", "max"});
-}
-
 TEST(ContractChecker, MismatchedAlgoDetected) {
   Transport transport({.barrier_timeout_ms = 30000});
   Session group(transport, "contract", 2);
@@ -153,9 +136,8 @@ TEST(ContractChecker, MismatchedAlgoDetected) {
       group,
       [&](Communicator& comm) {
         std::vector<float> v(4, 1.0f);
-        comm.all_reduce(v, ReduceOp::kSum,
-                        comm.rank() == 0 ? AllReduceAlgo::kRing
-                                         : AllReduceAlgo::kNaive);
+        comm.all_reduce(v, comm.rank() == 0 ? AllReduceAlgo::kRing
+                                            : AllReduceAlgo::kNaive);
       },
       {"collective contract violation", "ring", "naive"});
 }

@@ -82,7 +82,7 @@ TEST_P(AllReduceTest, NaiveMatchesRing) {
     auto ring = PatternFor(comm.rank(), n);
     auto naive = PatternFor(comm.rank(), n);
     comm.all_reduce(ring);
-    comm.all_reduce(naive, ReduceOp::kSum, AllReduceAlgo::kNaive);
+    comm.all_reduce(naive, AllReduceAlgo::kNaive);
     for (size_t i = 0; i < n; ++i) {
       if (std::abs(ring[i] - naive[i]) > 1e-2f) {
         ++failures;
@@ -97,19 +97,6 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, AllReduceTest,
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 8),
                        ::testing::Values<size_t>(0, 1, 3, 16, 257, 1024)));
-
-TEST(AllReduce, MaxOp) {
-  Transport transport;
-  Session group(transport, "comm-test", 4);
-  std::atomic<int> failures{0};
-  group.Run([&](Communicator& comm) {
-    std::vector<float> v{static_cast<float>(comm.rank()),
-                         static_cast<float>(-comm.rank())};
-    comm.all_reduce(v, ReduceOp::kMax);
-    if (v[0] != 3.0f || v[1] != 0.0f) ++failures;
-  });
-  EXPECT_EQ(failures.load(), 0);
-}
 
 TEST(AllGather, CollectsInRankOrder) {
   const int p = 4;
@@ -322,7 +309,7 @@ TEST(TrafficStats, NaiveAllReduceIsLinearInP) {
   Session group(transport, "comm-test", p);
   group.Run([&](Communicator& comm) {
     auto data = PatternFor(comm.rank(), n);
-    comm.all_reduce(data, ReduceOp::kSum, AllReduceAlgo::kNaive);
+    comm.all_reduce(data, AllReduceAlgo::kNaive);
   });
   // Total traffic: p workers send N floats + root broadcasts N.
   const TrafficStats total = group.total_stats();
@@ -518,7 +505,6 @@ TEST(Session, RejectsEmptyJobId) {
 // fails here first.
 enum class GoldenOp {
   kRingSum,
-  kRingMax,
   kNaiveSum,
   kReduceScatter,
   kAllGather,
@@ -568,13 +554,10 @@ uint64_t GoldenCollectiveDigest(GoldenOp which, bool crash) {
                                           static_cast<size_t>(p));
         switch (which) {
           case GoldenOp::kRingSum:
-            comm.all_reduce(data, ReduceOp::kSum, AllReduceAlgo::kRing);
-            break;
-          case GoldenOp::kRingMax:
-            comm.all_reduce(data, ReduceOp::kMax, AllReduceAlgo::kRing);
+            comm.all_reduce(data, AllReduceAlgo::kRing);
             break;
           case GoldenOp::kNaiveSum:
-            comm.all_reduce(data, ReduceOp::kSum, AllReduceAlgo::kNaive);
+            comm.all_reduce(data, AllReduceAlgo::kNaive);
             break;
           case GoldenOp::kReduceScatter:
             comm.reduce_scatter(data);
@@ -617,8 +600,6 @@ TEST(CollectiveGolden, DigestsReproduce) {
   const Case cases[] = {
       {"all_reduce ring sum", GoldenOp::kRingSum, 0xa8aba964b8ed9f44ull,
        0x3c576259cb4f7abfull},
-      {"all_reduce ring max", GoldenOp::kRingMax, 0x9ea060165e7518e4ull,
-       0x27e817358666647cull},
       {"all_reduce naive sum", GoldenOp::kNaiveSum, 0xb5244a72c2bbf61bull,
        0xf7beaa93b7d3490dull},
       {"reduce_scatter", GoldenOp::kReduceScatter, 0x4fb465b86e47fe32ull,

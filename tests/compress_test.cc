@@ -148,29 +148,22 @@ TEST(Topk, HistogramSelectionIsTwoPass) {
   EXPECT_EQ(c.last_threshold_passes(), 2);
 }
 
-TEST(Topk, BinarySearchSelectionIsMultiPass) {
-  TopkCompressor c(0.001, TopkSelection::kSampledThreshold);
-  const auto g = RandomGrad(50000, 5);
-  const auto idx = c.SelectSampledBinarySearch(g, c.KeptCount(g.size()));
-  EXPECT_EQ(idx.size(), c.KeptCount(g.size()));
-  // The paper's premise: the pre-histogram scheme needs many counting passes
-  // (one per binary-search probe). This is the bench_kernels baseline.
-  EXPECT_GE(c.last_threshold_passes(), 5);
-}
-
-TEST(Topk, BinarySearchSelectionTrimsTiesAndPadsFromZeros) {
+TEST(Topk, HistogramSelectionTrimsTiesToK) {
   TopkCompressor c(0.5, TopkSelection::kSampledThreshold);
-  // All magnitudes tie, so no probe lands within 1% of k: the gather
-  // overshoots and the trim cuts it back to exactly k.
+  // All magnitudes tie, so they share one histogram bucket: the gather
+  // returns all 8 and the trim cuts it back to exactly k.
   const std::vector<float> ties(8, 1.0f);
-  EXPECT_EQ(c.SelectSampledBinarySearch(ties, 4).size(), 4u);
-  // One nonzero among zeros: no probe ever counts k, the threshold stays 0
-  // and the pad fills up from the zeros.
+  const auto tied = c.SelectSampled(ties, 4);
+  EXPECT_EQ(tied.size(), 4u);
+  EXPECT_EQ(std::set<uint32_t>(tied.begin(), tied.end()).size(), 4u);
+  // One nonzero among zeros: k is only covered at the zero bucket, so the
+  // threshold is 0, the gather returns everything and the trim keeps the
+  // nonzero plus three zeros.
   std::vector<float> sparse(8, 0.0f);
   sparse[5] = 3.0f;
-  const auto idx = c.SelectSampledBinarySearch(sparse, 4);
+  const auto idx = c.SelectSampled(sparse, 4);
   ASSERT_EQ(idx.size(), 4u);
-  EXPECT_EQ(idx[0], 5u);
+  EXPECT_EQ(std::count(idx.begin(), idx.end(), 5u), 1);
   EXPECT_EQ(std::set<uint32_t>(idx.begin(), idx.end()).size(), 4u);
 }
 

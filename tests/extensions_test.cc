@@ -1,10 +1,7 @@
-// Tests for the extension modules: hierarchical collectives + topology
-// model, buffer auto-tuning, trace export, CSV output.
+// Tests for the extension modules: hierarchical topology cost model,
+// buffer auto-tuning, trace export, CSV output.
 #include <gtest/gtest.h>
 
-#include <atomic>
-
-#include "comm/hierarchical.h"
 #include "comm/topology.h"
 #include "models/model_zoo.h"
 #include "sim/buffer_tuner.h"
@@ -12,50 +9,6 @@
 
 namespace acps {
 namespace {
-
-// ----------------------------------------------------- hierarchical comm --
-
-class HierarchicalTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(HierarchicalTest, MatchesFlatAllReduce) {
-  const auto [nodes, gpn] = GetParam();
-  const int p = nodes * gpn;
-  const size_t n = 37;
-  comm::Transport group_transport;
-  comm::Session group(group_transport, "extensions", p);
-  std::atomic<int> failures{0};
-  group.Run([&](comm::Communicator& comm) {
-    std::vector<float> hier(n), flat(n);
-    for (size_t i = 0; i < n; ++i)
-      hier[i] = flat[i] =
-          static_cast<float>((comm.rank() + 1) * 10 + static_cast<int>(i));
-    comm::HierarchicalAllReduce(comm, hier, gpn);
-    comm.all_reduce(flat);
-    for (size_t i = 0; i < n; ++i) {
-      if (std::abs(hier[i] - flat[i]) > 1e-2f) {
-        ++failures;
-        break;
-      }
-    }
-  });
-  EXPECT_EQ(failures.load(), 0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Topologies, HierarchicalTest,
-                         ::testing::Values(std::tuple{1, 4}, std::tuple{2, 2},
-                                           std::tuple{2, 3}, std::tuple{4, 2},
-                                           std::tuple{4, 1}));
-
-TEST(Hierarchical, RejectsNonDividingGroupSize) {
-  comm::Transport group_transport;
-  comm::Session group(group_transport, "extensions", 4);
-  EXPECT_THROW(group.Run([&](comm::Communicator& comm) {
-    std::vector<float> v(4, 1.0f);
-    comm::HierarchicalAllReduce(comm, v, 3);
-  }),
-               Error);
-}
 
 TEST(TopologyModel, HierarchicalBeatsFlatForLargePayloads) {
   // With 4 GPUs sharing one slow NIC per node, the two-level algorithm

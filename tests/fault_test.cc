@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 #include <set>
 #include <span>
 
@@ -101,8 +100,14 @@ TEST(ChaosDetectionTest, BroadcastFromDeadRootRaisesStructuredReport) {
   EXPECT_NE(res.detail.find("fault detected"), std::string::npos)
       << res.detail;
   EXPECT_NE(res.detail.find("root rank 0"), std::string::npos) << res.detail;
-  // The report carries the replay handle (the installed plan's identity).
+  // The report carries the replay handle (the identity of the plan attached
+  // to the run's session).
   EXPECT_NE(res.detail.find("FaultPlan{"), std::string::npos) << res.detail;
+  // The one-line summary leads with the case, its outcome and replay seed.
+  const std::string head =
+      "crash x broadcast[dead-root]: DETECTED (injected=1, seed=" +
+      std::to_string(opt.seed) + ")";
+  EXPECT_EQ(res.Summary().substr(0, head.size()), head) << res.Summary();
 }
 
 TEST(ChaosDetectionTest, ExhaustedRetryBudgetRaisesStructuredReport) {
@@ -122,7 +127,8 @@ TEST(ChaosDetectionTest, ExhaustedRetryBudgetRaisesStructuredReport) {
 TEST(ChaosOracleTest, PreSealCorruptionDivergesFromBaseline) {
   fault::ChaosOptions opt;
   const fault::ChaosRun baseline = fault::RunCollectiveWorkload(
-      fault::ChaosCollective::kAllReduceRing, fault::ChaosMethod::kSign, opt);
+      fault::ChaosCollective::kAllReduceRing, fault::ChaosMethod::kSign, opt,
+      nullptr);
   ASSERT_TRUE(baseline.error.empty()) << baseline.error;
 
   check::ScheduleConfig cfg;
@@ -133,7 +139,8 @@ TEST(ChaosOracleTest, PreSealCorruptionDivergesFromBaseline) {
   check::ScheduleController controller(cfg);
   check::ScopedSchedListener install(&controller);
   const fault::ChaosRun mutated = fault::RunCollectiveWorkload(
-      fault::ChaosCollective::kAllReduceRing, fault::ChaosMethod::kSign, opt);
+      fault::ChaosCollective::kAllReduceRing, fault::ChaosMethod::kSign, opt,
+      nullptr);
 
   ASSERT_EQ(controller.stats().faults_injected, 1);
   ASSERT_TRUE(mutated.error.empty()) << mutated.error;
@@ -208,8 +215,9 @@ TEST(FaultObservabilityTest, InjectedFaultsEmitCountersAndSpans) {
     cfg.kind = fault::FaultKind::kStraggler;
     cfg.rate = 1.0;
     fault::FaultPlan plan(cfg);
-    fault::ScopedFaultInjector install(&plan);
+    group.set_fault_injector(&plan);
     group.Run(run_collectives);
+    group.set_fault_injector(nullptr);
     EXPECT_GT(plan.injected(), 0);
   }
   {  // Dropped chunks force retries.
@@ -218,8 +226,9 @@ TEST(FaultObservabilityTest, InjectedFaultsEmitCountersAndSpans) {
     cfg.kind = fault::FaultKind::kDrop;
     cfg.rate = 1.0;
     fault::FaultPlan plan(cfg);
-    fault::ScopedFaultInjector install(&plan);
+    group.set_fault_injector(&plan);
     group.Run(run_collectives);
+    group.set_fault_injector(nullptr);
     EXPECT_GT(plan.injected(), 0);
   }
   {  // Fail-stop crash of rank 1.
@@ -228,8 +237,9 @@ TEST(FaultObservabilityTest, InjectedFaultsEmitCountersAndSpans) {
     cfg.membership = {{fault::MembershipEvent::Kind::kCrash, /*rank=*/1,
                        /*at=*/2}};
     fault::FaultPlan plan(cfg);
-    fault::ScopedFaultInjector install(&plan);
+    group.set_fault_injector(&plan);
     group.Run(run_collectives);
+    group.set_fault_injector(nullptr);
     EXPECT_EQ(group.crashed_ranks(), std::vector<int>{1});
   }
 
@@ -285,8 +295,7 @@ TEST(FaultObservabilityTest, ContractCheckingCoexistsWithRetries) {
     cfg.kind = fault::FaultKind::kDrop;
     cfg.rate = 0.5;
     fault::FaultPlan plan(cfg);
-    std::optional<fault::ScopedFaultInjector> install;
-    if (inject) install.emplace(&plan);
+    if (inject) group.set_fault_injector(&plan);
     group.Run([&](comm::Communicator& comm) {
       workload(comm, outs[static_cast<size_t>(comm.rank())]);
     });
@@ -325,11 +334,11 @@ TEST(ChaosDetectionTest, HealthyRanksReportPeerDeliveryFailure) {
     }
   };
   DropRankZeroPublishes injector;
-  fault::ScopedFaultInjector install(&injector);
 
   std::vector<std::string> errors(3);
   comm::Transport group_transport;
   comm::Session group(group_transport, "fault", 3);
+  group.set_fault_injector(&injector);
   group.Run([&](comm::Communicator& comm) {
     std::vector<float> data(6, 1.0f);
     try {
@@ -359,11 +368,11 @@ TEST(CrashRecoveryTest, SoleSurvivorAllGatherBytes) {
   cfg.membership = {
       {fault::MembershipEvent::Kind::kCrash, /*rank=*/1, /*at=*/1}};
   fault::FaultPlan plan(cfg);
-  fault::ScopedFaultInjector install(&plan);
 
   std::vector<std::byte> out;
   comm::Transport group_transport;
   comm::Session group(group_transport, "fault", 2);
+  group.set_fault_injector(&plan);
   group.Run([&](comm::Communicator& comm) {
     const std::vector<std::byte> send(4, std::byte{9});
     std::vector<std::byte> recv(8, std::byte{1});
@@ -387,12 +396,12 @@ TEST(CrashRecoveryTest, LaterCollectivesRunOverSurvivors) {
   cfg.membership = {
       {fault::MembershipEvent::Kind::kCrash, /*rank=*/2, /*at=*/2}};
   fault::FaultPlan plan(cfg);
-  fault::ScopedFaultInjector install(&plan);
 
   std::vector<std::vector<float>> results(kWorld);
   std::vector<int> alive_seen(kWorld, -1);
   comm::Transport group_transport;
   comm::Session group(group_transport, "fault", kWorld);
+  group.set_fault_injector(&plan);
   group.Run([&](comm::Communicator& comm) {
     std::vector<float> data(8, static_cast<float>(comm.rank() + 1));
     comm.all_reduce(data);  // collective #1: all four ranks participate
@@ -512,11 +521,11 @@ TEST(ElasticSessionTest, RejoinEmitsAdmissionMetricsAndEpochGauge) {
                     {fault::MembershipEvent::Kind::kRejoin, /*rank=*/2,
                      /*at=*/1}};
   fault::FaultPlan plan(cfg);
-  fault::ScopedFaultInjector install(&plan);
 
   comm::Transport transport;
   transport.set_metrics(&metrics);
   comm::Session session(transport, "fault", 3);
+  session.set_fault_injector(&plan);
   session.Run([](comm::Communicator& comm) {
     std::vector<float> data(6, static_cast<float>(comm.rank() + 1));
     uint64_t step = 0;
@@ -551,11 +560,11 @@ TEST(ElasticSessionTest, UnservicedAdmissionAbandonsWhenWorkersDrain) {
                     {fault::MembershipEvent::Kind::kRejoin, /*rank=*/1,
                      /*at=*/1}};
   fault::FaultPlan plan(cfg);
-  fault::ScopedFaultInjector install(&plan);
 
   comm::Transport transport;
   transport.set_metrics(&metrics);
   comm::Session session(transport, "fault", 2);
+  session.set_fault_injector(&plan);
   session.Run([](comm::Communicator& comm) {
     std::vector<float> data(4, 1.0f);
     comm.all_reduce(data);

@@ -441,30 +441,53 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.label);
     });
 
-// A tenant-scoped injector shadows a process-global one for that session;
-// sessions without their own injector still see the global. (The service
-// API never installs globals; this covers mixed legacy usage.)
-TEST(Session, TenantInjectorShadowsGlobal) {
-  fault::FaultPlanConfig global_config;
-  global_config.kind = fault::FaultKind::kDrop;
-  global_config.rate = 1.0;  // every publish dropped -> retries guaranteed
-  fault::FaultPlan global_plan(global_config);
+// A session's injector sees that session's transport events and no other:
+// two sessions run concurrently on one transport with a drop-everything
+// plan attached to one of them. The other session must match a clean run
+// in result and wire cost, and the plan must count only its own session's
+// publishes.
+TEST(Session, InjectorFiresOnlyForItsOwnSession) {
+  const auto workload = [](std::vector<float>& out) {
+    return [&out](comm::Communicator& comm) {
+      std::vector<float> v(16, static_cast<float>(comm.rank() + 1));
+      comm.all_reduce(v);
+      if (comm.rank() == 0) out = v;
+    };
+  };
+  std::vector<float> clean_out;
+  comm::Transport clean_transport;
+  comm::Session clean(clean_transport, "clean", 2);
+  clean.Run(workload(clean_out));
+  const comm::TrafficStats want = clean.total_stats();
 
-  fault::FaultPlanConfig none_config;  // injects nothing
-  fault::FaultPlan tenant_plan(none_config);
+  fault::FaultPlanConfig drop_all;
+  drop_all.kind = fault::FaultKind::kDrop;
+  drop_all.rate = 1.0;  // every first-attempt publish dropped, then retried
+  fault::FaultPlan plan(drop_all);
 
   comm::Transport transport;
-  comm::Session session(transport, "shadowed", 2);
-  session.set_fault_injector(&tenant_plan);
+  comm::Session faulted(transport, "faulted", 2);
+  comm::Session bystander(transport, "bystander", 2);
+  faulted.set_fault_injector(&plan);
+  std::vector<float> faulted_out;
+  std::vector<float> bystander_out;
+  auto a = std::async(std::launch::async,
+                      [&] { faulted.Run(workload(faulted_out)); });
+  auto b = std::async(std::launch::async,
+                      [&] { bystander.Run(workload(bystander_out)); });
+  a.get();
+  b.get();
 
-  fault::ScopedFaultInjector scoped(&global_plan);
-  session.Run([](comm::Communicator& comm) {
-    std::vector<float> v(16, 1.0f);
-    comm.all_reduce(v);
-    for (const float x : v) EXPECT_FLOAT_EQ(x, 2.0f);
-  });
-  // The drop-everything global plan never saw this session's publishes.
-  EXPECT_EQ(global_plan.injected(), 0);
+  EXPECT_EQ(bystander_out, clean_out);
+  const comm::TrafficStats got = bystander.total_stats();
+  EXPECT_EQ(got.bytes_sent, want.bytes_sent);
+  EXPECT_EQ(got.messages_sent, want.messages_sent);
+  EXPECT_EQ(got.collectives, want.collectives);
+  // The faulted session recovered bitwise, paid for its retries, and the
+  // plan fired once per first-attempt publish of that session alone.
+  EXPECT_EQ(faulted_out, clean_out);
+  EXPECT_GT(faulted.total_stats().messages_sent, want.messages_sent);
+  EXPECT_EQ(plan.injected(), static_cast<int64_t>(want.messages_sent));
 }
 
 // Legacy service entry point: a full training job per tenant, through the
