@@ -13,12 +13,14 @@
 // than 25% below the committed baseline's, or when an acceptance kernel
 // falls below its hard floor (gemm_4096x4096x32 and topk_25m >= 3x;
 // gemm_tb_4096x4096x32 >= 10x — the packed-panel fast path;
-// gemm_tb_recon_r4 >= 5x — the small-k rank-r reconstruction). Speedup
-// ratios — not raw ns — are compared, so the gate is stable across machines
-// of different absolute speed. Speedups do depend on the pool budget, so
-// --check runs at the baseline's recorded "threads" and exits 2 when
-// --threads asks for another. tools/bench_baseline.sh wraps the
-// generate/check workflow.
+// gemm_tb_recon_r4 >= 5x — the small-k rank-r reconstruction;
+// gemm_ta_lowrank_r4 >= 10x and gemm_lowrank_r4 >= 4x — the small-m
+// rank-r factor products). Speedup ratios — not raw ns — are compared, so
+// the gate is stable across machines of different absolute speed. Speedups
+// do depend on the pool budget, so --check runs at the baseline's recorded
+// "threads" and exits 2 when --threads asks for another.
+// tools/bench_baseline.sh wraps the generate/check workflow for the 1- and
+// 4-thread baselines.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -194,10 +196,17 @@ std::vector<Case> BuildCases() {
   // showcase (the direct path re-streams all of B per row tile here).
   cases.push_back(GemmCase("gemm_1024x1024x1024", /*quick=*/false, 1024, 1024,
                            1024));
-  // Power-SGD / ACP-SGD low-rank factors P = M·Q at every paper rank.
+  // Power-SGD / ACP-SGD low-rank factors P = M·Q at every paper rank (r <= 8
+  // takes the small-m path, r4 gated by a hard floor below).
   for (const int64_t r : {1, 2, 4, 8, 32}) {
     cases.push_back(GemmCase("gemm_lowrank_r" + std::to_string(r),
-                             /*quick=*/r == 8, 1024, 1024, r));
+                             /*quick=*/r == 4 || r == 8, 1024, 1024, r));
+  }
+  // The other factor product Q = Mᵀ·P (ACP-SGD's Q step, Power-SGD's second
+  // product) on the small-m path, r4 gated by a hard floor below.
+  for (const int64_t r : {1, 2, 4, 8}) {
+    cases.push_back(GemmTransACase("gemm_ta_lowrank_r" + std::to_string(r),
+                                   /*quick=*/r == 4, 1024, 1024, r));
   }
   // Power-SGD / ACP-SGD reconstruct M̂ = P·Qᵀ at every paper rank (wide-m
   // TransB; r <= 8 takes the small-k path, r4 gated by a hard floor below).
@@ -305,8 +314,9 @@ bool ParseBaseline(const std::string& path,
 
 // Acceptance floors: hard minimum speedup-over-naive per case, enforced by
 // --check on top of the regression band. The packed-panel TransB path must
-// hold >= 10x at the dense acceptance shape and the small-k path >= 5x at
-// the rank-4 reconstruction; the original >= 3x floors stay.
+// hold >= 10x at the dense acceptance shape, the small-k path >= 5x at the
+// rank-4 reconstruction, and the small-m path >= 10x (Mᵀ·P) and >= 4x (M·Q)
+// at the rank-4 factor products; the original >= 3x floors stay.
 struct AcceptanceFloor {
   const char* name;
   double min_speedup;
@@ -316,6 +326,8 @@ constexpr AcceptanceFloor kAcceptanceFloors[] = {
     {"topk_25m", 3.0},
     {"gemm_tb_4096x4096x32", 10.0},
     {"gemm_tb_recon_r4", 5.0},
+    {"gemm_ta_lowrank_r4", 10.0},
+    {"gemm_lowrank_r4", 4.0},
 };
 // --check regression band: speedup may drift down at most 25% vs baseline.
 constexpr double kRegressionBand = 0.75;

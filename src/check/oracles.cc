@@ -294,10 +294,13 @@ std::vector<float> RunKernelSuite(uint64_t seed) {
   };
 
   // Shapes: odd sizes exercise the edge tiles, the (n, r)-style shapes match
-  // the paper's low-rank factors, and 1031×4×1031 is past the serial inline
-  // cutoff, so the small-k TransB path splits its rows across the pool.
-  for (const GemmShape s : {GemmShape{33, 17, 8}, GemmShape{64, 64, 32},
-                            GemmShape{1000, 4, 4}, GemmShape{1031, 4, 1031}}) {
+  // the paper's low-rank factors, and the last two are past the serial
+  // inline cutoff: at 1031×4×1031 the small-k TransB path splits its rows
+  // across the pool, at 1031×1031×4 the small-m Gemm and GemmTransA paths
+  // do.
+  for (const GemmShape s :
+       {GemmShape{33, 17, 8}, GemmShape{64, 64, 32}, GemmShape{1000, 4, 4},
+        GemmShape{1031, 4, 1031}, GemmShape{1031, 1031, 4}}) {
     Rng rng(seed ^ (static_cast<uint64_t>(s.n) << 20));
     std::vector<float> a(static_cast<size_t>(s.n * s.k));
     std::vector<float> b(static_cast<size_t>(s.k * s.m));
@@ -389,8 +392,11 @@ OracleReport CheckKernelThreadInvariance(const OracleOptions& opt) {
 
   // GEMM-family naive parity at 1 thread: the production kernels implement
   // the documented accumulation policy exactly. k = 4 is the rank-r
-  // reconstruction shape, which GemmTransB routes to its small-k path.
-  for (const GemmShape s : {GemmShape{61, 37, 33}, GemmShape{61, 4, 33}}) {
+  // reconstruction shape, which GemmTransB routes to its small-k path; m = 4
+  // is the factor-product shape, which Gemm and GemmTransA route to their
+  // small-m path.
+  for (const GemmShape s : {GemmShape{61, 37, 33}, GemmShape{61, 4, 33},
+                            GemmShape{61, 37, 4}}) {
     Rng rng(opt.seed ^ 0xBEEFull);
     const int64_t n = s.n, k = s.k, m = s.m;
     std::vector<float> a(static_cast<size_t>(n * k));

@@ -116,22 +116,10 @@ void GemmRows(const float* a, const float* b, float* c, int64_t i0_begin,
               ci[jj] = BetaBlend(acc[r][jj], beta, ci[jj]);
           }
         }
-      } else if (jb == 1) {
-        // Width-1 tile (rank-1 Power-SGD factors, odd tail columns): keep
-        // the single accumulator in a register. The general edge path's
-        // runtime-bound jj loop forces its accumulators onto the stack,
-        // which halves rank-1 throughput.
-        for (int64_t i = i0; i < i0 + ib; ++i) {
-          float acc = 0.0f;
-          for (int64_t kk = 0; kk < k; ++kk) {
-            const float aik = alpha * (TransA ? a[kk * n + i] : a[i * k + kk]);
-            acc = std::fmaf(aik, b[kk * m + j0], acc);
-          }
-          float* ci = c + i * m + j0;
-          ci[0] = beta == 0.0f ? acc : BetaBlend(acc, beta, ci[0]);
-        }
       } else {
-        // Edge tile: same per-element chain, one row at a time.
+        // Edge tile (ragged rows, or the last m % kNj columns of an m > 8
+        // output; narrower outputs take the small-m path): same
+        // per-element chain, one row at a time.
         float accv[kNj] = {};
         for (int64_t i = i0; i < i0 + ib; ++i) {
           std::fill(accv, accv + jb, 0.0f);
@@ -332,6 +320,146 @@ bool UsePackedSaxpy(int64_t n, int64_t k, int64_t m) {
              (1u << 20);
 }
 
+// ---------------------------------------------------------------------------
+// Small-m saxpy form (1 <= m <= kSmallM): the rank-r factor products of
+// Power-SGD / ACP-SGD, P = M·Q (Gemm) and Q = Mᵀ·P (GemmTransA), whose
+// output has only r columns. The general tiles are kNj columns wide, so
+// these shapes would fall to GemmRows' one-row-at-a-time edge path. Here m
+// is a template constant and both kernels block kSmallMRows output rows
+// into an m×kSmallMRows accumulator block instead: each k step multiplies
+// a contiguous run of those rows' A elements by one B row, so the fma runs
+// vectorized across output rows.
+//  * GemmTransA (A stored [k×n]) reads that run straight out of A's row k,
+//    walking A row-sequentially in ascending k instead of at stride n.
+//  * Gemm first copies the tile's A elements, alpha folded, k-major into a
+//    kKc-deep stack panel (PackASmallM) and runs over that. (The register
+//    block the naive loop suggests — rows × m accumulators, one broadcast
+//    a_ik per row — measured 2–3× slower at m = 3..7 (AVX2, GCC 12):
+//    the vectorizer mixes scalar and vector lanes there.)
+// Either way every element's chain is still `acc = fmaf(alpha·a, b, acc)`
+// from 0 in ascending k with beta at writeback, so the result is bitwise the
+// naive reference's, whatever rows it is computed beside.
+// ---------------------------------------------------------------------------
+constexpr int64_t kSmallM = 8;
+// Measured at 1024×1024×4, 1 thread (AVX2, GCC 12), Mᵀ·P / M·Q: 32 rows
+// took 0.47 / 0.84 ms, 64 rows 0.44 / 1.21 ms and 16 rows 4.4 / 3.6 ms.
+constexpr int64_t kSmallMRows = 32;
+
+// Writes the accumulator block of output rows [i0, i0 + rows): acc[j][w]
+// is element (i0 + w, j).
+template <int64_t M>
+void SmallMWriteback(const float (&acc)[M][kSmallMRows], float* c, int64_t i0,
+                     int64_t rows, float beta) {
+  for (int64_t w = 0; w < rows; ++w) {
+    float* __restrict__ ci = c + (i0 + w) * M;
+    if (beta == 0.0f) {
+      for (int64_t j = 0; j < M; ++j) ci[j] = acc[j][w];
+    } else {
+      for (int64_t j = 0; j < M; ++j) ci[j] = BetaBlend(acc[j][w], beta, ci[j]);
+    }
+  }
+}
+
+// Output rows [i0, i0 + rows) of C = alpha·Aᵀ·B + beta·C, rows <=
+// kSmallMRows. Full tiles take rows == kSmallMRows as a compile-time bound.
+template <int64_t M, bool Full>
+void GemmTransASmallMTile(const float* a, const float* b, float* c, int64_t i0,
+                          int64_t rows, int64_t n, int64_t k, float alpha,
+                          float beta) {
+  const int64_t w_end = Full ? kSmallMRows : rows;
+  float acc[M][kSmallMRows] = {};
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float* __restrict__ ak = a + kk * n + i0;
+    const float* __restrict__ bk = b + kk * M;
+    float av[kSmallMRows];
+    for (int64_t w = 0; w < w_end; ++w) av[w] = alpha * ak[w];
+    for (int64_t j = 0; j < M; ++j)
+      for (int64_t w = 0; w < w_end; ++w)
+        acc[j][w] = std::fmaf(av[w], bk[j], acc[j][w]);
+  }
+  SmallMWriteback<M>(acc, c, i0, w_end, beta);
+}
+
+// Copies alpha * A[i0 + w][pc + kk] to dst[kk*kSmallMRows + w] for w < rows,
+// kk < kc: Gemm's row tile in the k-major layout GemmTransA reads in place.
+// Pure data movement plus the alpha fold (the same single multiply the
+// naive loop performs).
+void PackASmallM(const float* a, int64_t k, int64_t i0, int64_t rows,
+                 int64_t pc, int64_t kc, float alpha, float* dst) {
+  const float* __restrict__ src = a + i0 * k + pc;
+  for (int64_t kk = 0; kk < kc; ++kk)
+    for (int64_t w = 0; w < rows; ++w)
+      dst[kk * kSmallMRows + w] = alpha * src[w * k + kk];
+}
+
+// Output rows [i0, i0 + rows) of C = alpha·A·B + beta·C, rows <=
+// kSmallMRows.
+template <int64_t M, bool Full>
+void GemmSmallMTile(const float* a, const float* b, float* c, int64_t i0,
+                    int64_t rows, int64_t k, float alpha, float beta) {
+  const int64_t w_end = Full ? kSmallMRows : rows;
+  float acc[M][kSmallMRows] = {};
+  alignas(64) float panel[kKc * kSmallMRows];
+  for (int64_t pc = 0; pc < k; pc += kKc) {
+    const int64_t kc = std::min<int64_t>(kKc, k - pc);
+    PackASmallM(a, k, i0, w_end, pc, kc, alpha, panel);
+    for (int64_t kk = 0; kk < kc; ++kk) {
+      const float* __restrict__ av = panel + kk * kSmallMRows;
+      const float* __restrict__ bk = b + (pc + kk) * M;
+      for (int64_t j = 0; j < M; ++j)
+        for (int64_t w = 0; w < w_end; ++w)
+          acc[j][w] = std::fmaf(av[w], bk[j], acc[j][w]);
+    }
+  }
+  SmallMWriteback<M>(acc, c, i0, w_end, beta);
+}
+
+// Rows [i_begin, i_end) of the small-m kernel: full tiles, then one partial.
+template <bool TransA, int64_t M>
+void GemmSmallMRows(const float* a, const float* b, float* c, int64_t i_begin,
+                    int64_t i_end, int64_t n, int64_t k, float alpha,
+                    float beta) {
+  int64_t i0 = i_begin;
+  for (; i0 < i_end; i0 += kSmallMRows) {
+    const int64_t rows = std::min<int64_t>(kSmallMRows, i_end - i0);
+    const bool full = rows == kSmallMRows;
+    if constexpr (TransA) {
+      if (full) {
+        GemmTransASmallMTile<M, true>(a, b, c, i0, rows, n, k, alpha, beta);
+      } else {
+        GemmTransASmallMTile<M, false>(a, b, c, i0, rows, n, k, alpha, beta);
+      }
+    } else {
+      if (full) {
+        GemmSmallMTile<M, true>(a, b, c, i0, rows, k, alpha, beta);
+      } else {
+        GemmSmallMTile<M, false>(a, b, c, i0, rows, k, alpha, beta);
+      }
+    }
+  }
+}
+
+using SmallMRowsFn = void (*)(const float*, const float*, float*, int64_t,
+                              int64_t, int64_t, int64_t, float, float);
+template <bool TransA>
+constexpr SmallMRowsFn kSmallMRowsFns[kSmallM + 1] = {
+    nullptr,
+    &GemmSmallMRows<TransA, 1>,
+    &GemmSmallMRows<TransA, 2>,
+    &GemmSmallMRows<TransA, 3>,
+    &GemmSmallMRows<TransA, 4>,
+    &GemmSmallMRows<TransA, 5>,
+    &GemmSmallMRows<TransA, 6>,
+    &GemmSmallMRows<TransA, 7>,
+    &GemmSmallMRows<TransA, 8>};
+
+// Shape routing under kAuto and kNever, as for the small-k TransB path;
+// kAlways keeps forcing the packed path.
+bool UseSmallM(int64_t m) {
+  return m >= 1 && m <= kSmallM &&
+         g_pack_mode.load(std::memory_order_relaxed) != GemmPackMode::kAlways;
+}
+
 template <bool TransA>
 void GemmImpl(std::span<const float> a, std::span<const float> b,
               std::span<float> c, int64_t n, int64_t k, int64_t m, float alpha,
@@ -340,28 +468,30 @@ void GemmImpl(std::span<const float> a, std::span<const float> b,
   if (n == 0 || m == 0) return;
   const uint64_t flops = GemmFlops(n, k, m);
   par::KernelTimer timer(stat_name, flops, GemmBytes(n, k, m, beta));
-  const bool packed = UsePackedSaxpy(n, k, m);
-  if (flops < kSerialInlineFlops) {
-    if (packed) {
-      PackedGemmRows<TransA>(a.data(), b.data(), c.data(), 0, n, n, k, m,
+  const bool small_m = UseSmallM(m);
+  const bool packed = !small_m && UsePackedSaxpy(n, k, m);
+  const auto rows = [&](int64_t begin, int64_t end) {
+    if (small_m) {
+      kSmallMRowsFns<TransA>[m](a.data(), b.data(), c.data(), begin, end, n,
+                                k, alpha, beta);
+    } else if (packed) {
+      PackedGemmRows<TransA>(a.data(), b.data(), c.data(), begin, end, n, k, m,
                              alpha, beta, &timer);
     } else {
-      GemmRows<TransA>(a.data(), b.data(), c.data(), 0, n, n, k, m, alpha,
-                       beta);
+      GemmRows<TransA>(a.data(), b.data(), c.data(), begin, end, n, k, m,
+                       alpha, beta);
     }
+  };
+  if (flops < kSerialInlineFlops) {
+    rows(0, n);
     return;
   }
-  par::ParallelForBlocks(
-      GemmRowGrain(k, m), n, /*align=*/kMr,
-      [&](int64_t, int64_t begin, int64_t end) {
-        if (packed) {
-          PackedGemmRows<TransA>(a.data(), b.data(), c.data(), begin, end, n,
-                                 k, m, alpha, beta, &timer);
-        } else {
-          GemmRows<TransA>(a.data(), b.data(), c.data(), begin, end, n, k, m,
-                           alpha, beta);
-        }
-      });
+  // Blocks split on tile boundaries, so only a block's last tile is partial.
+  const int64_t align = small_m ? kSmallMRows : kMr;
+  par::ParallelForBlocks(GemmRowGrain(k, m), n, align,
+                         [&](int64_t, int64_t begin, int64_t end) {
+                           rows(begin, end);
+                         });
 }
 
 // Fixed 8-lane interleaved fp32 dot product (lane l takes k ≡ l mod 8),

@@ -23,6 +23,11 @@
 //    explicit std::fmaf (single rounding). The fma is spelled out rather
 //    than left to -ffp-contract because GCC contracts the production tile
 //    but not the interchanged naive nest, which silently breaks parity.
+//    For 1 <= m <= 8 (the rank-r factor products M·Q and Mᵀ·P) both take a
+//    small-m path that blocks 32 output rows and vectorizes across them
+//    (Gemm copies its row tile k-major first, alpha folded — the same single
+//    multiply); this is bitwise safe because each element's chain above is
+//    untouched, only computed beside other rows instead of other columns.
 //  * dot-form kernels (GemmTransB, Gemv) accumulate a_ik * b_jk into 8
 //    fixed interleaved fp32 lanes (lane l takes k ≡ l mod 8), combine the
 //    lanes in a fixed pairwise tree, and apply alpha once to the combined
@@ -53,7 +58,8 @@ namespace acps {
 // forces every GEMM through the packed path (parity tests use this to pin
 // the packed kernels against the naive references at boundary shapes);
 // kNever forces the pre-packing register-blocked path. Under kAuto and
-// kNever a GemmTransB with k <= 8 takes the small-k path. All three produce
+// kNever a GemmTransB with k <= 8 takes the small-k path, and a Gemm or
+// GemmTransA with m <= 8 the small-m path. All three produce
 // bitwise-identical results — the mode only moves data layout and
 // scheduling, never an accumulation chain.
 enum class GemmPackMode { kAuto, kAlways, kNever };

@@ -265,6 +265,73 @@ TEST(KernelParity, SmallKTransBMatchesNaiveBitwise) {
   }
 }
 
+// The small-m saxpy path (m <= 8: the rank-r factor products M·Q and Mᵀ·P)
+// against the naive references, for both Gemm and GemmTransA: m = 1..8 and
+// one past, n on both sides of the 32-row tile, k on both sides of the
+// 256-deep Gemm panel, and for every m one shape past the serial inline
+// cutoff (2·n·k·m >= 2^23) so the pool splits rows. Each result must also
+// be the same at every thread budget and every pack mode (kAlways still
+// forces the packed path).
+TEST(KernelParity, SmallMSaxpyMatchesNaiveBitwise) {
+  ThreadGuard guard;
+  PackModeGuard pack_guard;
+  struct Case {
+    Shape3 s;
+    bool all_alphas;
+  };
+  std::vector<Case> cases;
+  for (int64_t m = 1; m <= 9; ++m) {
+    for (const int64_t n : {1, 31, 32, 33, 97})
+      for (const int64_t k : {0, 1, 7, 300}) cases.push_back({{n, k, m}, true});
+    // Past the serial inline cutoff; n is not a multiple of the tile.
+    const int64_t n = 1031;
+    const int64_t k = (int64_t{1} << 22) / (n * m) + 1;
+    ASSERT_GE(2 * n * k * m, int64_t{1} << 23);
+    cases.push_back({{n, k, m}, false});
+  }
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const auto& [s, all_alphas] : cases) {
+    const auto a = SmallKOperand(static_cast<size_t>(s.n * s.k), 81);
+    const auto b = SmallKOperand(static_cast<size_t>(s.k * s.m), 82);
+    const auto c_rand = RandomVec(static_cast<size_t>(s.n * s.m), 83);
+    // -0.3 is not a power of two, so alpha * a_ik rounds: folding alpha in
+    // anywhere else than that one multiply would show.
+    for (const float alpha : {-0.3f, 1.0f}) {
+      if (alpha == 1.0f && !all_alphas) continue;
+      for (const float beta : {0.0f, 1.0f, 0.25f}) {
+        // beta == 0 must overwrite, so start it from NaN garbage.
+        const std::vector<float> c0 =
+            beta == 0.0f ? std::vector<float>(c_rand.size(), nan) : c_rand;
+        std::vector<float> want = c0, want_ta = c0;
+        GemmNaive(a, b, want, s.n, s.k, s.m, alpha, beta);
+        GemmTransANaive(a, b, want_ta, s.n, s.k, s.m, alpha, beta);
+        for (const int threads : {1, 2, 4, 8}) {
+          par::SetNumThreads(threads);
+          for (const GemmPackMode mode :
+               {GemmPackMode::kAuto, GemmPackMode::kNever,
+                GemmPackMode::kAlways}) {
+            SetGemmPackMode(mode);
+            std::vector<float> got = c0;
+            Gemm(a, b, got, s.n, s.k, s.m, alpha, beta);
+            EXPECT_TRUE(BitsEqual(got, want))
+                << "gemm " << s.n << "x" << s.k << "x" << s.m
+                << " alpha=" << alpha << " beta=" << beta
+                << " mode=" << static_cast<int>(mode)
+                << " threads=" << threads;
+            got = c0;
+            GemmTransA(a, b, got, s.n, s.k, s.m, alpha, beta);
+            EXPECT_TRUE(BitsEqual(got, want_ta))
+                << "gemm_ta " << s.n << "x" << s.k << "x" << s.m
+                << " alpha=" << alpha << " beta=" << beta
+                << " mode=" << static_cast<int>(mode)
+                << " threads=" << threads;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelParity, GemvAxpyTransposeMatchNaiveBitwise) {
   ThreadGuard guard;
   par::SetNumThreads(1);
