@@ -2,7 +2,8 @@
 //
 // Measures the production acps::par kernels against their *Naive references
 // at the paper's shapes (GEMM 4096x4096x32, the Power-SGD low-rank family
-// r ∈ {1,2,4,8,32}, top-k at d = 25M) and emits median-of-N timings as JSON:
+// r ∈ {1,2,4,8,32}, top-k at d = 25M) and emits JSON timings, each case's
+// median pass of three passes over the case list, each pass median-of-N:
 //
 //   bench_kernels --out=BENCH_kernels.json          # full run (baseline)
 //   bench_kernels --quick                           # CI subset, stdout
@@ -19,8 +20,7 @@
 // the gate is stable across machines of different absolute speed. Speedups
 // do depend on the pool budget, so --check runs at the baseline's recorded
 // "threads" and exits 2 when --threads asks for another.
-// tools/bench_baseline.sh wraps the generate/check workflow for the 1- and
-// 4-thread baselines.
+// tools/bench_baseline.sh wraps the generate/check workflow.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -331,6 +331,8 @@ constexpr AcceptanceFloor kAcceptanceFloors[] = {
 };
 // --check regression band: speedup may drift down at most 25% vs baseline.
 constexpr double kRegressionBand = 0.75;
+// Passes over the case list per run (see main).
+constexpr int kPasses = 3;
 
 }  // namespace
 
@@ -382,14 +384,29 @@ int main(int argc, char** argv) {
   const int effective_threads = acps::par::NumThreads();
   const int reps = quick ? 3 : 5;
 
+  // Each case is measured once per pass over the whole case list, so its
+  // passes sit apart in time, and it reports the pass with the median
+  // speedup: one spell of host load moves one pass, not the result.
+  std::map<std::string, std::vector<CaseResult>> passes;
+  const std::vector<Case> cases = BuildCases();
+  for (int pass = 1; pass <= kPasses; ++pass) {
+    for (const auto& c : cases) {
+      if (quick && !c.in_quick) continue;
+      std::fprintf(stderr, "bench_kernels: pass %d/%d %-24s ...", pass,
+                   kPasses, c.name.c_str());
+      const CaseResult r = c.run(reps);
+      passes[c.name].push_back(r);
+      std::fprintf(stderr, " %10.2f ms (naive %10.2f ms, %5.2fx)\n",
+                   r.ns / 1e6, r.naive_ns / 1e6, r.speedup());
+    }
+  }
   std::map<std::string, CaseResult> results;
-  for (const auto& c : BuildCases()) {
-    if (quick && !c.in_quick) continue;
-    std::fprintf(stderr, "bench_kernels: %-24s ...", c.name.c_str());
-    const CaseResult r = c.run(reps);
-    results[c.name] = r;
-    std::fprintf(stderr, " %10.2f ms (naive %10.2f ms, %5.2fx)\n", r.ns / 1e6,
-                 r.naive_ns / 1e6, r.speedup());
+  for (auto& [name, runs] : passes) {
+    std::sort(runs.begin(), runs.end(),
+              [](const CaseResult& x, const CaseResult& y) {
+                return x.speedup() < y.speedup();
+              });
+    results[name] = runs[runs.size() / 2];
   }
 
   if (!out_path.empty()) {

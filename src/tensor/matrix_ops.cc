@@ -360,8 +360,25 @@ void SmallMWriteback(const float (&acc)[M][kSmallMRows], float* c, int64_t i0,
   }
 }
 
+// One k step of the accumulator block: acc[j][w] += av[w] * bk[j] for the
+// first `rows` rows, one fmaf per element.
+template <int64_t M>
+inline void SmallMAccumulate(const float* __restrict__ av,
+                             const float* __restrict__ bk,
+                             float (&acc)[M][kSmallMRows], int64_t rows) {
+  for (int64_t j = 0; j < M; ++j)
+    for (int64_t w = 0; w < rows; ++w)
+      acc[j][w] = std::fmaf(av[w], bk[j], acc[j][w]);
+}
+
+// The tiles below take `Full` (rows == kSmallMRows) as a template flag so a
+// full tile's row loops have a compile-time bound and acc stays in
+// registers. With a runtime bound, GemmTransA at 1024×1024×4 (1 thread,
+// AVX2, GCC 12) took 0.91–0.93 ms against 0.49–0.52 ms, and zero-padding
+// partial tiles to the full bound instead still took 0.66–0.88 ms.
+
 // Output rows [i0, i0 + rows) of C = alpha·Aᵀ·B + beta·C, rows <=
-// kSmallMRows. Full tiles take rows == kSmallMRows as a compile-time bound.
+// kSmallMRows.
 template <int64_t M, bool Full>
 void GemmTransASmallMTile(const float* a, const float* b, float* c, int64_t i0,
                           int64_t rows, int64_t n, int64_t k, float alpha,
@@ -370,12 +387,9 @@ void GemmTransASmallMTile(const float* a, const float* b, float* c, int64_t i0,
   float acc[M][kSmallMRows] = {};
   for (int64_t kk = 0; kk < k; ++kk) {
     const float* __restrict__ ak = a + kk * n + i0;
-    const float* __restrict__ bk = b + kk * M;
     float av[kSmallMRows];
     for (int64_t w = 0; w < w_end; ++w) av[w] = alpha * ak[w];
-    for (int64_t j = 0; j < M; ++j)
-      for (int64_t w = 0; w < w_end; ++w)
-        acc[j][w] = std::fmaf(av[w], bk[j], acc[j][w]);
+    SmallMAccumulate<M>(av, b + kk * M, acc, w_end);
   }
   SmallMWriteback<M>(acc, c, i0, w_end, beta);
 }
@@ -403,13 +417,9 @@ void GemmSmallMTile(const float* a, const float* b, float* c, int64_t i0,
   for (int64_t pc = 0; pc < k; pc += kKc) {
     const int64_t kc = std::min<int64_t>(kKc, k - pc);
     PackASmallM(a, k, i0, w_end, pc, kc, alpha, panel);
-    for (int64_t kk = 0; kk < kc; ++kk) {
-      const float* __restrict__ av = panel + kk * kSmallMRows;
-      const float* __restrict__ bk = b + (pc + kk) * M;
-      for (int64_t j = 0; j < M; ++j)
-        for (int64_t w = 0; w < w_end; ++w)
-          acc[j][w] = std::fmaf(av[w], bk[j], acc[j][w]);
-    }
+    for (int64_t kk = 0; kk < kc; ++kk)
+      SmallMAccumulate<M>(panel + kk * kSmallMRows, b + (pc + kk) * M, acc,
+                          w_end);
   }
   SmallMWriteback<M>(acc, c, i0, w_end, beta);
 }
@@ -419,8 +429,7 @@ template <bool TransA, int64_t M>
 void GemmSmallMRows(const float* a, const float* b, float* c, int64_t i_begin,
                     int64_t i_end, int64_t n, int64_t k, float alpha,
                     float beta) {
-  int64_t i0 = i_begin;
-  for (; i0 < i_end; i0 += kSmallMRows) {
+  for (int64_t i0 = i_begin; i0 < i_end; i0 += kSmallMRows) {
     const int64_t rows = std::min<int64_t>(kSmallMRows, i_end - i0);
     const bool full = rows == kSmallMRows;
     if constexpr (TransA) {

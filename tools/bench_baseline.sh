@@ -1,34 +1,32 @@
 #!/usr/bin/env bash
-# Generate or check the committed kernel-bench baselines (DESIGN.md §6e).
+# Generate or check the committed kernel-bench baseline (DESIGN.md §6e).
 #
-#   tools/bench_baseline.sh                  # full runs -> both baselines
-#   tools/bench_baseline.sh --check          # quick runs, gate vs committed
-#   tools/bench_baseline.sh --check --full   # full runs, gate vs committed
+#   tools/bench_baseline.sh                  # full run -> BENCH_kernels.json
+#   tools/bench_baseline.sh --check          # quick run, gate vs committed
+#   tools/bench_baseline.sh --check --full   # full run, gate vs committed
 #
-# There are two baselines, one per kernel-pool budget: BENCH_kernels.json
-# at 1 thread and BENCH_kernels_t4.json at 4 threads. Each records
-# median-of-N ns/op and speedup-over-naive for every kernel at the paper's
-# shapes, and the budget it ran at. --check gates each baseline at its own
-# recorded budget, comparing speedup RATIOS (not raw ns): it fails on a
-# >25% drop vs the committed values or when an acceptance kernel falls
-# below its floor (gemm_4096x4096x32 and topk_25m >= 3x, packed
-# gemm_tb_4096x4096x32 >= 10x, small-k gemm_tb_recon_r4 >= 5x, small-m
-# gemm_ta_lowrank_r4 >= 10x and gemm_lowrank_r4 >= 4x); that makes the gate
-# portable across machines of different absolute speed. Regenerate (and
-# commit) the baselines whenever a kernel change intentionally shifts the
-# ratios.
+# The baseline file records, for every kernel at the paper's shapes, ns/op
+# and speedup-over-naive from the median of three passes over the case list
+# (each pass median-of-N samples), and the kernel-pool budget it ran at
+# (1 thread). --check measures the same way and compares speedup RATIOS (not
+# raw ns) at that same recorded budget, failing on a >25% drop vs the
+# committed values or when an acceptance kernel falls below its floor
+# (gemm_4096x4096x32 and topk_25m >= 3x, packed gemm_tb_4096x4096x32 >= 10x,
+# small-k gemm_tb_recon_r4 >= 5x, small-m gemm_ta_lowrank_r4 >= 10x and
+# gemm_lowrank_r4 >= 4x); that makes the gate portable across machines of
+# different absolute speed. Regenerate (and commit) the baseline whenever a
+# kernel change intentionally shifts the ratios.
 #
 # Env: BUILD_DIR (default: build). ./ci.sh perf-smoke checks with
-# BUILD_DIR=build-release, so generate the baselines from that tree too.
+# BUILD_DIR=build-release, so generate the baseline from that tree too.
 #
 # Exit status: 0 ok, 1 gate failure, 2 usage/setup error.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${BUILD_DIR:-build}"
+BASELINE="$ROOT/BENCH_kernels.json"
 BIN="$ROOT/$BUILD_DIR/bench/bench_kernels"
-# baseline file : pool budget it is recorded at
-BASELINES=("$ROOT/BENCH_kernels.json:1" "$ROOT/BENCH_kernels_t4.json:4")
 
 CHECK=0
 FULL=0
@@ -50,27 +48,15 @@ if [ ! -x "$BIN" ]; then
 fi
 
 if [ "$CHECK" -eq 1 ]; then
+  if [ ! -f "$BASELINE" ]; then
+    echo "bench_baseline: no committed baseline at $BASELINE — generate one" \
+         "first with tools/bench_baseline.sh" >&2
+    exit 2
+  fi
   MODE=(--quick)
   [ "$FULL" -eq 1 ] && MODE=()
-  status=0
-  for entry in "${BASELINES[@]}"; do
-    baseline="${entry%:*}"
-    if [ ! -f "$baseline" ]; then
-      echo "bench_baseline: no committed baseline at $baseline — generate" \
-           "it first with tools/bench_baseline.sh" >&2
-      exit 2
-    fi
-    echo "bench_baseline: gating $(basename "$baseline")"
-    rc=0
-    "$BIN" "${MODE[@]}" --check="$baseline" || rc=$?
-    # A setup error outranks a gate failure.
-    if [ "$rc" -gt "$status" ]; then status=$rc; fi
-  done
-  exit "$status"
+  exec "$BIN" "${MODE[@]}" --check="$BASELINE"
 fi
 
-for entry in "${BASELINES[@]}"; do
-  baseline="${entry%:*}"
-  "$BIN" --out="$baseline" --threads="${entry##*:}"
-  echo "bench_baseline: baseline written to $baseline — review and commit it."
-done
+"$BIN" --out="$BASELINE" --threads=1
+echo "bench_baseline: baseline written to $BASELINE — review and commit it."
