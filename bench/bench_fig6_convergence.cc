@@ -43,7 +43,7 @@ int main() {
     for (const auto& [name, factory] : methods) {
       comm::Transport transport;
       comm::Session session(transport, "fig6", 4);
-      par::SetNumThreads(par::WorkerThreadBudget(cfg.compute_threads, 4));
+      par::SetNumThreads(par::WorkerThreadBudget(0, 4));
       const core::TrainResult r = core::TrainDistributed(session, cfg, factory);
       table.AddRow({name, metrics::Table::Num(r.final_test_acc, 3),
                     metrics::Table::Num(r.best_test_acc, 3),

@@ -38,7 +38,7 @@ int main() {
     for (const auto& [name, ef, reuse] : variants) {
       comm::Transport transport;
       comm::Session session(transport, "fig7", 4);
-      par::SetNumThreads(par::WorkerThreadBudget(cfg.compute_threads, 4));
+      par::SetNumThreads(par::WorkerThreadBudget(0, 4));
       compress::AcpSgdConfig acp;
       acp.error_feedback = ef;
       acp.reuse = reuse;

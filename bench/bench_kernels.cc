@@ -16,10 +16,13 @@
 // gemm_tb_4096x4096x32 >= 10x — the packed-panel fast path;
 // gemm_tb_recon_r4 >= 5x — the small-k rank-r reconstruction;
 // gemm_ta_lowrank_r4 >= 10x and gemm_lowrank_r4 >= 4x — the small-m
-// rank-r factor products). Speedup ratios — not raw ns — are compared, so
-// the gate is stable across machines of different absolute speed. Speedups
-// do depend on the pool budget, so --check runs at the baseline's recorded
-// "threads" and exits 2 when --threads asks for another.
+// rank-r factor products). It also fails before measuring anything when the
+// baseline holds a case this binary no longer defines, or when an acceptance
+// floor names no case: either would otherwise pass the gate unmeasured.
+// Speedup ratios — not raw ns — are compared, so the gate is stable across
+// machines of different absolute speed. Speedups do depend on the pool
+// budget, so --check runs at the baseline's recorded "threads" and exits 2
+// when --threads asks for another.
 // tools/bench_baseline.sh wraps the generate/check workflow.
 #include <algorithm>
 #include <chrono>
@@ -33,7 +36,6 @@
 #include <vector>
 
 #include "compress/topk.h"
-#include "linalg/orthogonalize.h"
 #include "linalg/qr.h"
 #include "par/thread_pool.h"
 #include "tensor/matrix_ops.h"
@@ -138,11 +140,12 @@ Case GemmTransACase(const std::string& name, bool quick, int64_t n, int64_t k,
           }};
 }
 
-// Textbook serial references for the orthogonalization panels: plain
-// column-at-a-time loops, no blocking, no pool — the definitional cost the
-// packed GEMM chain under ReducedQr / OrthogonalizeGramSchmidt is measured
-// against. Accumulation here is double to keep the reference numerically
-// honest; it is a timing baseline only, never a parity target.
+// Textbook serial reference for the orthogonalization panel: classical
+// Gram-Schmidt, plain column-at-a-time loops, no blocking, no pool.
+// Accumulation here is double to keep the reference numerically honest; it
+// is a timing baseline only, never a parity target. It is not like-for-like:
+// it runs ≈2nr² flops against Householder QR's ≈4nr² (factor plus
+// explicit Q).
 void NaiveGramSchmidt(std::vector<float>& a, int64_t n, int64_t r) {
   for (int64_t j = 0; j < r; ++j) {
     for (int64_t p = 0; p < j; ++p) {
@@ -160,19 +163,15 @@ void NaiveGramSchmidt(std::vector<float>& a, int64_t n, int64_t r) {
 
 // The Power-SGD orthogonalization panel: a 1024×32 tall-skinny factor, the
 // exact shape the packed GEMM family feeds (Power-SGD's P and Q factors).
-Case OrthoPanelCase(const std::string& name, bool quick, bool use_qr,
-                    int64_t n, int64_t r) {
-  return {name, quick, [use_qr, n, r](int reps) {
+Case OrthoPanelCase(const std::string& name, bool quick, int64_t n,
+                    int64_t r) {
+  return {name, quick, [n, r](int reps) {
             const auto src = RandomVec(static_cast<size_t>(n * r), 12);
             return Measure(
                 reps,
                 [&] {
-                  acps::Tensor q = acps::Tensor::FromSpan({n, r}, src);
-                  if (use_qr) {
-                    (void)acps::ReducedQr(q);
-                  } else {
-                    acps::OrthogonalizeGramSchmidt(q);
-                  }
+                  const acps::Tensor q = acps::Tensor::FromSpan({n, r}, src);
+                  (void)acps::ReducedQr(q);
                 },
                 [&] {
                   std::vector<float> a = src;
@@ -217,39 +216,8 @@ std::vector<Case> BuildCases() {
   // The same reconstruction at a ResNet-50 layer4 conv shape (512×4608).
   cases.push_back(GemmTransBCase("gemm_tb_recon_512x4x4608", /*quick=*/false,
                                  512, 4, 4608));
-  // Orthogonalization panels feeding the Power-SGD chain.
-  cases.push_back(
-      OrthoPanelCase("qr_1024x32", /*quick=*/false, /*use_qr=*/true, 1024, 32));
-  cases.push_back(OrthoPanelCase("cgs_1024x32", /*quick=*/false,
-                                 /*use_qr=*/false, 1024, 32));
-
-  cases.push_back({"gemv_4096x1024", false, [](int reps) {
-                     const int64_t n = 4096, m = 1024;
-                     const auto a = RandomVec(static_cast<size_t>(n * m), 5);
-                     const auto x = RandomVec(static_cast<size_t>(m), 6);
-                     std::vector<float> y(static_cast<size_t>(n));
-                     return Measure(
-                         reps, [&] { acps::Gemv(a, x, y, n, m); },
-                         [&] { acps::GemvNaive(a, x, y, n, m); });
-                   }});
-
-  cases.push_back({"transpose_2048x2048", false, [](int reps) {
-                     const acps::Tensor in = acps::Tensor::FromSpan(
-                         {2048, 2048}, RandomVec(2048 * 2048, 7));
-                     return Measure(
-                         reps, [&] { (void)acps::Transpose(in); },
-                         [&] { (void)acps::TransposeNaive(in); });
-                   }});
-
-  // Fused error-feedback update shape: one d = 25M axpy.
-  cases.push_back({"axpy_25m", true, [](int reps) {
-                     const size_t d = 25'000'000;
-                     const auto x = RandomVec(d, 8);
-                     auto y = RandomVec(d, 9);
-                     return Measure(
-                         reps, [&] { acps::Axpy(0.5f, x, y); },
-                         [&] { acps::AxpyNaive(0.5f, x, y); });
-                   }});
+  // The orthogonalization panel feeding the Power-SGD chain.
+  cases.push_back(OrthoPanelCase("qr_1024x32", /*quick=*/false, 1024, 32));
 
   // Sampled top-k threshold selection at the paper's largest model size.
   // Production = full EncodeInto (bit-pattern histogram + gather + pack);
@@ -357,6 +325,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  const std::vector<Case> cases = BuildCases();
+  const auto defined = [&cases](const std::string& name) {
+    return std::any_of(cases.begin(), cases.end(),
+                       [&name](const Case& c) { return c.name == name; });
+  };
   // --check compares speedups, which depend on the pool budget, so it runs
   // at the budget the baseline was recorded with.
   std::map<std::string, CaseResult> baseline;
@@ -379,6 +352,23 @@ int main(int argc, char** argv) {
       return 2;
     }
     threads = baseline_threads;
+    int unmatched = 0;
+    for (const auto& [name, r] : baseline) {
+      if (defined(name)) continue;
+      std::fprintf(stderr,
+                   "bench_kernels: baseline %s holds '%s', which no case "
+                   "defines — regenerate with tools/bench_baseline.sh\n",
+                   check_path.c_str(), name.c_str());
+      ++unmatched;
+    }
+    for (const auto& floor : kAcceptanceFloors) {
+      if (defined(floor.name)) continue;
+      std::fprintf(stderr,
+                   "bench_kernels: acceptance floor '%s' names no case\n",
+                   floor.name);
+      ++unmatched;
+    }
+    if (unmatched > 0) return 1;
   }
   if (threads > 0) acps::par::SetNumThreads(threads);
   const int effective_threads = acps::par::NumThreads();
@@ -388,7 +378,6 @@ int main(int argc, char** argv) {
   // passes sit apart in time, and it reports the pass with the median
   // speedup: one spell of host load moves one pass, not the result.
   std::map<std::string, std::vector<CaseResult>> passes;
-  const std::vector<Case> cases = BuildCases();
   for (int pass = 1; pass <= kPasses; ++pass) {
     for (const auto& c : cases) {
       if (quick && !c.in_quick) continue;

@@ -6,7 +6,6 @@
 #include "compress/powersgd.h"
 #include "compress/sign.h"
 #include "compress/topk.h"
-#include "linalg/orthogonalize.h"
 #include "linalg/qr.h"
 #include "tensor/rng.h"
 
@@ -67,18 +66,6 @@ void BM_ReducedQr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReducedQr)->Args({512, 4})->Args({2048, 4})->Args({512, 32});
-
-void BM_GramSchmidt(benchmark::State& state) {
-  Rng rng(7);
-  Tensor base({state.range(0), state.range(1)});
-  rng.fill_normal(base);
-  for (auto _ : state) {
-    Tensor a = base.clone();
-    OrthogonalizeGramSchmidt(a);
-    benchmark::DoNotOptimize(a.data().data());
-  }
-}
-BENCHMARK(BM_GramSchmidt)->Args({512, 4})->Args({512, 32});
 
 void BM_PowerSgdStep(benchmark::State& state) {
   Rng rng(9);

@@ -72,8 +72,8 @@ struct OracleReport {
     const OracleOptions& opt);
 
 // Determinism oracle for the acps::par compute kernels (DESIGN.md §6e):
-// every kernel (GEMM family, Gemv, Axpy, Transpose, tensor reductions, sign
-// and sampled-top-k encodes) must produce BITWISE identical results at
+// every kernel (GEMM family, Scal, tensor reductions, sign and sampled-top-k
+// encodes) must produce BITWISE identical results at
 // thread counts 1, 2, 4 and 8, and the GEMM family must additionally match
 // its single-threaded naive reference bit-for-bit. Restores the previous
 // thread budget before returning.

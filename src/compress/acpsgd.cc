@@ -5,15 +5,8 @@
 namespace acps::compress {
 
 std::string AcpSgdConfig::Validate() const {
-  std::string err;
-  const auto add = [&err](const std::string& msg) {
-    if (!err.empty()) err += "; ";
-    err += msg;
-  };
-  if (rank < 1) add("rank must be >= 1, got " + std::to_string(rank));
-  if (ortho != OrthoScheme::kQr && ortho != OrthoScheme::kGramSchmidt)
-    add("unknown orthogonalization scheme");
-  return err;
+  if (rank < 1) return "rank must be >= 1, got " + std::to_string(rank);
+  return "";
 }
 
 AcpSgd::AcpSgd(AcpSgdConfig config) : config_(config) {
@@ -71,14 +64,14 @@ std::span<float> AcpSgd::LocalStep(int64_t tensor_id, const Tensor& m) {
   const bool p_step = (t % 2 == 1);
   Tensor& fixed = p_step ? st.q : st.p;  // the factor we orthogonalize
   if (config_.reuse) {
-    Orthogonalize(fixed, config_.ortho);
+    Orthogonalize(fixed);
   } else {
     // Ablation: discard the carried factor, draw a fresh random basis
     // (deterministic in (seed, tensor, step) so all workers agree).
     Rng rng = Rng(config_.seed ^ 0xFEEDull)
                   .split(static_cast<uint64_t>(tensor_id) * 1315423911ull + t);
     rng.fill_normal(fixed);
-    Orthogonalize(fixed, config_.ortho);
+    Orthogonalize(fixed);
   }
 
   if (p_step) {

@@ -39,7 +39,7 @@
 #include <unordered_map>
 
 #include "compress/powersgd.h"  // AllReduceMeanFn, EffectiveRank, ...
-#include "linalg/orthogonalize.h"
+#include "linalg/qr.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 
@@ -47,7 +47,6 @@ namespace acps::compress {
 
 struct AcpSgdConfig {
   int64_t rank = 4;
-  OrthoScheme ortho = OrthoScheme::kQr;
   bool error_feedback = true;  // Fig. 7 ablation: "w/o EF"
   bool reuse = true;           // Fig. 7 ablation: "w/o reuse"
   uint64_t seed = 0xAC9ull;    // must be identical on all workers

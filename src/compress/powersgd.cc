@@ -115,7 +115,7 @@ void PowerSgd::Step(int64_t tensor_id, Tensor& m,
   // here *blocks* the Q computation below — Algorithm 1's structure.
   Tensor p = MatMul(m, st.q);
   allreduce(p.data());
-  Orthogonalize(p, config_.ortho);
+  Orthogonalize(p);
 
   // Compute Q = (M+E)ᵀ·P, aggregate.
   GemmTransA(m.data(), p.data(), st.q.data(), mm, n, r);

@@ -20,7 +20,7 @@
 #include <functional>
 #include <unordered_map>
 
-#include "linalg/orthogonalize.h"
+#include "linalg/qr.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 
@@ -31,7 +31,6 @@ using AllReduceMeanFn = std::function<void(std::span<float>)>;
 
 struct PowerSgdConfig {
   int64_t rank = 4;
-  OrthoScheme ortho = OrthoScheme::kQr;  // paper uses reduced QR
   bool error_feedback = true;
   uint64_t seed = 0xB0B5ull;  // must be identical on all workers
 };

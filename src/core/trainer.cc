@@ -13,7 +13,6 @@
 #include "obs/tracer.h"
 #include "par/kernel_stats.h"
 #include "par/lock_level.h"
-#include "par/thread_pool.h"
 
 namespace acps::core {
 
@@ -56,18 +55,17 @@ std::string TrainConfig::Validate(int world_size) const {
   if (!std::isfinite(weight_decay) || weight_decay < 0.0f)
     add("weight_decay must be finite and >= 0, got " +
         std::to_string(weight_decay));
-  if (compute_threads < 0 || compute_threads > par::kMaxThreads)
-    add("compute_threads must be in [0, " + std::to_string(par::kMaxThreads) +
-        "], got " + std::to_string(compute_threads));
   return err;
 }
 
-namespace {
-
-// Shared training body. Validation and pool sizing happen in the public
-// overloads; this runs the replicas on whichever session it is handed.
-TrainResult TrainImpl(comm::Session& session, const TrainConfig& config,
-                      const AggregatorFactory& factory) {
+TrainResult TrainDistributed(comm::Session& session, const TrainConfig& config,
+                             const AggregatorFactory& factory) {
+  const std::string err = config.Validate(session.world_size());
+  ACPS_CHECK_MSG(err.empty(), "invalid TrainConfig for job '"
+                                  << session.job_id() << "': " << err);
+  // Never resize the shared pool: tenants donate their own worker threads
+  // via the pool's inline fallback instead (DESIGN.md §7), which keeps
+  // results bitwise independent of the tenant count.
   TrainResult result;
   ACPS_LOCK_LEVEL(95) result_mu;
 
@@ -194,19 +192,6 @@ TrainResult TrainImpl(comm::Session& session, const TrainConfig& config,
       result.best_test_acc = std::max(result.best_test_acc, s.test_acc);
   }
   return result;
-}
-
-}  // namespace
-
-TrainResult TrainDistributed(comm::Session& session, const TrainConfig& config,
-                             const AggregatorFactory& factory) {
-  const std::string err = config.Validate(session.world_size());
-  ACPS_CHECK_MSG(err.empty(), "invalid TrainConfig for job '"
-                                  << session.job_id() << "': " << err);
-  // Multi-tenant path: never resize the shared pool — tenants donate their
-  // own worker threads via the pool's inline fallback instead (DESIGN.md
-  // §7), which keeps results bitwise independent of the tenant count.
-  return TrainImpl(session, config, factory);
 }
 
 }  // namespace acps::core

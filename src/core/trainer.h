@@ -31,12 +31,6 @@ struct TrainConfig {
   float weight_decay = 0.0f;
   uint64_t model_seed = 42;
   uint64_t shuffle_seed = 7;
-  // Compute-thread budget for the kernel pool (acps::par). TrainDistributed
-  // itself never resizes the shared pool (DESIGN.md §7); single-tenant
-  // drivers apply this via par::SetNumThreads(par::WorkerThreadBudget(...))
-  // before running so pool + session workers never oversubscribe the
-  // machine. Kernels are bitwise deterministic for any value (§6e).
-  int compute_threads = 0;
   // Optional metrics sink (not owned; may be null). When set and enabled,
   // the trainer records step_us / epoch_us histograms and a steps counter.
   // Span tracing is configured separately, on the Transport's Tracer.

@@ -111,6 +111,12 @@ QrResult ReducedQr(const Tensor& a) {
   return QrResult{std::move(q), std::move(rmat)};
 }
 
+void Orthogonalize(Tensor& a) {
+  ACPS_CHECK_MSG(a.ndim() == 2 && a.rows() >= a.cols(),
+                 "Orthogonalize needs n >= r, got " << ShapeToString(a.shape()));
+  a = ReducedQr(a).q;
+}
+
 float OrthonormalityError(const Tensor& q) {
   ACPS_CHECK(q.ndim() == 2);
   const Tensor gram = MatMulTA(q, q);

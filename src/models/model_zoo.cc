@@ -66,8 +66,6 @@ ModelSpec ByName(const std::string& name) {
   if (name == "vgg16") return Vgg16();
   if (name == "bert-base") return BertBase();
   if (name == "bert-large") return BertLarge();
-  if (name == "gpt2-small") return Gpt2Small();
-  if (name == "gpt2-medium") return Gpt2Medium();
   ACPS_FAIL_MSG("unknown model '" << name << "'");
 }
 

@@ -24,10 +24,6 @@ namespace acps::models {
 [[nodiscard]] ModelSpec BertBase(int seq_len = 64);
 [[nodiscard]] ModelSpec BertLarge(int seq_len = 64);
 
-// GPT-2 decoder family (zoo breadth beyond the paper; ~124M / ~350M).
-[[nodiscard]] ModelSpec Gpt2Small(int seq_len = 512);
-[[nodiscard]] ModelSpec Gpt2Medium(int seq_len = 512);
-
 // Lookup by the names used throughout benches: "resnet50", "resnet152",
 // "bert-base", "bert-large", "vgg16", "resnet18". Throws on unknown name.
 [[nodiscard]] ModelSpec ByName(const std::string& name);

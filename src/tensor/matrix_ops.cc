@@ -835,63 +835,6 @@ Tensor MatMulTB(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor Transpose(const Tensor& in) {
-  ACPS_CHECK_MSG(in.ndim() == 2, "Transpose needs a matrix");
-  const int64_t r = in.rows(), c = in.cols();
-  Tensor out({c, r});
-  par::KernelTimer timer("transpose", 0,
-                         2ull * static_cast<uint64_t>(r) *
-                             static_cast<uint64_t>(c) * sizeof(float));
-  // 64×64 blocks: both the input rows and the output rows of a block stay
-  // cache-resident. Pure data movement — any partition is exact.
-  constexpr int64_t kBlk = 64;
-  const float* src = in.data().data();
-  float* dst = out.data().data();
-  const int64_t row_grain = std::max<int64_t>(
-      kBlk, par::kDefaultGrain / std::max<int64_t>(1, c));
-  par::ParallelFor(row_grain, r, [&](int64_t begin, int64_t end) {
-    for (int64_t ib = begin; ib < end; ib += kBlk) {
-      const int64_t ie = std::min(ib + kBlk, end);
-      for (int64_t jb = 0; jb < c; jb += kBlk) {
-        const int64_t je = std::min(jb + kBlk, c);
-        for (int64_t i = ib; i < ie; ++i)
-          for (int64_t j = jb; j < je; ++j) dst[j * r + i] = src[i * c + j];
-      }
-    }
-  });
-  return out;
-}
-
-void Gemv(std::span<const float> a, std::span<const float> x,
-          std::span<float> y, int64_t n, int64_t m) {
-  ACPS_CHECK_MSG(static_cast<int64_t>(a.size()) == n * m &&
-                     static_cast<int64_t>(x.size()) == m &&
-                     static_cast<int64_t>(y.size()) == n,
-                 "Gemv size mismatch");
-  par::KernelTimer timer("gemv",
-                         2ull * static_cast<uint64_t>(n) *
-                             static_cast<uint64_t>(m),
-                         static_cast<uint64_t>(n * m + m + n) * sizeof(float));
-  const int64_t grain =
-      std::max<int64_t>(1, par::kDefaultGrain / std::max<int64_t>(1, m));
-  par::ParallelFor(grain, n, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i)
-      y[i] = Dot8(a.data() + i * m, x.data(), m);
-  });
-}
-
-void Axpy(float alpha, std::span<const float> x, std::span<float> y) {
-  ACPS_CHECK_MSG(x.size() == y.size(), "Axpy size mismatch");
-  const int64_t n = static_cast<int64_t>(x.size());
-  par::KernelTimer timer("axpy", 2ull * static_cast<uint64_t>(n),
-                         3ull * static_cast<uint64_t>(n) * sizeof(float));
-  par::ParallelFor(par::kDefaultGrain, n, [&](int64_t begin, int64_t end) {
-    const float* __restrict__ xs = x.data();
-    float* __restrict__ ys = y.data();
-    for (int64_t i = begin; i < end; ++i) ys[i] += alpha * xs[i];
-  });
-}
-
 void Scal(float alpha, std::span<float> x) {
   const int64_t n = static_cast<int64_t>(x.size());
   par::KernelTimer timer("scal", static_cast<uint64_t>(n),
@@ -969,36 +912,6 @@ void GemmTransBNaive(std::span<const float> a, std::span<const float> b,
       }
     }
   }
-}
-
-Tensor TransposeNaive(const Tensor& in) {
-  ACPS_CHECK_MSG(in.ndim() == 2, "Transpose needs a matrix");
-  const int64_t r = in.rows(), c = in.cols();
-  Tensor out({c, r});
-  for (int64_t i = 0; i < r; ++i)
-    for (int64_t j = 0; j < c; ++j) out.at(j, i) = in.at(i, j);
-  return out;
-}
-
-void GemvNaive(std::span<const float> a, std::span<const float> x,
-               std::span<float> y, int64_t n, int64_t m) {
-  ACPS_CHECK_MSG(static_cast<int64_t>(a.size()) == n * m &&
-                     static_cast<int64_t>(x.size()) == m &&
-                     static_cast<int64_t>(y.size()) == n,
-                 "Gemv size mismatch");
-  for (int64_t i = 0; i < n; ++i) {
-    const float* ai = a.data() + i * m;
-    float lane[8] = {};
-    for (int64_t j = 0; j < m; ++j) lane[j % 8] += ai[j] * x[j];
-    const float s0 = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-    const float s1 = (lane[4] + lane[5]) + (lane[6] + lane[7]);
-    y[i] = s0 + s1;
-  }
-}
-
-void AxpyNaive(float alpha, std::span<const float> x, std::span<float> y) {
-  ACPS_CHECK_MSG(x.size() == y.size(), "Axpy size mismatch");
-  for (size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
 }  // namespace acps

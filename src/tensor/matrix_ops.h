@@ -28,7 +28,7 @@
 //    (Gemm copies its row tile k-major first, alpha folded — the same single
 //    multiply); this is bitwise safe because each element's chain above is
 //    untouched, only computed beside other rows instead of other columns.
-//  * dot-form kernels (GemmTransB, Gemv) accumulate a_ik * b_jk into 8
+//  * the dot-form kernel (GemmTransB) accumulates a_ik * b_jk into 8
 //    fixed interleaved fp32 lanes (lane l takes k ≡ l mod 8), combine the
 //    lanes in a fixed pairwise tree, and apply alpha once to the combined
 //    dot product. For 1 <= k <= 8 (the rank-r reconstruction P·Qᵀ)
@@ -86,16 +86,6 @@ void GemmTransB(std::span<const float> a, std::span<const float> b,
 [[nodiscard]] Tensor MatMulTA(const Tensor& a, const Tensor& b);    // Aᵀ·B
 [[nodiscard]] Tensor MatMulTB(const Tensor& a, const Tensor& b);    // A·Bᵀ
 
-// out[r×c] = inᵀ where in is [c×r].
-[[nodiscard]] Tensor Transpose(const Tensor& in);
-
-// y[n] = A[n×m]·x[m]  (row-major).
-void Gemv(std::span<const float> a, std::span<const float> x,
-          std::span<float> y, int64_t n, int64_t m);
-
-// y += alpha * x (sizes must match).
-void Axpy(float alpha, std::span<const float> x, std::span<float> y);
-
 // x *= alpha.
 void Scal(float alpha, std::span<float> x);
 
@@ -115,9 +105,5 @@ void GemmTransANaive(std::span<const float> a, std::span<const float> b,
 void GemmTransBNaive(std::span<const float> a, std::span<const float> b,
                      std::span<float> c, int64_t n, int64_t k, int64_t m,
                      float alpha = 1.0f, float beta = 0.0f);
-[[nodiscard]] Tensor TransposeNaive(const Tensor& in);
-void GemvNaive(std::span<const float> a, std::span<const float> x,
-               std::span<float> y, int64_t n, int64_t m);
-void AxpyNaive(float alpha, std::span<const float> x, std::span<float> y);
 
 }  // namespace acps

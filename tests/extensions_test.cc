@@ -1,35 +1,12 @@
-// Tests for the extension modules: hierarchical topology cost model,
-// buffer auto-tuning, trace export, CSV output.
+// Tests for the extension modules: buffer auto-tuning and trace export.
 #include <gtest/gtest.h>
 
-#include "comm/topology.h"
 #include "models/model_zoo.h"
 #include "sim/buffer_tuner.h"
 #include "sim/trace_export.h"
 
 namespace acps {
 namespace {
-
-TEST(TopologyModel, HierarchicalBeatsFlatForLargePayloads) {
-  // With 4 GPUs sharing one slow NIC per node, the two-level algorithm
-  // moves 1/4 the bytes over the bottleneck.
-  comm::HierarchicalCostModel model(comm::ClusterTopology::Paper32());
-  EXPECT_GT(model.Speedup(100e6), 2.0);
-  EXPECT_LT(model.Speedup(100e6), 4.5);
-}
-
-TEST(TopologyModel, TinyPayloadSpeedupComesFromFewerSlowHops) {
-  // For latency-bound payloads the two-level scheme crosses the slow
-  // network with a ring of `nodes` members instead of `nodes*gpus`:
-  // speedup ≈ (p-1)/(nodes-1) = 31/7 ≈ 4.4 on the paper topology.
-  comm::HierarchicalCostModel model(comm::ClusterTopology::Paper32());
-  EXPECT_GT(model.Speedup(1024), 3.0);
-  EXPECT_LT(model.Speedup(1024), 31.0 / 7.0 + 0.5);
-}
-
-TEST(TopologyModel, WorldSize) {
-  EXPECT_EQ(comm::ClusterTopology::Paper32().world_size(), 32);
-}
 
 // ------------------------------------------------------- buffer tuning ----
 

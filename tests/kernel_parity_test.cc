@@ -332,27 +332,6 @@ TEST(KernelParity, SmallMSaxpyMatchesNaiveBitwise) {
   }
 }
 
-TEST(KernelParity, GemvAxpyTransposeMatchNaiveBitwise) {
-  ThreadGuard guard;
-  par::SetNumThreads(1);
-  const int64_t n = 321, m = 143;
-  const auto a = RandomVec(static_cast<size_t>(n * m), 21);
-  const auto x = RandomVec(static_cast<size_t>(m), 22);
-  std::vector<float> y1(static_cast<size_t>(n)), y2(static_cast<size_t>(n));
-  Gemv(a, x, y1, n, m);
-  GemvNaive(a, x, y2, n, m);
-  EXPECT_TRUE(BitsEqual(y1, y2));
-
-  auto z1 = RandomVec(static_cast<size_t>(n * m), 23);
-  auto z2 = z1;
-  Axpy(-1.75f, a, z1);
-  AxpyNaive(-1.75f, a, z2);
-  EXPECT_TRUE(BitsEqual(z1, z2));
-
-  const Tensor mat = Tensor::FromSpan({n, m}, a);
-  EXPECT_TRUE(BitsEqual(Transpose(mat).data(), TransposeNaive(mat).data()));
-}
-
 TEST(KernelParity, AllKernelsThreadCountInvariant) {
   // n spans several grain blocks so 2/4/8 threads genuinely partition work.
   ThreadGuard guard;

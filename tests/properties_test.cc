@@ -8,7 +8,7 @@
 #include "comm/communicator.h"
 #include "compress/acpsgd.h"
 #include "compress/powersgd.h"
-#include "linalg/orthogonalize.h"
+#include "linalg/qr.h"
 #include "models/model_zoo.h"
 #include "sim/pipeline.h"
 #include "tensor/matrix_ops.h"
@@ -180,7 +180,7 @@ TEST(Properties, GemmLinearity) {
 
 TEST(Properties, ModelZooFootprintsConsistent) {
   // P+Q+dense element counts must account for every parameter's wire form.
-  for (const char* name : {"resnet50", "bert-base", "gpt2-small"}) {
+  for (const char* name : {"resnet50", "bert-base"}) {
     const auto model = models::ByName(name);
     for (int64_t rank : {4, 32}) {
       const auto fp = model.FootprintAtRank(rank);
