@@ -28,7 +28,7 @@ inline void Note(const std::string& text) {
   std::printf("%s\n", text.c_str());
 }
 
-// Runs the compressor invariant oracles (check/oracles.h) for `spec` the
+// Runs the codec invariant oracles (check/oracles.h) for `spec` the
 // first time a bench touches it; later calls for the same spec are free.
 // A bench must never publish numbers produced by a compressor that breaks
 // its own contract, so a red oracle aborts the binary with the full report.
@@ -52,18 +52,16 @@ inline void OracleGate(const std::string& spec) {
               report.checks_run);
 }
 
-// Registry spec backing a simulated method's element-wise compressor, or ""
-// for methods with none: kSSGD is dense, and the low-rank pair (Power-SGD,
-// ACP-SGD) is matrix-factorization verified by lowrank_test / check_test
-// rather than the element-wise registry oracles. Top-k SGD gates the
-// sampled-threshold selection the paper's method and
-// MakeAggregatorFactory("topk") use, not exact selection.
+// Codec spec (core::MakeCodec) backing a simulated method's element-wise
+// compressor, or "" for methods with none: kSSGD is dense, and the
+// low-rank pair (Power-SGD, ACP-SGD) is matrix-factorization verified by
+// lowrank_test / check_test rather than the codec oracles.
 inline std::string MethodOracleSpec(sim::Method method) {
   switch (method) {
     case sim::Method::kSignSGD:
       return "sign";
     case sim::Method::kTopkSGD:
-      return "topk-sampled:0.001";
+      return "topk:0.001";
     default:
       return "";
   }

@@ -170,8 +170,8 @@ Case OrthoPanelCase(const std::string& name, bool quick, int64_t n,
             return Measure(
                 reps,
                 [&] {
-                  const acps::Tensor q = acps::Tensor::FromSpan({n, r}, src);
-                  (void)acps::ReducedQr(q);
+                  acps::Tensor q = acps::Tensor::FromSpan({n, r}, src);
+                  acps::Orthogonalize(q);
                 },
                 [&] {
                   std::vector<float> a = src;
@@ -228,13 +228,15 @@ std::vector<Case> BuildCases() {
                      const size_t d = 25'000'000;
                      const double ratio = 0.001;
                      const auto g = RandomVec(d, 10);
-                     acps::compress::TopkCompressor topk(
-                         ratio, acps::compress::TopkSelection::kSampledThreshold);
+                     acps::compress::TopkCompressor topk(ratio);
                      std::vector<std::byte> blob(topk.EncodedBytes(d));
                      const size_t k = topk.KeptCount(d);
                      return Measure(
                          reps, [&] { topk.EncodeInto(g, blob); },
-                         [&] { (void)topk.SelectExact(g, k); });
+                         [&] {
+                           (void)acps::compress::TopkCompressor::SelectExact(
+                               g, k);
+                         });
                    }});
   return cases;
 }

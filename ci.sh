@@ -31,8 +31,10 @@ cd "$(dirname "$0")"
 
 # Merge-time combined line coverage of src/comm + src/compress (see
 # tools/coverage_report.sh). Measured 95.7% at the introduction of the
-# coverage gate and 97.0% once the unused compressors were deleted; raise
-# when coverage improves, never lower to paper over a drop.
+# coverage gate, 97.0% once the unused compressors were deleted, and 97.1%
+# (1385/1427 lines) once the compressor registry and the id-keyed
+# error-feedback store were deleted; raise when coverage improves, never
+# lower to paper over a drop.
 ACPS_COV_MIN_COMM_COMPRESS=96.5
 # Line-coverage floor for the deterministic parallel layer (src/par): the
 # pool is the substrate every kernel trusts, so its machinery stays >= 90%.

@@ -51,8 +51,6 @@ int main() {
   std::vector<std::unique_ptr<compress::Compressor>> compressors;
   compressors.push_back(std::make_unique<compress::SignCompressor>());
   compressors.push_back(std::make_unique<compress::TopkCompressor>(0.01));
-  compressors.push_back(std::make_unique<compress::TopkCompressor>(
-      0.001, compress::TopkSelection::kSampledThreshold));
   compressors.push_back(std::make_unique<compress::RandomkCompressor>(0.01));
   std::vector<float> out(numel);
   for (const auto& c : compressors) {

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iomanip>
 #include <sstream>
 
 #include "comm/communicator.h"
 #include "compress/error_feedback.h"
-#include "compress/registry.h"
 #include "compress/sign.h"
 #include "compress/topk.h"
+#include "core/grad_reducer.h"
 #include "par/thread_pool.h"
 #include "tensor/matrix_ops.h"
 #include "tensor/rng.h"
@@ -34,6 +35,17 @@ float MaxAbs(std::span<const float> v) {
   return m;
 }
 
+// `spec`'s codec, driven through the compressor interface.
+struct OracleCodec {
+  core::GradReducer::Codec codec;
+
+  explicit OracleCodec(const std::string& spec) : codec(core::MakeCodec(spec)) {}
+  compress::Compressor* operator->() {
+    return std::visit([](auto& c) -> compress::Compressor* { return &c; },
+                      codec);
+  }
+};
+
 std::string BaseName(const std::string& spec) {
   const size_t colon = spec.find(':');
   return colon == std::string::npos ? spec : spec.substr(0, colon);
@@ -52,8 +64,8 @@ void CheckEncodeIntoParity(const std::string& spec, int64_t numel,
   // Two fresh instances: stateful encoders (RNG streams, step counters)
   // advance per call, so comparing two encodes of ONE instance would test
   // the wrong thing.
-  auto via_encode = compress::MakeCompressor(spec);
-  auto via_into = compress::MakeCompressor(spec);
+  OracleCodec via_encode(spec);
+  OracleCodec via_into(spec);
   const auto g = GradData(opt.seed, numel, /*rank=*/0, /*step=*/0);
   const auto blob = via_encode->Encode(g);
   std::vector<std::byte> into(via_into->EncodedBytes(g.size()));
@@ -72,7 +84,7 @@ void CheckEncodeIntoParity(const std::string& spec, int64_t numel,
 // --- Oracle 2: Decode is a pure function of the blob. ----------------------
 void CheckDecodeDeterminism(const std::string& spec, int64_t numel,
                             const OracleOptions& opt, OracleReport& report) {
-  auto encoder = compress::MakeCompressor(spec);
+  OracleCodec encoder(spec);
   const auto g = GradData(opt.seed, numel, 0, 1);
   const auto blob = encoder->Encode(g);
   std::vector<float> d1(g.size());
@@ -80,7 +92,7 @@ void CheckDecodeDeterminism(const std::string& spec, int64_t numel,
   std::vector<float> d3(g.size());
   encoder->Decode(blob, d1);
   encoder->Decode(blob, d2);
-  compress::MakeCompressor(spec)->Decode(blob, d3);
+  OracleCodec(spec)->Decode(blob, d3);
   ++report.checks_run;
   if (std::memcmp(d1.data(), d2.data(), d1.size() * sizeof(float)) != 0 ||
       std::memcmp(d1.data(), d3.data(), d1.size() * sizeof(float)) != 0) {
@@ -92,28 +104,25 @@ void CheckDecodeDeterminism(const std::string& spec, int64_t numel,
 // --- Oracle 3: EF residual + decoded gradient conserves the input. ---------
 void CheckEfConservation(const std::string& spec, int64_t numel,
                          const OracleOptions& opt, OracleReport& report) {
-  auto compressor = compress::MakeCompressor(spec);
+  OracleCodec compressor(spec);
   compress::ErrorFeedback ef;
-  const int64_t id = 7;
-  const Shape shape({numel});
+  const auto n = static_cast<size_t>(numel);
   const double tol = EfTolerance(spec);
+  std::vector<float> recon(n);
   for (int step = 0; step < 3; ++step) {
-    Tensor grad = Tensor::FromSpan(shape, GradData(opt.seed, numel, 0, step));
-    ef.AddInto(id, grad);  // grad is now the compressor input
-    const auto blob = compressor->Encode(grad.data());
-    Tensor recon(shape);
-    compressor->Decode(blob, recon.data());
-    ef.Update(id, grad, recon);
-    const Tensor& residual = ef.residual(id, shape);
-    const float scale =
-        1.0f + MaxAbs(grad.data()) + MaxAbs(recon.data());
+    std::vector<float> grad = GradData(opt.seed, numel, 0, step);
+    ef.AddInto(grad);  // grad is now the compressor input
+    const auto blob = compressor->Encode(grad);
+    compressor->Decode(blob, recon);
+    ef.Update(grad, recon);
+    const std::span<const float> residual = ef.residual(n);
+    const float scale = 1.0f + MaxAbs(grad) + MaxAbs(recon);
     const double bound = tol * static_cast<double>(scale);
     ++report.checks_run;
-    for (int64_t i = 0; i < numel; ++i) {
+    for (size_t i = 0; i < n; ++i) {
       const double recovered =
-          static_cast<double>(residual.data()[static_cast<size_t>(i)]) +
-          static_cast<double>(recon.data()[static_cast<size_t>(i)]);
-      const double want = static_cast<double>(grad.data()[static_cast<size_t>(i)]);
+          static_cast<double>(residual[i]) + static_cast<double>(recon[i]);
+      const double want = static_cast<double>(grad[i]);
       if (std::abs(recovered - want) > bound) {
         std::ostringstream oss;
         oss << "step " << step << " element " << i << ": residual+decoded = "
@@ -126,37 +135,26 @@ void CheckEfConservation(const std::string& spec, int64_t numel,
   }
 }
 
-// --- Oracle 4: compressed all-reduce is bitwise rank-invariant. ------------
+// --- Oracle 4: the codec's aggregation is bitwise rank-invariant. --------
 //
-// The generic compressed aggregation path: every rank encodes its own
-// gradient, blobs travel a ring all-gather, every rank decodes all p blobs
-// and averages them in rank order. Inputs, the encode, and the fixed-order
-// average are deterministic, so every rank must end bit-identical to a
-// single-threaded reference — no matter how the schedule explorer perturbs
-// the ring.
+// Every rank runs the production path, GradReducer(codec).Aggregate, over
+// one gradient of `numel` elements for kSteps steps on a real session:
+// error feedback, encode, then Sign's majority vote, Top-k's all-gather and
+// scatter-add, or Random-k's additive all-reduce. The gradients are seeded
+// per (rank, step) and every one of these aggregations is fixed-order, so
+// after each step every rank must hold the same bits, and every run under
+// the schedule explorer's perturbation must reproduce the unperturbed run.
 void CheckRankInvariance(const std::string& spec, int64_t numel,
                          const OracleOptions& opt, OracleReport& report) {
+  constexpr int kSteps = 2;
   const int p = opt.world_size;
+  const auto n = static_cast<size_t>(numel);
 
-  // Single-threaded reference.
-  std::vector<float> reference(static_cast<size_t>(numel), 0.0f);
-  {
-    std::vector<float> decoded(static_cast<size_t>(numel));
-    for (int r = 0; r < p; ++r) {
-      auto compressor = compress::MakeCompressor(spec);
-      const auto g = GradData(opt.seed, numel, r, 0);
-      const auto blob = compressor->Encode(g);
-      compressor->Decode(blob, decoded);
-      for (int64_t i = 0; i < numel; ++i)
-        reference[static_cast<size_t>(i)] += decoded[static_cast<size_t>(i)];
-    }
-    const float inv = 1.0f / static_cast<float>(p);
-    for (float& v : reference) v *= inv;
-  }
-
-  const auto run_once = [&](ScheduleController* controller,
-                            uint64_t seed) -> bool {
-    std::vector<std::vector<float>> results(static_cast<size_t>(p));
+  // Per rank: the aggregated gradient after each step, concatenated.
+  using Outputs = std::vector<std::vector<float>>;
+  const auto run_once = [&](ScheduleController* controller, uint64_t seed,
+                            Outputs& outputs) -> bool {
+    outputs.assign(static_cast<size_t>(p), {});
     std::string error;
     {
       comm::Transport transport;
@@ -166,26 +164,17 @@ void CheckRankInvariance(const std::string& spec, int64_t numel,
       try {
         group.Run([&](comm::Communicator& comm) {
           const int r = comm.rank();
-          auto compressor = compress::MakeCompressor(spec);
-          const auto g = GradData(opt.seed, numel, r, 0);
-          std::vector<std::byte> blob(compressor->EncodedBytes(g.size()));
-          compressor->EncodeInto(g, blob);
-          std::vector<std::byte> gathered(blob.size() *
-                                          static_cast<size_t>(p));
-          comm.all_gather_bytes(blob, gathered);
-          std::vector<float> acc(static_cast<size_t>(numel), 0.0f);
-          std::vector<float> decoded(static_cast<size_t>(numel));
-          for (int s = 0; s < p; ++s) {
-            compressor->Decode(
-                std::span<const std::byte>(gathered)
-                    .subspan(static_cast<size_t>(s) * blob.size(), blob.size()),
-                decoded);
-            for (int64_t i = 0; i < numel; ++i)
-              acc[static_cast<size_t>(i)] += decoded[static_cast<size_t>(i)];
+          core::GradReducer reducer(core::MakeCodec(spec));
+          dnn::Param param;
+          param.grad = Tensor({numel});
+          auto& out = outputs[static_cast<size_t>(r)];
+          for (int step = 0; step < kSteps; ++step) {
+            const auto g = GradData(opt.seed, numel, r, step);
+            std::copy(g.begin(), g.end(), param.grad.data().begin());
+            reducer.Aggregate({&param}, comm);
+            out.insert(out.end(), param.grad.data().begin(),
+                       param.grad.data().end());
           }
-          const float inv = 1.0f / static_cast<float>(p);
-          for (float& v : acc) v *= inv;
-          results[static_cast<size_t>(r)] = std::move(acc);
         });
       } catch (const std::exception& e) {
         error = e.what();
@@ -194,29 +183,35 @@ void CheckRankInvariance(const std::string& spec, int64_t numel,
     ++report.checks_run;
     if (!error.empty()) {
       AddFailure(report, spec, "rank-invariance", numel, seed,
-                 "compressed all-reduce threw: " + error);
+                 "GradReducer aggregate threw: " + error);
       return false;
-    }
-    for (int r = 0; r < p; ++r) {
-      const auto& got = results[static_cast<size_t>(r)];
-      if (std::memcmp(got.data(), reference.data(),
-                      reference.size() * sizeof(float)) != 0) {
-        int64_t i = 0;
-        while (i < numel &&
-               got[static_cast<size_t>(i)] == reference[static_cast<size_t>(i)])
-          ++i;
-        std::ostringstream oss;
-        oss << "rank " << r << " diverged from reference at element " << i
-            << " (got " << got[static_cast<size_t>(i)] << ", want "
-            << reference[static_cast<size_t>(i)] << ")";
-        AddFailure(report, spec, "rank-invariance", numel, seed, oss.str());
-        return false;
-      }
     }
     return true;
   };
 
-  if (!run_once(nullptr, 0)) return;  // clean run first
+  // Every rank of `got` against rank 0 of the unperturbed run.
+  Outputs reference;
+  const auto matches = [&](const Outputs& got, uint64_t seed) -> bool {
+    const std::vector<float>& want = reference.front();
+    for (int r = 0; r < p; ++r) {
+      const auto& v = got[static_cast<size_t>(r)];
+      if (std::memcmp(v.data(), want.data(), want.size() * sizeof(float)) ==
+          0)
+        continue;
+      size_t i = 0;
+      while (std::memcmp(&v[i], &want[i], sizeof(float)) == 0) ++i;
+      std::ostringstream oss;
+      oss << std::setprecision(9) << "rank " << r << " step " << i / n
+          << " element " << i % n << ": got " << v[i]
+          << ", unperturbed rank 0 has " << want[i];
+      AddFailure(report, spec, "rank-invariance", numel, seed, oss.str());
+      return false;
+    }
+    return true;
+  };
+
+  if (!run_once(nullptr, 0, reference) || !matches(reference, 0)) return;
+  Outputs perturbed;
   for (int i = 0; i < opt.perturbed_runs; ++i) {
     const uint64_t seed = opt.seed + 1 + static_cast<uint64_t>(i);
     ScheduleConfig cfg;
@@ -224,7 +219,8 @@ void CheckRankInvariance(const std::string& spec, int64_t numel,
     cfg.world_size = p;
     cfg.perturb_prob = opt.perturb_prob;
     ScheduleController controller(cfg);
-    if (!run_once(&controller, seed)) return;
+    if (!run_once(&controller, seed, perturbed) || !matches(perturbed, seed))
+      return;
   }
 }
 
@@ -255,7 +251,7 @@ double EfTolerance(const std::string& spec) {
   // to ‖g‖, where the fp32 residual arithmetic rounds; its tolerance is a
   // small multiple of machine epsilon on the (1 + max|g| + max|recon|) scale.
   const std::string name = BaseName(spec);
-  if (name == "topk" || name == "topk-sampled" || name == "randomk") {
+  if (name == "topk" || name == "randomk") {
     return 0.0;
   }
   return 1e-6;  // sign
@@ -342,7 +338,7 @@ std::vector<float> RunKernelSuite(uint64_t seed) {
   sign.Decode(sign_blob, sign_dec);
   emit(sign_dec);
 
-  compress::TopkCompressor topk(0.01, compress::TopkSelection::kSampledThreshold);
+  compress::TopkCompressor topk(0.01);
   const auto topk_blob = topk.Encode(t.data());
   std::vector<float> topk_dec(static_cast<size_t>(n));
   topk.Decode(topk_blob, topk_dec);
@@ -440,17 +436,6 @@ OracleReport CheckKernelThreadInvariance(const OracleOptions& opt) {
 
   par::SetNumThreads(saved);
   return report;
-}
-
-OracleReport CheckAllRegisteredCompressors(const OracleOptions& opt) {
-  OracleReport total;
-  for (const std::string& spec : compress::KnownCompressors()) {
-    OracleReport r = CheckCompressorInvariants(spec, opt);
-    total.checks_run += r.checks_run;
-    total.failures.insert(total.failures.end(), r.failures.begin(),
-                          r.failures.end());
-  }
-  return total;
 }
 
 }  // namespace acps::check

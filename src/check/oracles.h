@@ -1,6 +1,7 @@
-// Compressor invariant oracles: the compressor contracts from the paper's
+// Codec invariant oracles: the compressor contracts from the paper's
 // §II-B / §IV-A (and the PowerSGD / gradient-compression-utility literature)
-// as machine-checked properties, run for every spec the registry knows:
+// as machine-checked properties, run for a packed-codec spec as
+// core::MakeCodec parses it ("sign", "topk[:ratio]", "randomk[:ratio]"):
 //
 //   encode-into-parity   EncodeInto writes bit-for-bit what Encode returns
 //                        (fresh instances, so stateful RNG streams align).
@@ -10,15 +11,16 @@
 //                        reconstructs the compressor input within a
 //                        per-compressor float tolerance (mass conservation
 //                        of the EF loop, DESIGN.md tolerance table).
-//   rank-invariance      the compressed all-reduce path (encode → gather →
-//                        decode-all → fixed-order average) produces bitwise
-//                        identical results on every rank, matching a
-//                        single-threaded reference — checked clean AND under
-//                        the schedule explorer's perturbation, so comm
-//                        nondeterminism is covered too.
+//   rank-invariance      the production aggregation, GradReducer(codec)
+//                        .Aggregate over two steps on a real session
+//                        (majority vote, all-gather + scatter-add, or the
+//                        additive Random-k all-reduce), leaves every rank
+//                        bitwise identical after each step, and every run
+//                        under the schedule explorer's perturbation
+//                        reproduces the unperturbed run bit for bit.
 //
-// Failures carry compressor name, tensor shape, seed, and the violated
-// property, so a red run is immediately reproducible.
+// Failures carry the spec, tensor shape, seed, and the violated property,
+// so a red run is immediately reproducible.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +42,7 @@ struct OracleOptions {
 };
 
 struct OracleFailure {
-  std::string compressor;  // registry spec, e.g. "topk-sampled:0.001"
+  std::string compressor;  // codec spec, e.g. "topk:0.001"
   std::string property;    // which oracle
   int64_t numel = 0;
   uint64_t seed = 0;
@@ -63,16 +65,12 @@ struct OracleReport {
 // entries bound how much reconstruction magnitude amplifies that rounding).
 [[nodiscard]] double EfTolerance(const std::string& spec);
 
-// Runs all four oracles for one registry spec.
+// Runs all four oracles for one codec spec.
 [[nodiscard]] OracleReport CheckCompressorInvariants(const std::string& spec,
                                                      const OracleOptions& opt);
 
-// Runs the oracles for every spec in compress::KnownCompressors().
-[[nodiscard]] OracleReport CheckAllRegisteredCompressors(
-    const OracleOptions& opt);
-
 // Determinism oracle for the acps::par compute kernels (DESIGN.md §6e):
-// every kernel (GEMM family, Scal, tensor reductions, sign and sampled-top-k
+// every kernel (GEMM family, Scal, tensor reductions, sign and top-k
 // encodes) must produce BITWISE identical results at
 // thread counts 1, 2, 4 and 8, and the GEMM family must additionally match
 // its single-threaded naive reference bit-for-bit. Restores the previous

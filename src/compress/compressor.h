@@ -1,7 +1,7 @@
 // One-shot (stateless) gradient compressor interface.
 //
 // Covers the quantization / sparsification families from the paper's §II-B:
-// Sign-SGD, Top-k (exact and sampled), and Random-k.
+// Sign-SGD, Top-k and Random-k (built from a spec by core::MakeCodec).
 // Low-rank methods (Power-SGD, ACP-SGD) are stateful per-tensor algorithms
 // and live in powersgd.h / acpsgd.h instead.
 //

@@ -1,51 +1,34 @@
-// Error-feedback residual store (1-bit SGD / EF-SignSGD / Power-SGD style).
+// Error-feedback residual (1-bit SGD / EF-SignSGD / EF-Top-k style).
 //
 // Biased compressors drop part of the gradient every step; error feedback
-// keeps the dropped part (the residual) per tensor and adds it back before
-// the next compression, which restores convergence (paper §IV-A,
-// Algorithm 2). The store is keyed by tensor id and lazily materializes
-// zero residuals of the right shape.
+// keeps the dropped part (the residual) and adds it back before the next
+// compression, which restores convergence (paper §IV-A, Algorithm 2). One
+// flat residual serves the one packed bucket a codec encodes per step.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
-#include <unordered_map>
-
-#include "tensor/tensor.h"
+#include <vector>
 
 namespace acps::compress {
 
 class ErrorFeedback {
  public:
-  // Residual for `tensor_id`, created as zeros of `shape` on first use.
-  // The shape must stay stable across steps for a given id.
-  [[nodiscard]] Tensor& residual(int64_t tensor_id, const Shape& shape);
+  // The residual, created as `numel` zeros on first use. Its size must stay
+  // the same across steps (checked).
+  [[nodiscard]] std::span<float> residual(size_t numel);
 
-  // grad += residual (the "feedback" half). No-op allocation-wise when the
-  // residual is still zero-initialized.
-  void AddInto(int64_t tensor_id, Tensor& grad);
+  // grad += residual (the "feedback" half).
+  void AddInto(std::span<float> grad);
 
   // residual = compressed_input − reconstruction (the "error" half), where
-  // `compressed_input` is the tensor that was fed to the compressor (i.e.
-  // gradient + previous residual).
-  void Update(int64_t tensor_id, const Tensor& compressed_input,
-              const Tensor& reconstruction);
-
-  // The same two halves over a flat buffer (e.g. a fusion bucket); its
-  // residual has shape {size}.
-  void AddInto(int64_t tensor_id, std::span<float> grad);
-  void Update(int64_t tensor_id, std::span<const float> compressed_input,
+  // `compressed_input` is what was fed to the compressor (gradient +
+  // previous residual).
+  void Update(std::span<const float> compressed_input,
               std::span<const float> reconstruction);
 
-  // Total elements held — the O(N) memory cost the paper notes.
-  [[nodiscard]] int64_t total_elements() const noexcept;
-
-  [[nodiscard]] size_t num_tensors() const noexcept { return residuals_.size(); }
-
-  void clear() { residuals_.clear(); }
-
  private:
-  std::unordered_map<int64_t, Tensor> residuals_;
+  std::vector<float> residual_;
 };
 
 }  // namespace acps::compress

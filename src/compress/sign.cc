@@ -72,7 +72,7 @@ void SignCompressor::Decode(std::span<const std::byte> blob,
 }
 
 void SignCompressor::MajorityVote(
-    std::span<const std::vector<std::byte>> blobs, std::span<float> out) {
+    std::span<const std::span<const std::byte>> blobs, std::span<float> out) {
   ACPS_CHECK_MSG(!blobs.empty(), "MajorityVote needs at least one blob");
   const auto n = wire::Read<uint64_t>(blobs[0], sizeof(float));
   ACPS_CHECK_MSG(out.size() == n, "MajorityVote size mismatch");
@@ -85,6 +85,9 @@ void SignCompressor::MajorityVote(
   for (const auto& b : blobs) {
     ACPS_CHECK_MSG(wire::Read<uint64_t>(b, sizeof(float)) == n,
                    "MajorityVote blobs disagree on element count");
+    ACPS_CHECK_MSG(b.size() == kHeaderBytes + (n + 7) / 8,
+                   "MajorityVote blob of " << b.size() << " B cannot hold "
+                                           << n << " sign bits");
     scale_sum += wire::Read<float>(b, 0);
   }
   const float scale = static_cast<float>(scale_sum / double(blobs.size()));

@@ -29,11 +29,12 @@ class SignCompressor final : public Compressor {
     return sizeof(float) + sizeof(uint64_t) + (numel + 7) / 8;
   }
 
-  // Combines one blob per worker (equal original numel) into the
-  // majority-vote result: out[i] = sign(Σ_w sign_w[i]) * mean_w(scale_w).
-  // Ties (possible for even worker counts) resolve to +1, matching the
-  // sign(0)=+1 convention the paper uses for quantization.
-  static void MajorityVote(std::span<const std::vector<std::byte>> blobs,
+  // Combines one blob per worker (equal original numel, each exactly
+  // EncodedBytes(numel) long, checked) into the majority-vote result:
+  // out[i] = sign(Σ_w sign_w[i]) * mean_w(scale_w). Ties (possible for even
+  // worker counts) resolve to +1, matching the sign(0)=+1 convention the
+  // paper uses for quantization.
+  static void MajorityVote(std::span<const std::span<const std::byte>> blobs,
                            std::span<float> out);
 };
 

@@ -15,7 +15,7 @@ namespace {
 constexpr size_t kHeaderBytes = 2 * sizeof(uint64_t);
 constexpr size_t kRecordBytes = sizeof(uint32_t) + sizeof(float);
 
-// Histogram resolution for the sampled-threshold scheme. Magnitudes are
+// Histogram resolution for the threshold selection. Magnitudes are
 // bucketed directly by IEEE-754 bit pattern: for non-negative floats the bit
 // pattern is monotone in the value, so `(bits & 0x7FFFFFFF) >> kBucketShift`
 // — the exponent plus the top 4 mantissa bits — is a magnitude-ordered
@@ -52,14 +52,9 @@ std::vector<uint32_t> GatherAtLeast(std::span<const float> grad,
 
 }  // namespace
 
-TopkCompressor::TopkCompressor(double ratio, TopkSelection selection)
-    : ratio_(ratio), selection_(selection) {
+TopkCompressor::TopkCompressor(double ratio) : ratio_(ratio) {
   ACPS_CHECK_MSG(ratio > 0.0 && ratio <= 1.0,
                  "top-k ratio must be in (0, 1], got " << ratio);
-}
-
-std::string TopkCompressor::name() const {
-  return selection_ == TopkSelection::kExact ? "topk-exact" : "topk-sampled";
 }
 
 size_t TopkCompressor::KeptCount(size_t numel) const {
@@ -73,7 +68,7 @@ size_t TopkCompressor::EncodedBytes(size_t numel) const {
 }
 
 std::vector<uint32_t> TopkCompressor::SelectExact(std::span<const float> grad,
-                                                  size_t k) const {
+                                                  size_t k) {
   std::vector<uint32_t> idx(grad.size());
   std::iota(idx.begin(), idx.end(), 0u);
   std::nth_element(idx.begin(), idx.begin() + static_cast<ptrdiff_t>(k),
@@ -116,7 +111,6 @@ std::vector<uint32_t> TopkCompressor::SelectSampled(
   std::vector<uint64_t> hist(kHistBuckets, 0);
   for (const auto& local : locals)
     for (size_t bkt = 0; bkt < local.size(); ++bkt) hist[bkt] += local[bkt];
-  last_threshold_passes_ = 1;  // the histogram pass
 
   // Walk buckets from the top until at least k elements are covered; the
   // threshold is that bucket's lower edge (its bit pattern reconstructed by
@@ -138,7 +132,6 @@ std::vector<uint32_t> TopkCompressor::SelectSampled(
   std::memcpy(&threshold, &cut_bits, sizeof(threshold));
 
   std::vector<uint32_t> idx = GatherAtLeast(grad, threshold);
-  ++last_threshold_passes_;  // the gather pass
 
   if (idx.size() > k) {
     std::nth_element(idx.begin(), idx.begin() + static_cast<ptrdiff_t>(k),
@@ -169,14 +162,11 @@ void TopkCompressor::EncodeInto(std::span<const float> grad,
   const size_t n = grad.size();
   const size_t k = KeptCount(n);
   ACPS_CHECK_MSG(out.size() == EncodedBytes(n), "Topk encode size mismatch");
-  last_threshold_passes_ = 0;  // per-call stat: stays 0 for the exact scheme
   wire::Write(out, 0, static_cast<uint64_t>(k));
   wire::Write(out, sizeof(uint64_t), static_cast<uint64_t>(n));
   if (n == 0) return;
 
-  const std::vector<uint32_t> idx = selection_ == TopkSelection::kExact
-                                        ? SelectExact(grad, k)
-                                        : SelectSampled(grad, k);
+  const std::vector<uint32_t> idx = SelectSampled(grad, k);
   ACPS_CHECK(idx.size() == k);
   size_t off = kHeaderBytes;
   for (uint32_t i : idx) {

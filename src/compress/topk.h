@@ -1,14 +1,13 @@
 // Top-k sparsification (Lin et al. DGC; Shi et al. MLSys'21 variant).
 //
-// Two selection schemes:
-//  * kExact — true top-k by magnitude (nth_element); the paper notes this is
-//    what you want semantically but is slow on GPUs.
-//  * kSampledThreshold — the paper's "multiple sampling" scheme: pick a
-//    magnitude threshold that keeps ≈ k elements, then take elements above it
-//    (trimming or padding to exactly k so encoded size stays fixed). The
-//    production path finds the threshold with one 4096-bucket histogram that
-//    buckets |g| directly by IEEE bit pattern — no max/range pass needed, so
-//    selection is 2 data passes total (histogram + gather).
+// Selection is the paper's "multiple sampling" scheme: pick a magnitude
+// threshold that keeps ≈ k elements, then take the elements above it. The
+// threshold comes from one 4096-bucket histogram that buckets |g| directly
+// by IEEE bit pattern — no max/range pass needed — and the gathered
+// candidates are trimmed to exactly k by magnitude (padded past NaNs), so
+// selection is 2 data passes (histogram + gather) and keeps the same
+// elements as exact top-k (SelectExact, the reference), which the paper
+// notes is too slow on GPUs.
 //
 // Encode: [k][numel][(index, value) × k]. Selected values are the raw
 // gradient entries; aggregation is all-gather + scatter-add-average (Top-k
@@ -20,19 +19,13 @@
 
 namespace acps::compress {
 
-enum class TopkSelection {
-  kExact,
-  kSampledThreshold,
-};
-
 class TopkCompressor final : public Compressor {
  public:
   // `ratio` is the kept fraction (the paper uses 0.001); at least one
   // element is always kept for non-empty inputs.
-  explicit TopkCompressor(double ratio,
-                          TopkSelection selection = TopkSelection::kExact);
+  explicit TopkCompressor(double ratio);
 
-  [[nodiscard]] std::string name() const override;
+  [[nodiscard]] std::string name() const override { return "topk"; }
 
   void EncodeInto(std::span<const float> grad,
                   std::span<std::byte> out) override;
@@ -49,28 +42,21 @@ class TopkCompressor final : public Compressor {
   static void AccumulateInto(std::span<const std::byte> blob,
                              std::span<float> out, int num_workers);
 
-  // Data passes over the gradient made by the last EncodeInto's threshold
-  // selection (reset to 0 each call; stays 0 for the exact scheme).
-  [[nodiscard]] int last_threshold_passes() const noexcept {
-    return last_threshold_passes_;
-  }
-
-  // The kSampledThreshold selection EncodeInto runs: exactly k distinct
-  // indices, found by the histogram threshold, trimmed to k by magnitude
-  // when edge ties overshoot and padded when NaNs undershoot.
-  [[nodiscard]] std::vector<uint32_t> SelectSampled(std::span<const float> grad,
-                                                    size_t k);
+  // The selection EncodeInto runs: exactly k distinct indices, found by the
+  // histogram threshold, trimmed to k by magnitude when edge ties overshoot
+  // and padded when NaNs undershoot.
+  [[nodiscard]] static std::vector<uint32_t> SelectSampled(
+      std::span<const float> grad, size_t k);
 
   // The definitional reference: true top-k by magnitude via nth_element over
-  // all n candidates. Public as the naive baseline of bench_kernels' topk
-  // case (the paper's premise is that exact selection is too slow at scale).
-  [[nodiscard]] std::vector<uint32_t> SelectExact(std::span<const float> grad,
-                                                  size_t k) const;
+  // all n candidates. Only tests (which check SelectSampled against it) and
+  // bench_kernels' topk case (its naive baseline: the paper's premise is
+  // that exact selection is too slow at scale) call it.
+  [[nodiscard]] static std::vector<uint32_t> SelectExact(
+      std::span<const float> grad, size_t k);
 
  private:
   double ratio_;
-  TopkSelection selection_;
-  int last_threshold_passes_ = 0;
 };
 
 }  // namespace acps::compress

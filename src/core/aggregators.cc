@@ -3,25 +3,29 @@
 #include "core/grad_reducer.h"
 
 namespace acps::core {
+namespace {
 
-AggregatorFactory MakeAggregatorFactory(const std::string& spec,
-                                        int64_t buffer_bytes) {
-  ACPS_CHECK_MSG(buffer_bytes >= 0,
-                 "buffer_bytes must be >= 0 (0 = default), got "
-                     << buffer_bytes);
-  const int64_t bytes =
-      buffer_bytes == 0 ? fusion::kDefaultBufferBytes : buffer_bytes;
+// One "name[:param]" spec. An empty param after ':' is rejected here, so
+// the parsers below read an empty param as "absent".
+struct Spec {
+  std::string text, name, param;
 
-  // Split "name[:param]"; an empty param after ':' is rejected here, so the
-  // per-method parsers below read an empty param as "absent".
-  const size_t colon = spec.find(':');
-  const std::string name = spec.substr(0, colon);
-  const std::string param =
-      colon == std::string::npos ? "" : spec.substr(colon + 1);
-  ACPS_CHECK_MSG(colon == std::string::npos || !param.empty(),
-                 "empty parameter after ':' in compressor spec '" << spec
-                                                                  << "'");
-  const auto int_param = [&](int64_t fallback) -> int64_t {
+  explicit Spec(const std::string& spec) : text(spec) {
+    const size_t colon = spec.find(':');
+    name = spec.substr(0, colon);
+    if (colon != std::string::npos) param = spec.substr(colon + 1);
+    ACPS_CHECK_MSG(colon == std::string::npos || !param.empty(),
+                   "empty parameter after ':' in compressor spec '" << spec
+                                                                    << "'");
+  }
+
+  void NoParam() const {
+    ACPS_CHECK_MSG(param.empty(), "compressor spec '" << name
+                                      << "' takes no parameter, got '"
+                                      << text << "'");
+  }
+
+  [[nodiscard]] int64_t Int(int64_t fallback) const {
     if (param.empty()) return fallback;
     size_t used = 0;
     int64_t v = 0;
@@ -31,11 +35,12 @@ AggregatorFactory MakeAggregatorFactory(const std::string& spec,
       used = 0;
     }
     ACPS_CHECK_MSG(used == param.size() && v >= 1,
-                   "bad parameter in compressor spec '" << spec
+                   "bad parameter in compressor spec '" << text
                        << "': want a positive integer, got '" << param << "'");
     return v;
-  };
-  const auto ratio_param = [&](double fallback) -> double {
+  }
+
+  [[nodiscard]] double Ratio(double fallback) const {
     if (param.empty()) return fallback;
     size_t used = 0;
     double v = 0;
@@ -45,58 +50,63 @@ AggregatorFactory MakeAggregatorFactory(const std::string& spec,
       used = 0;
     }
     ACPS_CHECK_MSG(used == param.size() && v > 0.0 && v <= 1.0,
-                   "bad parameter in compressor spec '" << spec
+                   "bad parameter in compressor spec '" << text
                        << "': want a ratio in (0, 1], got '" << param << "'");
     return v;
-  };
+  }
+};
 
-  if (name == "ssgd") {
-    ACPS_CHECK_MSG(param.empty(),
-                   "compressor spec 'ssgd' takes no parameter, got '" << spec
-                                                                      << "'");
+}  // namespace
+
+GradReducer::Codec MakeCodec(const std::string& spec) {
+  const Spec s(spec);
+  if (s.name == "sign") {
+    s.NoParam();
+    return compress::SignCompressor();
+  }
+  if (s.name == "topk") return compress::TopkCompressor(s.Ratio(0.001));
+  if (s.name == "randomk") return compress::RandomkCompressor(s.Ratio(0.01));
+  ACPS_FAIL_MSG("unknown compressor spec '"
+                << spec
+                << "' (want a codec: sign | topk[:ratio] | randomk[:ratio], "
+                   "or for MakeAggregatorFactory also ssgd | acpsgd[:rank] | "
+                   "powersgd[:rank])");
+}
+
+AggregatorFactory MakeAggregatorFactory(const std::string& spec,
+                                        int64_t buffer_bytes) {
+  ACPS_CHECK_MSG(buffer_bytes >= 0,
+                 "buffer_bytes must be >= 0 (0 = default), got "
+                     << buffer_bytes);
+  const int64_t bytes =
+      buffer_bytes == 0 ? fusion::kDefaultBufferBytes : buffer_bytes;
+  const Spec s(spec);
+
+  if (s.name == "ssgd") {
+    s.NoParam();
     return [bytes](int, int) { return std::make_unique<GradReducer>(bytes); };
   }
-  if (name == "acpsgd") {
-    const int64_t rank = int_param(4);
+  if (s.name == "acpsgd") {
+    const int64_t rank = s.Int(4);
     return [rank, bytes](int, int) {
       compress::AcpSgdConfig cfg;
       cfg.rank = rank;
       return std::make_unique<GradReducer>(cfg, bytes);
     };
   }
-  if (name == "powersgd") {
-    const int64_t rank = int_param(4);
+  if (s.name == "powersgd") {
+    const int64_t rank = s.Int(4);
     return [rank, bytes](int, int) {
       compress::PowerSgdConfig cfg;
       cfg.rank = rank;
       return std::make_unique<GradReducer>(cfg, bytes);
     };
   }
-  if (name == "sign") {
-    ACPS_CHECK_MSG(param.empty(),
-                   "compressor spec 'sign' takes no parameter, got '" << spec
-                                                                      << "'");
-    return [](int, int) {
-      return std::make_unique<GradReducer>(compress::SignCompressor());
-    };
-  }
-  if (name == "topk") {
-    const double ratio = ratio_param(0.001);
-    return [ratio](int, int) {
-      return std::make_unique<GradReducer>(compress::TopkCompressor(
-          ratio, compress::TopkSelection::kSampledThreshold));
-    };
-  }
-  if (name == "randomk") {
-    const double ratio = ratio_param(0.01);
-    return [ratio](int, int) {
-      return std::make_unique<GradReducer>(compress::RandomkCompressor(ratio));
-    };
-  }
-  ACPS_FAIL_MSG("unknown compressor spec '"
-                << spec
-                << "' (want ssgd | acpsgd[:rank] | powersgd[:rank] | sign | "
-                   "topk[:ratio] | randomk[:ratio])");
+  // Any other name must be a packed codec. Each worker copies the freshly
+  // built codec, so Random-k workers share the seed and step.
+  return [codec = MakeCodec(spec)](int, int) {
+    return std::make_unique<GradReducer>(codec);
+  };
 }
 
 }  // namespace acps::core

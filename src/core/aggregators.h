@@ -39,12 +39,11 @@ using AggregatorFactory =
 
 // Spec-string factory, the bridge from comm::SessionOptions::compressor_spec
 // to an AggregatorFactory. Grammar: "ssgd", "acpsgd[:rank]" (default 4),
-// "powersgd[:rank]" (default 4), "sign", "topk[:ratio]" (default 0.001),
-// "randomk[:ratio]" (default 0.01); each builds a GradReducer, the packed
-// ones with error feedback and Top-k with sampled-threshold selection.
-// `buffer_bytes` is the fusion budget for the bucketed methods; 0 means
-// fusion::kDefaultBufferBytes. Throws
-// acps::Error on an unknown name or an out-of-range parameter.
+// "powersgd[:rank]" (default 4), or a packed codec as MakeCodec parses it
+// ("sign", "topk[:ratio]", "randomk[:ratio]"); each builds a GradReducer,
+// the packed codecs with error feedback. `buffer_bytes` is the fusion
+// budget for the bucketed methods; 0 means fusion::kDefaultBufferBytes.
+// Throws acps::Error on an unknown name or an out-of-range parameter.
 [[nodiscard]] AggregatorFactory MakeAggregatorFactory(const std::string& spec,
                                                       int64_t buffer_bytes = 0);
 

@@ -157,7 +157,7 @@ GradReducer::State GradReducer::state(const std::vector<dnn::Param*>& params) {
     // The one packed bucket holds every gradient.
     int64_t total = 0;
     for (const dnn::Param* p : params_) total += p->grad.numel();
-    st.own.push_back(ef_.residual(/*tensor_id=*/0, {total}).data());
+    st.own.push_back(ef_.residual(static_cast<size_t>(total)));
   }
   return st;
 }
@@ -230,14 +230,14 @@ void GradReducer::ReduceEncoded(compress::Compressor& codec,
     obs::ScopedSpan compress_span(comm_->tracer(), "compress",
                                   obs::kCatCompress, comm_->rank(),
                                   flat.size_bytes(), /*arg=*/0);
-    ef_.AddInto(/*tensor_id=*/0, flat);
+    ef_.AddInto(flat);
     encoded_.resize(codec.EncodedBytes(flat.size()));
     codec.EncodeInto(flat, encoded_);
     // Residual against this rank's own decoded blob, the standard
     // EF-SignSGD / EF-Top-k formulation.
     decoded_.resize(flat.size());
     codec.Decode(encoded_, decoded_);
-    ef_.Update(0, flat, decoded_);
+    ef_.Update(flat, decoded_);
   }
   if (auto* randomk = std::get_if<compress::RandomkCompressor>(&method_)) {
     // Every rank selected the same coordinates: the values are additive.
@@ -255,12 +255,9 @@ void GradReducer::ReduceEncoded(compress::Compressor& codec,
         blob * static_cast<size_t>(r), blob);
   };
   if (std::holds_alternative<compress::SignCompressor>(method_)) {
-    std::vector<std::vector<std::byte>> blobs;
-    for (int r = 0; r < comm_->world_size(); ++r) {
-      if (!comm_->is_alive(r)) continue;
-      const auto b = blob_of(r);
-      blobs.emplace_back(b.begin(), b.end());
-    }
+    std::vector<std::span<const std::byte>> blobs;
+    for (int r = 0; r < comm_->world_size(); ++r)
+      if (comm_->is_alive(r)) blobs.push_back(blob_of(r));
     compress::SignCompressor::MajorityVote(blobs, flat);
     return;
   }

@@ -67,9 +67,9 @@ class GradReducer final : public GradientAggregator {
   // Power-SGD (Algorithm 1).
   explicit GradReducer(compress::PowerSgdConfig config,
                        int64_t buffer_bytes = fusion::kDefaultBufferBytes);
-  // A packed codec with error feedback, e.g.
-  // GradReducer(compress::TopkCompressor(0.1)). Ratio, selection and seed
-  // are the compressor's.
+  // A packed codec with error feedback, e.g. GradReducer(MakeCodec("topk:0.1"))
+  // or GradReducer(compress::TopkCompressor(0.1)). Ratio and seed are the
+  // compressor's.
   explicit GradReducer(Codec codec);
 
   [[nodiscard]] std::string name() const override;
@@ -148,12 +148,18 @@ class GradReducer final : public GradientAggregator {
   bool in_step_ = false;
   size_t remaining_ = 0;
 
-  // Codec state: the packed bucket's residual (id 0) and the encode,
-  // decode and gather scratch reused across steps.
+  // Codec state: the packed bucket's residual and the encode, decode and
+  // gather scratch reused across steps.
   compress::ErrorFeedback ef_;
   std::vector<std::byte> encoded_;
   std::vector<float> decoded_;
   std::vector<std::byte> gathered_;
 };
+
+// Builds the packed codec `spec` names, the codec half of
+// MakeAggregatorFactory's grammar: "sign", "topk[:ratio]" (default 0.001)
+// or "randomk[:ratio]" (default 0.01). Throws acps::Error on any other name
+// or an out-of-range parameter.
+[[nodiscard]] GradReducer::Codec MakeCodec(const std::string& spec);
 
 }  // namespace acps::core

@@ -58,7 +58,7 @@ std::vector<float> MethodPayload(ChaosMethod m, int rank, int64_t n) {
       return out;
     }
     case ChaosMethod::kTopk: {
-      compress::TopkCompressor topk(0.25, compress::TopkSelection::kExact);
+      compress::TopkCompressor topk(0.25);
       std::vector<std::byte> blob(topk.EncodedBytes(g.size()));
       topk.EncodeInto(g, blob);
       std::vector<float> out(g.size(), 0.0f);

@@ -24,12 +24,11 @@ int64_t ColumnGrain(int64_t col_len) {
 
 }  // namespace
 
-QrResult ReducedQr(const Tensor& a) {
-  ACPS_CHECK_MSG(a.ndim() == 2, "ReducedQr needs a matrix, got "
-                                    << ShapeToString(a.shape()));
+void Orthogonalize(Tensor& a) {
+  ACPS_CHECK_MSG(a.ndim() == 2 && a.rows() >= a.cols() && a.cols() >= 1,
+                 "Orthogonalize needs n >= r >= 1, got "
+                     << ShapeToString(a.shape()));
   const int64_t n = a.rows(), r = a.cols();
-  ACPS_CHECK_MSG(n >= r && r >= 1,
-                 "ReducedQr needs n >= r >= 1, got " << n << "x" << r);
   par::KernelTimer timer(
       "qr", static_cast<uint64_t>(4 * n * r * r));  // ~2nr² factor + 2nr² Q
 
@@ -39,10 +38,10 @@ QrResult ReducedQr(const Tensor& a) {
   // reduction), so the factorization is bitwise reproducible.
   ACPS_ACCUM_POLICY(serial_index_order);
 
-  // Work on a copy; accumulate Householder vectors in-place below the
-  // diagonal, R above it, then form Q explicitly by back-accumulation.
-  Tensor work = a.clone();
-  float* w = work.data().data();
+  // Factor in a's own storage: Householder vectors below the diagonal, R on
+  // and above it (the Q formation never reads R). Then form Q explicitly by
+  // back-accumulation and move it into a.
+  float* w = a.data().data();
   std::vector<float> tau(static_cast<size_t>(r), 0.0f);
 
   for (int64_t k = 0; k < r; ++k) {
@@ -83,11 +82,6 @@ QrResult ReducedQr(const Tensor& a) {
     });
   }
 
-  // Extract R.
-  Tensor rmat({r, r});
-  for (int64_t i = 0; i < r; ++i)
-    for (int64_t j = i; j < r; ++j) rmat.at(i, j) = work.at(i, j);
-
   // Form Q = H_0 H_1 ... H_{r-1} · [I_r; 0] by applying reflectors backwards.
   Tensor q({n, r});
   float* qd = q.data().data();
@@ -108,13 +102,7 @@ QrResult ReducedQr(const Tensor& a) {
     });
   }
 
-  return QrResult{std::move(q), std::move(rmat)};
-}
-
-void Orthogonalize(Tensor& a) {
-  ACPS_CHECK_MSG(a.ndim() == 2 && a.rows() >= a.cols(),
-                 "Orthogonalize needs n >= r, got " << ShapeToString(a.shape()));
-  a = ReducedQr(a).q;
+  a = std::move(q);
 }
 
 float OrthonormalityError(const Tensor& q) {

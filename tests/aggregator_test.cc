@@ -143,6 +143,42 @@ TEST(Aggregators, SpecRejectsEmptyParameter) {
     EXPECT_NO_THROW((void)MakeAggregatorFactory(spec)) << spec;
 }
 
+TEST(Aggregators, SpecRejectsBadNamesAndParameters) {
+  // One grammar: the factory and MakeCodec refuse the same codec specs.
+  for (const char* spec :
+       {"unknown", "topk:abc", "topk:0.1x", "sign:3", "topk:0", "topk:1.5",
+        "randomk:nan", "randomk:abc", "randomk:-0.5"}) {
+    EXPECT_THROW((void)MakeAggregatorFactory(spec), Error) << spec;
+    EXPECT_THROW((void)MakeCodec(spec), Error) << spec;
+  }
+  for (const char* spec : {"acpsgd:0", "powersgd:-1", "acpsgd:2.5", "ssgd:1"})
+    EXPECT_THROW((void)MakeAggregatorFactory(spec), Error) << spec;
+  // MakeCodec builds only the packed codecs.
+  for (const char* spec : {"ssgd", "acpsgd:2", "powersgd"})
+    EXPECT_THROW((void)MakeCodec(spec), Error) << spec;
+}
+
+TEST(Aggregators, MakeCodecParsesParameters) {
+  const auto topk = MakeCodec("topk:0.5");
+  ASSERT_TRUE(std::holds_alternative<compress::TopkCompressor>(topk));
+  // Ratio 0.5 on 10 elements keeps 5 (index, value) records.
+  EXPECT_EQ(std::get<compress::TopkCompressor>(topk).EncodedBytes(10),
+            16u + 5u * 8u);
+  EXPECT_EQ(std::get<compress::TopkCompressor>(MakeCodec("topk")).KeptCount(
+                10000),
+            10u);  // default ratio 0.001
+  const auto randomk = MakeCodec("randomk:0.5");
+  ASSERT_TRUE(std::holds_alternative<compress::RandomkCompressor>(randomk));
+  EXPECT_EQ(std::get<compress::RandomkCompressor>(randomk).EncodedBytes(10),
+            24u + 5u * 4u);
+  EXPECT_EQ(
+      std::get<compress::RandomkCompressor>(MakeCodec("randomk")).KeptCount(
+          1000),
+      10u);  // default ratio 0.01
+  EXPECT_TRUE(
+      std::holds_alternative<compress::SignCompressor>(MakeCodec("sign")));
+}
+
 // The single-step tests below run with error feedback on: the residual
 // starts at zero, so the first step equals the uncorrected exchange.
 TEST(SignReducer, MatchesMajorityVoteReference) {
@@ -176,8 +212,7 @@ TEST(TopkReducer, KeepsOnlyUnionOfTopkCoordinates) {
   std::vector<Tensor> results(static_cast<size_t>(p));
   group.Run([&](comm::Communicator& comm) {
     TestParams tp(comm.rank());
-    GradReducer agg(
-        compress::TopkCompressor(0.05, compress::TopkSelection::kExact));
+    GradReducer agg(compress::TopkCompressor(0.05));
     auto params = tp.list();
     agg.Aggregate(params, comm);
     results[static_cast<size_t>(comm.rank())] = tp.w1.grad.clone();

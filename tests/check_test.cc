@@ -5,7 +5,7 @@
 // collective kind, bounded-exhaustive enumeration for small groups, the
 // fault-injection mutation test (the checker must catch a deliberately
 // mis-ordered hand-off and the violating seed must replay), and the four
-// compressor invariant oracles for every registry spec.
+// codec invariant oracles for every packed codec.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include "check/schedule.h"
 #include "check/sched_point.h"
 #include "comm/communicator.h"
-#include "compress/registry.h"
 
 namespace acps::check {
 namespace {
@@ -269,25 +268,20 @@ TEST(FaultInjectionTest, ConsecutiveExploreCallsWithSameSeedAgree) {
 
 // --- Compressor invariant oracles. -----------------------------------------
 
-TEST(OracleTest, RegistryCoversThePaperCompressors) {
-  const auto known = compress::KnownCompressors();
-  const auto has = [&](const std::string& prefix) {
-    return std::any_of(known.begin(), known.end(), [&](const std::string& s) {
-      return s.starts_with(prefix);
-    });
-  };
-  EXPECT_TRUE(has("sign"));
-  EXPECT_TRUE(has("topk-sampled"));
-  EXPECT_TRUE(has("randomk"));
-}
+class CodecOracleTest : public ::testing::TestWithParam<const char*> {};
 
-TEST(OracleTest, AllRegisteredCompressorsSatisfyInvariants) {
+TEST_P(CodecOracleTest, SatisfiesInvariants) {
   OracleOptions opt;
   opt.perturbed_runs = kOraclePerturbedRuns;
-  const OracleReport report = CheckAllRegisteredCompressors(opt);
+  const OracleReport report = CheckCompressorInvariants(GetParam(), opt);
   EXPECT_GT(report.checks_run, 0);
   EXPECT_TRUE(report.ok()) << report.Summary();
 }
+
+// The paper's element-wise codecs, as core::MakeCodec parses them.
+INSTANTIATE_TEST_SUITE_P(Codecs, CodecOracleTest,
+                         ::testing::Values("sign", "topk:0.001",
+                                           "randomk:0.01"));
 
 TEST(OracleTest, KernelsAreThreadCountInvariant) {
   // DESIGN.md §6e: the acps::par kernels produce bitwise identical results
@@ -300,18 +294,17 @@ TEST(OracleTest, KernelsAreThreadCountInvariant) {
 TEST(OracleTest, SparsifiersConserveExactlyQuantizersToRounding) {
   EXPECT_EQ(EfTolerance("topk:0.001"), 0.0);
   EXPECT_EQ(EfTolerance("randomk:0.01"), 0.0);
-  EXPECT_EQ(EfTolerance("topk-sampled:0.001"), 0.0);
   EXPECT_GT(EfTolerance("sign"), 0.0);
 }
 
 TEST(OracleTest, FailureReportNamesCompressorShapeSeedAndProperty) {
-  const OracleFailure f{.compressor = "topk-sampled:0.001",
+  const OracleFailure f{.compressor = "topk:0.001",
                         .property = "ef-conservation",
                         .numel = 1000,
                         .seed = 0xBEEF,
                         .detail = "example"};
   const std::string msg = f.Describe();
-  EXPECT_NE(msg.find("topk-sampled:0.001"), std::string::npos);
+  EXPECT_NE(msg.find("topk:0.001"), std::string::npos);
   EXPECT_NE(msg.find("ef-conservation"), std::string::npos);
   EXPECT_NE(msg.find("[1000]"), std::string::npos);
   EXPECT_NE(msg.find("48879"), std::string::npos);  // 0xBEEF in decimal

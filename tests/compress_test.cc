@@ -1,17 +1,18 @@
 // Tests for the one-shot compressors: Sign, Top-k, Random-k, and the
-// error-feedback store.
+// error-feedback residual.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <set>
 
 #include "compress/error_feedback.h"
-#include "compress/registry.h"
 #include "compress/randomk.h"
 #include "compress/sign.h"
 #include "compress/topk.h"
+#include "core/grad_reducer.h"
 #include "tensor/rng.h"
 
 namespace acps::compress {
@@ -54,6 +55,17 @@ TEST(Sign, EncodedSizeExact) {
   }
 }
 
+// MajorityVote takes spans over the blobs, as GradReducer passes the
+// all-gathered buffer.
+std::vector<float> Vote(const std::vector<std::vector<std::byte>>& blobs,
+                        size_t n) {
+  const std::vector<std::span<const std::byte>> spans(blobs.begin(),
+                                                      blobs.end());
+  std::vector<float> out(n);
+  SignCompressor::MajorityVote(spans, out);
+  return out;
+}
+
 TEST(Sign, MajorityVote) {
   SignCompressor c;
   // Three workers; element 0: (+,+,-) => +; element 1: (-,-,+) => -.
@@ -61,8 +73,7 @@ TEST(Sign, MajorityVote) {
   blobs.push_back(c.Encode(std::vector<float>{1.0f, -1.0f}));
   blobs.push_back(c.Encode(std::vector<float>{1.0f, -1.0f}));
   blobs.push_back(c.Encode(std::vector<float>{-1.0f, 1.0f}));
-  std::vector<float> out(2);
-  SignCompressor::MajorityVote(blobs, out);
+  const auto out = Vote(blobs, 2);
   EXPECT_GT(out[0], 0.0f);
   EXPECT_LT(out[1], 0.0f);
 }
@@ -72,9 +83,20 @@ TEST(Sign, MajorityVoteTieIsPositive) {
   std::vector<std::vector<std::byte>> blobs;
   blobs.push_back(c.Encode(std::vector<float>{1.0f}));
   blobs.push_back(c.Encode(std::vector<float>{-1.0f}));
-  std::vector<float> out(1);
-  SignCompressor::MajorityVote(blobs, out);
-  EXPECT_GT(out[0], 0.0f);
+  EXPECT_GT(Vote(blobs, 1)[0], 0.0f);
+}
+
+TEST(Sign, MajorityVoteRejectsTruncatedBlob) {
+  // The header of the second blob still claims 100 elements, but its sign
+  // bits stop short: the vote must refuse it instead of reading past it.
+  SignCompressor c;
+  std::vector<std::vector<std::byte>> blobs;
+  blobs.push_back(c.Encode(RandomGrad(100, 1)));
+  blobs.push_back(c.Encode(RandomGrad(100, 2)));
+  blobs.back().resize(blobs.back().size() - 1);
+  EXPECT_THROW((void)Vote(blobs, 100), Error);
+  blobs.back().resize(c.EncodedBytes(100) + 1);  // too long: also refused
+  EXPECT_THROW((void)Vote(blobs, 100), Error);
 }
 
 TEST(Sign, DecodeSizeMismatchThrows) {
@@ -86,10 +108,8 @@ TEST(Sign, DecodeSizeMismatchThrows) {
 
 // ---------------------------------------------------------------- Topk ----
 
-class TopkSelectionTest : public ::testing::TestWithParam<TopkSelection> {};
-
-TEST_P(TopkSelectionTest, SelectsLargestMagnitudes) {
-  TopkCompressor c(0.1, GetParam());
+TEST(Topk, SelectsLargestMagnitudes) {
+  TopkCompressor c(0.1);
   std::vector<float> g(100, 0.01f);
   // Plant 10 large entries at known spots.
   for (int i = 0; i < 10; ++i) g[static_cast<size_t>(i * 10)] = 5.0f + i;
@@ -108,8 +128,8 @@ TEST_P(TopkSelectionTest, SelectsLargestMagnitudes) {
   }
 }
 
-TEST_P(TopkSelectionTest, ExactlyKRecords) {
-  TopkCompressor c(0.05, GetParam());
+TEST(Topk, ExactlyKRecords) {
+  TopkCompressor c(0.05);
   for (size_t n : {20u, 100u, 999u}) {
     const auto g = RandomGrad(n, n * 3);
     const auto blob = c.Encode(g);
@@ -117,43 +137,32 @@ TEST_P(TopkSelectionTest, ExactlyKRecords) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Schemes, TopkSelectionTest,
-                         ::testing::Values(TopkSelection::kExact,
-                                           TopkSelection::kSampledThreshold));
-
-TEST(Topk, SampledMatchesExactEnergyClosely) {
-  // Sampled threshold selection must capture nearly the same gradient
-  // energy as exact top-k (it is allowed to differ in tie handling).
-  const auto g = RandomGrad(20000, 9);
-  TopkCompressor exact(0.01, TopkSelection::kExact);
-  TopkCompressor sampled(0.01, TopkSelection::kSampledThreshold);
-  auto energy = [&](Compressor& c) {
-    const auto blob = c.Encode(g);
-    std::vector<float> out(g.size());
-    c.Decode(blob, out);
-    double e = 0.0;
-    for (float v : out) e += double(v) * v;
-    return e;
-  };
-  const double ee = energy(exact);
-  const double es = energy(sampled);
-  EXPECT_GT(es, 0.97 * ee);
-}
-
-TEST(Topk, HistogramSelectionIsTwoPass) {
-  TopkCompressor c(0.001, TopkSelection::kSampledThreshold);
-  (void)c.Encode(RandomGrad(50000, 5));
-  // Histogram-assisted selection: the bit-pattern bucketing needs no
-  // max/range pass, so selection is histogram pass + gather pass.
-  EXPECT_EQ(c.last_threshold_passes(), 2);
+TEST(Topk, DecodesExactTopkBitwise) {
+  // The histogram threshold keeps every element of the buckets that cover
+  // k, and the trim cuts them to the k largest magnitudes: the decoded
+  // output is the scatter of exact top-k, bit for bit.
+  for (const size_t n : {1u, 2u, 7u, 100u, 1000u, 4099u, 100003u}) {
+    for (const double ratio : {0.001, 0.01, 0.1, 0.5}) {
+      for (const uint64_t seed : {1u, 2u, 3u}) {
+        const auto g = RandomGrad(n, seed * 7919 + n);
+        TopkCompressor c(ratio);
+        std::vector<float> got(n);
+        c.Decode(c.Encode(g), got);
+        std::vector<float> want(n, 0.0f);
+        for (const uint32_t i : TopkCompressor::SelectExact(g, c.KeptCount(n)))
+          want[i] = g[i];
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(float)), 0)
+            << "n=" << n << " ratio=" << ratio << " seed=" << seed;
+      }
+    }
+  }
 }
 
 TEST(Topk, HistogramSelectionTrimsTiesToK) {
-  TopkCompressor c(0.5, TopkSelection::kSampledThreshold);
   // All magnitudes tie, so they share one histogram bucket: the gather
   // returns all 8 and the trim cuts it back to exactly k.
   const std::vector<float> ties(8, 1.0f);
-  const auto tied = c.SelectSampled(ties, 4);
+  const auto tied = TopkCompressor::SelectSampled(ties, 4);
   EXPECT_EQ(tied.size(), 4u);
   EXPECT_EQ(std::set<uint32_t>(tied.begin(), tied.end()).size(), 4u);
   // One nonzero among zeros: k is only covered at the zero bucket, so the
@@ -161,7 +170,7 @@ TEST(Topk, HistogramSelectionTrimsTiesToK) {
   // nonzero plus three zeros.
   std::vector<float> sparse(8, 0.0f);
   sparse[5] = 3.0f;
-  const auto idx = c.SelectSampled(sparse, 4);
+  const auto idx = TopkCompressor::SelectSampled(sparse, 4);
   ASSERT_EQ(idx.size(), 4u);
   EXPECT_EQ(std::count(idx.begin(), idx.end(), 5u), 1);
   EXPECT_EQ(std::set<uint32_t>(idx.begin(), idx.end()).size(), 4u);
@@ -170,7 +179,7 @@ TEST(Topk, HistogramSelectionTrimsTiesToK) {
 TEST(Topk, HistogramSelectionPadsPastNaN) {
   // A NaN lands in the top histogram bucket but fails every comparison, so
   // the gather comes up one short and the pad tops the selection up to k.
-  TopkCompressor c(0.5, TopkSelection::kSampledThreshold);
+  TopkCompressor c(0.5);
   const std::vector<float> g{std::numeric_limits<float>::quiet_NaN(), 1.0f,
                              -4.0f, 2.0f};  // k = 2
   const auto blob = c.Encode(g);
@@ -183,29 +192,22 @@ TEST(Topk, HistogramSelectionPadsPastNaN) {
             2);
 }
 
-TEST(Topk, ThresholdPassesResetEachEncode) {
-  // Regression: the pass counter is per-call state. An exact-scheme encode
-  // after a sampled one must report 0, not the stale sampled count — and a
-  // mixed-magnitude gradient (one huge outlier 20 decades above the rest;
-  // under the old linear-scale histogram it crowded everything else into
-  // the bottom bucket) must still select exactly k.
-  TopkCompressor sampled(0.01, TopkSelection::kSampledThreshold);
+TEST(Topk, OutlierSurvivesSelection) {
+  // A mixed-magnitude gradient (one huge outlier 20 decades above the rest;
+  // under a linear-scale histogram it would crowd everything else into the
+  // bottom bucket) must still select exactly k, the outlier among them.
+  TopkCompressor c(0.01);
   std::vector<float> g = RandomGrad(10000, 11);
   g[123] = 1e20f;  // outlier, alone in a top bucket
-  const auto blob = sampled.Encode(g);
-  EXPECT_EQ(blob.size(), sampled.EncodedBytes(g.size()));
-  EXPECT_EQ(sampled.last_threshold_passes(), 2);
+  const auto blob = c.Encode(g);
+  EXPECT_EQ(blob.size(), c.EncodedBytes(g.size()));
   std::vector<float> out(g.size());
-  sampled.Decode(blob, out);
-  EXPECT_EQ(out[123], 1e20f);  // the outlier always survives selection
-
-  TopkCompressor exact(0.01, TopkSelection::kExact);
-  (void)exact.Encode(g);
-  EXPECT_EQ(exact.last_threshold_passes(), 0);
+  c.Decode(blob, out);
+  EXPECT_EQ(out[123], 1e20f);
 }
 
 TEST(Topk, AccumulateAverages) {
-  TopkCompressor c(0.5, TopkSelection::kExact);
+  TopkCompressor c(0.5);
   const std::vector<float> g{4.0f, 0.0f, -8.0f, 0.0f};
   const auto blob = c.Encode(g);
   std::vector<float> out(4, 0.0f);
@@ -295,49 +297,43 @@ TEST(Randomk, AddRejectsMismatchedHeaders) {
 
 TEST(ErrorFeedback, StartsAtZeroAndAccumulates) {
   ErrorFeedback ef;
-  Tensor grad({4}, {1, 2, 3, 4});
-  ef.AddInto(0, grad);  // residual zero: unchanged
-  EXPECT_FLOAT_EQ(grad.at(0), 1.0f);
+  std::vector<float> grad{1, 2, 3, 4};
+  ef.AddInto(grad);  // residual zero: unchanged
+  EXPECT_FLOAT_EQ(grad[0], 1.0f);
 
-  Tensor recon({4}, {0.5f, 2.0f, 3.0f, 3.0f});
-  ef.Update(0, grad, recon);  // residual = grad - recon
-  Tensor next({4}, {1, 1, 1, 1});
-  ef.AddInto(0, next);
-  EXPECT_FLOAT_EQ(next.at(0), 1.5f);
-  EXPECT_FLOAT_EQ(next.at(3), 2.0f);
+  const std::vector<float> recon{0.5f, 2.0f, 3.0f, 3.0f};
+  ef.Update(grad, recon);  // residual = grad - recon
+  std::vector<float> next{1, 1, 1, 1};
+  ef.AddInto(next);
+  EXPECT_FLOAT_EQ(next[0], 1.5f);
+  EXPECT_FLOAT_EQ(next[3], 2.0f);
 }
 
-TEST(ErrorFeedback, PerTensorIsolation) {
+TEST(ErrorFeedback, SizeChangeThrows) {
   ErrorFeedback ef;
-  Tensor a({2}, {1, 1});
-  Tensor zero({2});
-  ef.Update(1, a, zero);  // residual(1) = a
-  Tensor b({2});
-  ef.AddInto(2, b);  // residual(2) is fresh zeros
-  EXPECT_EQ(b.at(0), 0.0f);
-  EXPECT_EQ(ef.num_tensors(), 2u);
-  EXPECT_EQ(ef.total_elements(), 4);
-}
-
-TEST(ErrorFeedback, ShapeChangeThrows) {
-  ErrorFeedback ef;
-  (void)ef.residual(0, {2, 2});
-  EXPECT_THROW((void)ef.residual(0, {4}), Error);
+  EXPECT_EQ(ef.residual(4).size(), 4u);
+  EXPECT_THROW((void)ef.residual(3), Error);
+  std::vector<float> grad(5);
+  EXPECT_THROW(ef.AddInto(grad), Error);
 }
 
 // ---------------------------------------------------- EncodeInto parity ----
 
 // The zero-copy EncodeInto path must be byte-identical to the allocating
-// Encode() wrapper for every registered compressor. Random-k advances
-// internal state per encode, so the two paths run on two identically
-// constructed instances.
-TEST(EncodeInto, ByteIdenticalToEncodeForAllCompressors) {
+// Encode() wrapper for every codec. Random-k advances internal state per
+// encode, so the two paths run on two identically constructed instances.
+TEST(EncodeInto, ByteIdenticalToEncodeForAllCodecs) {
   const auto grads = {RandomGrad(1, 11), RandomGrad(257, 12),
                       RandomGrad(4096, 13)};
-  for (const std::string& spec : KnownCompressors()) {
+  const auto as_compressor = [](core::GradReducer::Codec& codec) {
+    return std::visit([](auto& c) -> Compressor* { return &c; }, codec);
+  };
+  for (const char* spec : {"sign", "topk:0.001", "randomk:0.01"}) {
     for (const auto& g : grads) {
-      auto a = MakeCompressor(spec);
-      auto b = MakeCompressor(spec);
+      auto codec_a = core::MakeCodec(spec);
+      auto codec_b = core::MakeCodec(spec);
+      Compressor* a = as_compressor(codec_a);
+      Compressor* b = as_compressor(codec_b);
       const std::vector<std::byte> via_encode = a->Encode(g);
       std::vector<std::byte> via_into(b->EncodedBytes(g.size()));
       b->EncodeInto(g, via_into);
@@ -359,15 +355,6 @@ TEST(EncodeInto, RejectsWronglySizedOutput) {
   EXPECT_THROW(c.EncodeInto(g, small), Error);
   std::vector<std::byte> big(c.EncodedBytes(g.size()) + 1);
   EXPECT_THROW(c.EncodeInto(g, big), Error);
-}
-
-TEST(Registry, RejectsMalformedParameters) {
-  // A parameter must parse whole, and "name:" is a typo, not the default.
-  for (const char* spec : {"topk:", "topk-sampled:", "randomk:", "topk:0.1x",
-                           "randomk:abc", "sign:"})
-    EXPECT_THROW((void)MakeCompressor(spec), Error) << spec;
-  EXPECT_NO_THROW((void)MakeCompressor("topk-sampled:0.01"));
-  EXPECT_NO_THROW((void)MakeCompressor("randomk:0.5"));
 }
 
 // Compression ratios summary (Table I row: Sign 32x, Top-k 1000x).

@@ -370,8 +370,7 @@ TEST(KernelParity, CompressorBlobsThreadCountInvariant) {
 
   const auto encode_both = [&] {
     compress::SignCompressor sign;
-    compress::TopkCompressor topk(0.003,
-                                  compress::TopkSelection::kSampledThreshold);
+    compress::TopkCompressor topk(0.003);
     return std::make_pair(sign.Encode(g), topk.Encode(g));
   };
 

@@ -15,59 +15,36 @@ struct QrDims {
 
 class QrTest : public ::testing::TestWithParam<QrDims> {};
 
-TEST_P(QrTest, Decomposes) {
+TEST_P(QrTest, OrthonormalBasisOfTheColumnSpan) {
   const auto [n, r] = GetParam();
   Rng rng(n * 31 + r);
   Tensor a({n, r});
   rng.fill_normal(a);
   const Tensor original = a.clone();
-  const QrResult qr = ReducedQr(a);
+  Orthogonalize(a);
 
   // Q has orthonormal columns.
-  EXPECT_LT(OrthonormalityError(qr.q), 1e-4f);
-  // R is upper triangular.
-  for (int64_t i = 0; i < r; ++i)
-    for (int64_t j = 0; j < i; ++j) EXPECT_EQ(qr.r.at(i, j), 0.0f);
-  // A = Q R.
-  const Tensor recon = MatMul(qr.q, qr.r);
+  EXPECT_LT(OrthonormalityError(a), 1e-4f);
+  // span(Q) = span(A): projecting the original columns onto span(Q)
+  // reproduces them, original = Q (Qᵀ original).
+  const Tensor coeffs = MatMulTA(a, original);
+  const Tensor recon = MatMul(a, coeffs);
   EXPECT_TRUE(recon.all_close(original, 1e-3f));
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, QrTest,
                          ::testing::Values(QrDims{1, 1}, QrDims{4, 4},
-                                           QrDims{8, 3}, QrDims{100, 4},
+                                           QrDims{8, 3}, QrDims{20, 3},
+                                           QrDims{40, 6}, QrDims{100, 4},
                                            QrDims{64, 32}, QrDims{257, 16}));
 
-TEST(Qr, RejectsBadShapes) {
-  EXPECT_THROW((void)ReducedQr(Tensor({4})), Error);
-  EXPECT_THROW((void)ReducedQr(Tensor({2, 4})), Error);  // n < r
-}
-
-TEST(Qr, ZeroColumnHandled) {
-  Tensor a({5, 2});
-  a.at(0, 0) = 1.0f;  // second column all zero
-  EXPECT_NO_THROW((void)ReducedQr(a));
-}
-
-TEST(Orthogonalize, ProducesOrthonormalColumns) {
-  Rng rng(55);
-  Tensor a({40, 6});
-  rng.fill_normal(a);
-  Orthogonalize(a);
-  EXPECT_LT(OrthonormalityError(a), 1e-4f);
-}
-
-TEST(Orthogonalize, PreservesColumnSpan) {
-  Rng rng(66);
-  Tensor a({20, 3});
-  rng.fill_normal(a);
-  const Tensor original = a.clone();
-  Orthogonalize(a);
-  // Projecting the original columns onto span(Q) must reproduce them:
-  // original = Q (Qᵀ original).
-  const Tensor coeffs = MatMulTA(a, original);
-  const Tensor recon = MatMul(a, coeffs);
-  EXPECT_TRUE(recon.all_close(original, 1e-3f));
+TEST(Orthogonalize, RejectsBadShapes) {
+  Tensor vector({4});
+  EXPECT_THROW(Orthogonalize(vector), Error);
+  Tensor wide({2, 4});  // n < r
+  EXPECT_THROW(Orthogonalize(wide), Error);
+  Tensor empty({3, 0});  // r = 0
+  EXPECT_THROW(Orthogonalize(empty), Error);
 }
 
 TEST(Orthogonalize, RankDeficientInputRecovers) {

@@ -1,11 +1,8 @@
-// Tests for the compressor registry and the per-tensor compression policy
-// (ByteComp-lite).
+// Tests for the per-tensor compression policy (ByteComp-lite).
 #include <gtest/gtest.h>
 
-#include "compress/registry.h"
 #include "core/policy.h"
 #include "models/model_zoo.h"
-#include "tensor/rng.h"
 
 namespace acps {
 namespace {
@@ -94,40 +91,6 @@ TEST(Policy, EvaluateRejectsIllegalAssignments) {
   EXPECT_THROW(
       (void)core::EvaluatePolicy(model, wrong_size, net, PaperGpu(), cfg),
       Error);
-}
-
-// ------------------------------------------------------------ registry ----
-
-TEST(Registry, BuildsEveryKnownSpec) {
-  Rng rng(1);
-  std::vector<float> g(200);
-  for (auto& v : g) v = rng.normal();
-  for (const std::string& spec : compress::KnownCompressors()) {
-    auto c = compress::MakeCompressor(spec);
-    ASSERT_NE(c, nullptr) << spec;
-    const auto blob = c->Encode(g);
-    EXPECT_EQ(blob.size(), c->EncodedBytes(g.size())) << spec;
-    std::vector<float> out(g.size());
-    c->Decode(blob, out);
-  }
-}
-
-TEST(Registry, ParsesParameters) {
-  // Ratio 0.5 on 10 elements keeps 5 records.
-  auto topk = compress::MakeCompressor("topk:0.5");
-  EXPECT_EQ(topk->EncodedBytes(10), 16u + 5u * 8u);
-  auto sampled = compress::MakeCompressor("topk-sampled:0.5");
-  EXPECT_EQ(sampled->name(), "topk-sampled");
-  EXPECT_EQ(sampled->EncodedBytes(10), 16u + 5u * 8u);
-  auto randomk = compress::MakeCompressor("randomk:0.5");
-  EXPECT_EQ(randomk->EncodedBytes(10), 24u + 5u * 4u);
-}
-
-TEST(Registry, RejectsBadSpecs) {
-  EXPECT_THROW((void)compress::MakeCompressor("unknown"), Error);
-  EXPECT_THROW((void)compress::MakeCompressor("topk:abc"), Error);
-  EXPECT_THROW((void)compress::MakeCompressor("sign:3"), Error);
-  EXPECT_THROW((void)compress::MakeCompressor("topk:0"), Error);
 }
 
 }  // namespace
