@@ -26,7 +26,12 @@ BENCHMARK(BM_RingAllReduce)
     ->Args({2, 1 << 12})
     ->Args({4, 1 << 12})
     ->Args({4, 1 << 16})
-    ->Args({8, 1 << 12});
+    ->Args({8, 1 << 12})
+    // One fusion bucket at fusion::kDefaultBufferBytes (25 MiB): the size
+    // the ring moves per S-SGD bucket.
+    ->Args({4, 6553600})
+    // The ranks run on worker threads: wall time is the collective's time.
+    ->UseRealTime();
 
 void BM_NaiveAllReduce(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "check/sched_point.h"
 #include "fault/clock.h"
@@ -20,20 +21,6 @@ namespace {
 constexpr int kMaxDeliveryAttempts = 8;
 
 int Mod(int x, int p) { return ((x % p) + p) % p; }
-
-// FNV-1a over the payload, seeded with the sequence number and the owning
-// session's envelope salt: a stale message whose bytes happen to match still
-// fails validation if its seq was forged, and a chunk sealed under another
-// session never validates here.
-uint32_t EnvelopeChecksum(std::span<const std::byte> bytes, uint64_t seq,
-                          uint64_t salt) noexcept {
-  uint32_t h = 2166136261u ^ static_cast<uint32_t>((seq ^ salt) * 2654435761ULL);
-  for (const std::byte b : bytes) {
-    h ^= static_cast<uint32_t>(b);
-    h *= 16777619u;
-  }
-  return h;
-}
 
 void ReduceInto(std::span<float> dst, std::span<const float> src) {
   ACPS_CHECK(dst.size() == src.size());
@@ -219,10 +206,10 @@ void Communicator::ReliableStep(uint64_t seq, bool publish,
         // per-window publish accounting is unaffected by recovery.
         if (attempt == 0 && fresh && kind == check::PointKind::kHandoffSend)
           check::SchedPoint(check::PointKind::kHandoffSend, rank_);
-        if (fresh) {
-          box.prev = std::move(box.cur);
-          box.cur = detail::Message{};
-        }
+        // A fresh publish turns the current message into `prev` (what the
+        // duplicate and stale-read faults serve) and recycles the older
+        // generation's buffer: assign reuses its capacity.
+        if (fresh) std::swap(box.prev, box.cur);
         box.cur.bytes.assign(payload.begin(), payload.end());
         if (attempt == 0) {
           // The controller may mutate the payload here (fault-injection
@@ -238,7 +225,7 @@ void Communicator::ReliableStep(uint64_t seq, bool publish,
                                                  box.cur.bytes.size()));
         }
         box.cur.seq = seq;
-        box.cur.checksum = EnvelopeChecksum(
+        box.cur.checksum = detail::EnvelopeChecksum(
             {box.cur.bytes.data(), box.cur.bytes.size()}, seq, salt);
         if (fk == fault::FaultKind::kDuplicate) {
           // Replay: the previous message overwrites this publish.
@@ -271,8 +258,8 @@ void Communicator::ReliableStep(uint64_t seq, bool publish,
       const char* fail = nullptr;
       if (m.seq != seq)
         fail = "sequence mismatch (lost, replayed or stale chunk)";
-      else if (EnvelopeChecksum({m.bytes.data(), m.bytes.size()}, m.seq,
-                                salt) != m.checksum)
+      else if (detail::EnvelopeChecksum({m.bytes.data(), m.bytes.size()},
+                                        m.seq, salt) != m.checksum)
         fail = "checksum mismatch (corrupted chunk)";
       if (fail == nullptr) {
         consume(from, std::span<const std::byte>(m.bytes.data(),

@@ -1,11 +1,71 @@
 #include "comm/transport.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 
 namespace acps::comm {
 namespace detail {
+namespace {
+
+// xxHash64's primes and round. Round is a bijection in `acc` for a fixed
+// word and in `word` for a fixed accumulator: the odd multipliers are
+// invertible mod 2^64, and addition and rotation are.
+constexpr uint64_t kP1 = 0x9E3779B185EBCA87ull;
+constexpr uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr uint64_t kP3 = 0x165667B19E3779F9ull;
+constexpr uint64_t kP4 = 0x85EBCA77C2B2AE63ull;
+constexpr uint64_t kP5 = 0x27D4EB2F165667C5ull;
+
+uint64_t Round(uint64_t acc, uint64_t word) noexcept {
+  return std::rotl(acc + word * kP2, 31) * kP1;
+}
+
+template <typename T>
+T Load(const std::byte* p) noexcept {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  return v;
+}
+
+}  // namespace
+
+uint64_t EnvelopeChecksum(std::span<const std::byte> bytes, uint64_t seq,
+                          uint64_t salt) noexcept {
+  const std::byte* p = bytes.data();
+  const size_t n = bytes.size();
+  const std::byte* const end = p + n;
+  uint64_t h = (seq ^ salt) + kP5;
+  if (n >= 32) {
+    // The lanes start from constants, not from the seed, so the seed
+    // reaches the seal only through `h` and a changed seed always shows.
+    uint64_t v1 = kP1 + kP2, v2 = kP2, v3 = 0, v4 = 0 - kP1;
+    for (const std::byte* const last = end - 32; p <= last; p += 32) {
+      v1 = Round(v1, Load<uint64_t>(p));
+      v2 = Round(v2, Load<uint64_t>(p + 8));
+      v3 = Round(v3, Load<uint64_t>(p + 16));
+      v4 = Round(v4, Load<uint64_t>(p + 24));
+    }
+    h = Round(Round(Round(Round(h, v1), v2), v3), v4);
+  }
+  h += n;
+  for (; end - p >= 8; p += 8)
+    h = std::rotl(h ^ Round(0, Load<uint64_t>(p)), 27) * kP1 + kP4;
+  if (end - p >= 4) {
+    h = std::rotl(h ^ (Load<uint32_t>(p) * kP1), 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p != end; ++p)
+    h = std::rotl(h ^ (static_cast<uint64_t>(*p) * kP5), 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
+  return h;
+}
 
 GroupState::GroupState(int p, int64_t timeout_ms)
     : world_size(p), barrier_timeout_ms(timeout_ms),

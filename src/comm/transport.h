@@ -24,6 +24,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,8 +81,21 @@ inline constexpr uint64_t kNoSeq = ~uint64_t{0};
 struct Message {
   std::vector<std::byte> bytes;
   uint64_t seq = kNoSeq;
-  uint32_t checksum = 0;
+  uint64_t checksum = 0;
 };
+
+// The envelope seal: a word-wise 64-bit checksum of `bytes` seeded with
+// `seq ^ salt`. 32-byte blocks feed four independent multiply-rotate lanes;
+// the lanes, the length and the tail (8-byte words, then a 4-byte word,
+// then single bytes) fold into one seeded accumulator, and a 64-bit
+// avalanche finishes it. Every step is a bijection in the input it folds
+// and in its accumulator, so a change confined to one input word (every
+// single-bit flip) and any change of `seq ^ salt` always change the seal:
+// the same bytes replayed under a forged seq, or sealed under another
+// session's salt, never validate. Other corruptions escape with
+// probability about 2^-64.
+[[nodiscard]] uint64_t EnvelopeChecksum(std::span<const std::byte> bytes,
+                                        uint64_t seq, uint64_t salt) noexcept;
 
 // Per-worker channel. `prev` keeps the previously published message — the
 // source the injector serves for duplicate/replay and stale-read faults.

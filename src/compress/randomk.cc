@@ -22,7 +22,18 @@ std::vector<uint32_t> SampleIndices(uint64_t seed, size_t k, size_t n) {
     std::swap(pool[i], pool[j]);
   }
   pool.resize(k);
+  pool.shrink_to_fit();  // a kept sample holds k entries, not n
   return pool;
+}
+
+struct Header {
+  uint64_t seed, k, n;
+};
+
+Header HeaderOf(std::span<const std::byte> blob) {
+  return {wire::Read<uint64_t>(blob, 0),
+          wire::Read<uint64_t>(blob, sizeof(uint64_t)),
+          wire::Read<uint64_t>(blob, 2 * sizeof(uint64_t))};
 }
 
 }  // namespace
@@ -56,9 +67,11 @@ void RandomkCompressor::EncodeInto(std::span<const float> grad,
   wire::Write(out, 2 * sizeof(uint64_t), static_cast<uint64_t>(n));
   if (n == 0) return;
 
-  const auto idx = SampleIndices(step_seed, k, n);
+  indices_ = SampleIndices(step_seed, k, n);
+  indices_seed_ = step_seed;
+  indices_n_ = n;
   size_t off = kHeaderBytes;
-  for (uint32_t i : idx) {
+  for (uint32_t i : indices_) {
     wire::Write(out, off, grad[i]);
     off += sizeof(float);
   }
@@ -66,11 +79,9 @@ void RandomkCompressor::EncodeInto(std::span<const float> grad,
 
 std::vector<uint32_t> RandomkCompressor::IndicesOf(
     std::span<const std::byte> blob) {
-  const auto seed = wire::Read<uint64_t>(blob, 0);
-  const auto k = wire::Read<uint64_t>(blob, sizeof(uint64_t));
-  const auto n = wire::Read<uint64_t>(blob, 2 * sizeof(uint64_t));
-  if (n == 0) return {};
-  return SampleIndices(seed, k, n);
+  const Header h = HeaderOf(blob);
+  if (h.n == 0) return {};
+  return SampleIndices(h.seed, h.k, h.n);
 }
 
 std::span<float> RandomkCompressor::ValuesOf(std::span<std::byte> blob) {
@@ -85,33 +96,21 @@ std::span<float> RandomkCompressor::ValuesOf(std::span<std::byte> blob) {
 
 void RandomkCompressor::Decode(std::span<const std::byte> blob,
                                std::span<float> out) const {
-  const auto k = wire::Read<uint64_t>(blob, sizeof(uint64_t));
-  const auto n = wire::Read<uint64_t>(blob, 2 * sizeof(uint64_t));
-  ACPS_CHECK_MSG(out.size() == n, "Randomk decode size mismatch");
+  const Header h = HeaderOf(blob);
+  ACPS_CHECK_MSG(out.size() == h.n, "Randomk decode size mismatch");
   std::fill(out.begin(), out.end(), 0.0f);
-  if (n == 0) return;
-  const auto idx = IndicesOf(blob);
-  for (size_t j = 0; j < k; ++j) {
+  if (h.n == 0) return;
+  // The index set is a pure function of the header: a blob of the step
+  // this compressor last encoded reuses that step's sample.
+  std::vector<uint32_t> sampled;
+  const bool last_step = h.seed == indices_seed_ && h.k == indices_.size() &&
+                         h.n == indices_n_;
+  if (!last_step) sampled = IndicesOf(blob);
+  const std::vector<uint32_t>& idx = last_step ? indices_ : sampled;
+  for (size_t j = 0; j < h.k; ++j) {
     out[idx[j]] =
         wire::Read<float>(blob, kHeaderBytes + j * sizeof(float));
   }
-}
-
-std::vector<std::byte> RandomkCompressor::Add(std::span<const std::byte> a,
-                                              std::span<const std::byte> b) {
-  ACPS_CHECK_MSG(a.size() == b.size(), "Randomk::Add blob size mismatch");
-  for (size_t off = 0; off < kHeaderBytes; off += sizeof(uint64_t)) {
-    ACPS_CHECK_MSG(wire::Read<uint64_t>(a, off) == wire::Read<uint64_t>(b, off),
-                   "Randomk::Add requires identical (seed, k, numel)");
-  }
-  std::vector<std::byte> out(a.begin(), a.end());
-  const auto k = wire::Read<uint64_t>(a, sizeof(uint64_t));
-  for (size_t j = 0; j < k; ++j) {
-    const size_t off = kHeaderBytes + j * sizeof(float);
-    const float sum = wire::Read<float>(a, off) + wire::Read<float>(b, off);
-    std::memcpy(out.data() + off, &sum, sizeof(float));
-  }
-  return out;
 }
 
 }  // namespace acps::compress

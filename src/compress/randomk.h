@@ -4,7 +4,8 @@
 // a given (tensor, step), the selected coordinates coincide, which — unlike
 // Top-k — makes the compressed vectors additive and therefore all-reduce
 // compatible. Encode stores only [seed][k][numel][values...]: the index set
-// is re-derived from the seed on decode.
+// is re-derived from the seed on decode (or reused, when the compressor
+// itself encoded that step).
 #pragma once
 
 #include "compress/compressor.h"
@@ -38,15 +39,16 @@ class RandomkCompressor final : public Compressor {
   // all-reduce sums in place (the header and index seed stay untouched).
   [[nodiscard]] static std::span<float> ValuesOf(std::span<std::byte> blob);
 
-  // Sums the value payloads of two blobs with identical (seed, k, numel);
-  // the additive property that enables all-reduce.
-  [[nodiscard]] static std::vector<std::byte> Add(
-      std::span<const std::byte> a, std::span<const std::byte> b);
-
  private:
   double ratio_;
   uint64_t seed_;
   uint64_t step_ = 0;
+  // The index set the last EncodeInto sampled, for seed `indices_seed_`
+  // over `indices_n_` elements. Decode reuses it for blobs of that step, so
+  // an encode and its decodes sample once.
+  std::vector<uint32_t> indices_;
+  uint64_t indices_seed_ = 0;
+  uint64_t indices_n_ = 0;
 };
 
 }  // namespace acps::compress

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <thread>
 
+#include "comm/transport.h"
 #include "fault/plan.h"
 
 namespace acps::comm {
@@ -494,6 +496,111 @@ TEST(Session, RejectsEmptyJobId) {
   Session named(transport, "comm-test", 2);
   EXPECT_EQ(named.metric_prefix(), "job/comm-test/");
   EXPECT_EQ(named.envelope_salt(), Transport::EnvelopeSalt("comm-test"));
+}
+
+// --- Envelope seal ----------------------------------------------------------
+// detail::EnvelopeChecksum must catch every fault the injector's corruption
+// can cause and every forged sequence number or foreign salt, at the sizes
+// that exercise each path: empty, tail-only, exactly one and just over one
+// 32-byte block, and multi-block payloads with ragged tails.
+constexpr size_t kSealSizes[] = {0, 1, 7, 8, 31, 32, 33, 4099, (1u << 20) + 5};
+constexpr uint64_t kSealSeq = 0x0003000200010007ull;
+constexpr uint64_t kSealSalt = 0x5a17c0ffee15beefull;
+
+std::vector<std::byte> SealPayload(size_t n) {
+  std::vector<std::byte> b(n);
+  uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (auto& v : b) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    v = static_cast<std::byte>(x >> 56);
+  }
+  return b;
+}
+
+uint64_t Seal(std::span<const std::byte> b, uint64_t seq = kSealSeq,
+              uint64_t salt = kSealSalt) {
+  return detail::EnvelopeChecksum(b, seq, salt);
+}
+
+TEST(EnvelopeChecksum, EverySingleBitFlipChangesTheSeal) {
+  for (const size_t n : kSealSizes) {
+    auto b = SealPayload(n);
+    const uint64_t sealed = Seal(b);
+    // Exhaustive up to 4099 bytes; above, a stride through the blocks plus
+    // every bit of the last 40 bytes (the tail and the last block).
+    const size_t bits = n * 8;
+    const size_t stride = n <= 4099 ? 1 : 8191;
+    std::vector<size_t> flips;
+    for (size_t bit = 0; bit < bits; bit += stride) flips.push_back(bit);
+    if (stride > 1)
+      for (size_t bit = bits - std::min<size_t>(bits, 320); bit < bits; ++bit)
+        flips.push_back(bit);
+    for (const size_t bit : flips) {
+      const auto mask = static_cast<std::byte>(1u << (bit % 8));
+      b[bit / 8] ^= mask;
+      ASSERT_NE(Seal(b), sealed) << "n=" << n << " bit=" << bit;
+      b[bit / 8] ^= mask;
+    }
+  }
+}
+
+TEST(EnvelopeChecksum, InjectorByteRotationChangesTheSeal) {
+  for (const size_t n : kSealSizes) {
+    auto b = SealPayload(n);
+    const uint64_t sealed = Seal(b);
+    bool changed = false;
+    for (std::byte& v : b) {  // the kCorrupt wire fault, byte for byte
+      const auto u = static_cast<uint8_t>(v);
+      v = static_cast<std::byte>(static_cast<uint8_t>((u << 1) | (u >> 7)));
+      changed = changed || u != static_cast<uint8_t>(v);
+    }
+    if (changed) {
+      EXPECT_NE(Seal(b), sealed) << "n=" << n;
+    } else {
+      EXPECT_EQ(n, 0u);
+    }
+  }
+}
+
+TEST(EnvelopeChecksum, SeqAndSaltAreSealedIn) {
+  for (const size_t n : kSealSizes) {
+    const auto b = SealPayload(n);
+    const uint64_t sealed = Seal(b);
+    for (int bit = 0; bit < 64; ++bit) {
+      const uint64_t m = uint64_t{1} << bit;
+      EXPECT_NE(Seal(b, kSealSeq ^ m), sealed)
+          << "n=" << n << " seq bit " << bit;
+      EXPECT_NE(Seal(b, kSealSeq, kSealSalt ^ m), sealed)
+          << "n=" << n << " salt bit " << bit;
+    }
+    EXPECT_NE(Seal(b, kSealSeq + 1), sealed) << "n=" << n;
+    EXPECT_NE(Seal(b, kSealSeq, Transport::EnvelopeSalt("other-job")), sealed)
+        << "n=" << n;
+  }
+}
+
+TEST(EnvelopeChecksum, OneByteLengthChangeChangesTheSeal) {
+  for (const size_t n : kSealSizes) {
+    const auto b = SealPayload(n + 1);
+    const std::span<const std::byte> all(b);
+    const uint64_t sealed = Seal(all.first(n));
+    EXPECT_NE(Seal(all), sealed) << "grown from n=" << n;
+    if (n > 0) {
+      EXPECT_NE(Seal(all.first(n - 1)), sealed) << "shrunk from n=" << n;
+    }
+  }
+}
+
+TEST(EnvelopeChecksum, SealDependsOnBytesNotAlignment) {
+  for (const size_t n : kSealSizes) {
+    const auto b = SealPayload(n);
+    std::vector<std::byte> shifted(n + 3);
+    std::copy(b.begin(), b.end(), shifted.begin() + 3);
+    EXPECT_EQ(Seal(std::span<const std::byte>(shifted).subspan(3)), Seal(b))
+        << "n=" << n;
+  }
 }
 
 // --- Golden collective digests ----------------------------------------------
