@@ -1,6 +1,7 @@
 #include "core/trainer.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <mutex>
@@ -30,6 +31,10 @@ std::string TrainConfig::Validate(int world_size) const {
     add("train_samples must be > 0, got " + std::to_string(train_samples));
   if (test_samples <= 0)
     add("test_samples must be > 0, got " + std::to_string(test_samples));
+  // Eval sums per-rank correct counts in a float all-reduce, which is exact
+  // for integers up to 2^24.
+  if (test_samples > (int64_t{1} << 24))
+    add("test_samples must be <= 2^24, got " + std::to_string(test_samples));
   if (epochs <= 0) add("epochs must be > 0, got " + std::to_string(epochs));
   if (batch_per_worker <= 0)
     add("batch_per_worker must be > 0, got " +
@@ -89,6 +94,13 @@ TrainResult TrainDistributed(comm::Session& session, const TrainConfig& config,
     const dnn::Dataset test =
         dnn::MakeSynthetic(config.data, config.test_samples, /*salt=*/2);
     const dnn::Shard shard = dnn::ShardFor(train, rank, world);
+    // This rank's slice of the test set, evaluated after every epoch. A
+    // rank whose shard is empty (test_samples < world) forwards nothing but
+    // still joins the count all-reduce.
+    const dnn::Shard test_shard = dnn::ShardFor(test, rank, world);
+    Tensor test_x;
+    std::vector<int> test_y;
+    test.Slice(test_shard.begin, test_shard.count, test_x, test_y);
 
     DistributedOptimizer opt(net.params(), factory(rank, world), config.lr,
                              config.momentum, config.weight_decay);
@@ -100,6 +112,8 @@ TrainResult TrainDistributed(comm::Session& session, const TrainConfig& config,
     Tensor batch_x;
     std::vector<int> batch_y;
     Tensor one_x({1, train.features});
+    // Rank 0's end of the epoch's last step, where its eval time starts.
+    std::chrono::steady_clock::time_point step_end;
 
     for (int epoch = 0; epoch < config.epochs; ++epoch) {
       obs::ScopedSpan epoch_span(tracer, "epoch", obs::kCatStep, rank,
@@ -145,10 +159,10 @@ TrainResult TrainDistributed(comm::Session& session, const TrainConfig& config,
         opt.Step(comm, frac_epoch);
 
         if (rank == 0) {
+          // lint:allow(wall-clock) step timing feeds metrics only, never control
+          step_end = std::chrono::steady_clock::now();
           const double step_us =
-              std::chrono::duration<double, std::micro>(
-                  std::chrono::steady_clock::now() -  // lint:allow(wall-clock)
-                  step_t0)
+              std::chrono::duration<double, std::micro>(step_end - step_t0)
                   .count();
           if (metrics) {
             metrics->counter("train.steps").Add();
@@ -162,26 +176,43 @@ TrainResult TrainDistributed(comm::Session& session, const TrainConfig& config,
         }
       }
 
-      // Rank 0 evaluates; everyone synchronizes so replicas stay aligned.
-      if (rank == 0) {
-        Tensor test_x;
-        std::vector<int> test_y;
-        test.Slice(0, test.size(), test_x, test_y);
-        const Tensor logits = net.Forward(test_x);
-        EpochStat stat;
-        stat.epoch = epoch;
-        stat.train_loss = loss_acc / std::max<int64_t>(1, iters_per_epoch);
-        stat.test_acc = dnn::Accuracy(logits, test_y);
-        std::lock_guard lock(result_mu);
-        result.history.push_back(stat);
+      // Every rank forwards its test shard and one all-reduce sums the
+      // {correct, evaluated} counts; that all-reduce is also the epoch's
+      // synchronization point. A sample's logits do not depend on its batch
+      // mates, and the counts are integers of at most 2^24 (Validate), so
+      // the float sum is exact and the accuracy is bitwise the full-batch
+      // one. A degraded all-reduce that lost a shard fails the job instead
+      // of reporting a deflated accuracy.
+      {
+        obs::ScopedSpan eval_span(tracer, "eval", obs::kCatStep, rank,
+                                  /*bytes=*/0, /*arg=*/epoch);
+        std::array<float, 2> counts = {0.0f,
+                                       static_cast<float>(test_shard.count)};
+        if (test_shard.count > 0)
+          counts[0] = static_cast<float>(
+              dnn::CountCorrect(net.Forward(test_x), test_y));
+        comm.all_reduce(counts);
+        ACPS_CHECK_MSG(static_cast<int64_t>(counts[1]) == test.size(),
+                       "job '" << session.job_id() << "' epoch " << epoch
+                               << ": eval covered " << counts[1] << " of "
+                               << test.size() << " test samples");
+        if (rank == 0) {
+          EpochStat stat;
+          stat.epoch = epoch;
+          stat.train_loss = loss_acc / std::max<int64_t>(1, iters_per_epoch);
+          stat.test_acc = counts[0] / static_cast<float>(test.size());
+          std::lock_guard lock(result_mu);
+          result.history.push_back(stat);
+        }
       }
-      comm.barrier();
       if (metrics && rank == 0) {
-        metrics->histogram("train.epoch_us")
-            .Observe(std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() -  // lint:allow(wall-clock)
-                         epoch_t0)
-                         .count());
+        // lint:allow(wall-clock) epoch timing feeds metrics only, never control
+        const auto epoch_end = std::chrono::steady_clock::now();
+        const auto us = [](std::chrono::steady_clock::duration d) {
+          return std::chrono::duration<double, std::micro>(d).count();
+        };
+        metrics->histogram("train.eval_us").Observe(us(epoch_end - step_end));
+        metrics->histogram("train.epoch_us").Observe(us(epoch_end - epoch_t0));
       }
     }
   });

@@ -3,8 +3,9 @@
 // Each worker thread builds an identical model replica (same seed), streams
 // its shard of the synthetic dataset, computes gradients, and steps a
 // DistributedOptimizer: the chosen GradientAggregator (real collectives),
-// then momentum SGD with the paper's warmup + step-decay schedule. Rank 0
-// evaluates test accuracy after every epoch.
+// then momentum SGD with the paper's warmup + step-decay schedule. After
+// every epoch each rank evaluates its shard of the test set and one
+// all-reduce sums the correct counts; rank 0 records the accuracy.
 #pragma once
 
 #include <string>
@@ -32,8 +33,9 @@ struct TrainConfig {
   uint64_t model_seed = 42;
   uint64_t shuffle_seed = 7;
   // Optional metrics sink (not owned; may be null). When set and enabled,
-  // the trainer records step_us / epoch_us histograms and a steps counter.
-  // Span tracing is configured separately, on the Transport's Tracer.
+  // rank 0 records step_us / eval_us / epoch_us histograms and a steps
+  // counter. Span tracing is configured separately, on the Transport's
+  // Tracer.
   obs::MetricsRegistry* metrics = nullptr;
 
   // Returns "" when the config is trainable on `world_size` workers,
@@ -45,7 +47,8 @@ struct TrainConfig {
 struct EpochStat {
   int epoch = 0;
   double train_loss = 0.0;  // rank-0 mean loss over the epoch
-  double test_acc = 0.0;    // rank-0 full-test accuracy
+  double test_acc = 0.0;    // full-test accuracy, summed over the ranks'
+                            // shards; bitwise the full-batch value
 };
 
 struct TrainResult {

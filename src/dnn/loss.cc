@@ -40,16 +40,21 @@ LossResult SoftmaxCrossEntropy(const Tensor& logits,
   return result;
 }
 
-float Accuracy(const Tensor& logits, const std::vector<int>& labels) {
+int64_t CountCorrect(const Tensor& logits, const std::vector<int>& labels) {
   ACPS_CHECK(logits.ndim() == 2 &&
              static_cast<int64_t>(labels.size()) == logits.rows());
-  int correct = 0;
+  int64_t correct = 0;
   for (int64_t b = 0; b < logits.rows(); ++b) {
     int64_t best = 0;
     for (int64_t c = 1; c < logits.cols(); ++c)
       if (logits.at(b, c) > logits.at(b, best)) best = c;
     if (static_cast<int>(best) == labels[static_cast<size_t>(b)]) ++correct;
   }
+  return correct;
+}
+
+float Accuracy(const Tensor& logits, const std::vector<int>& labels) {
+  const int64_t correct = CountCorrect(logits, labels);
   return logits.rows() == 0
              ? 0.0f
              : static_cast<float>(correct) / static_cast<float>(logits.rows());

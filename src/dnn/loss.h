@@ -16,7 +16,13 @@ struct LossResult {
 [[nodiscard]] LossResult SoftmaxCrossEntropy(const Tensor& logits,
                                              const std::vector<int>& labels);
 
-// Fraction of rows whose arg-max equals the label.
+// Number of rows whose arg-max equals the label; on ties the first maximum
+// is the arg-max.
+[[nodiscard]] int64_t CountCorrect(const Tensor& logits,
+                                   const std::vector<int>& labels);
+
+// Fraction of rows whose arg-max equals the label: CountCorrect / rows, and
+// 0 for zero rows.
 [[nodiscard]] float Accuracy(const Tensor& logits,
                              const std::vector<int>& labels);
 

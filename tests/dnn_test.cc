@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "dnn/conv.h"
 #include "dnn/dataset.h"
@@ -168,6 +169,69 @@ TEST(AccuracyMetric, Counts) {
   Tensor logits({2, 2}, {0.9f, 0.1f, 0.2f, 0.8f});
   EXPECT_FLOAT_EQ(Accuracy(logits, {0, 1}), 1.0f);
   EXPECT_FLOAT_EQ(Accuracy(logits, {1, 1}), 0.5f);
+}
+
+TEST(AccuracyMetric, CountCorrectTiesAndZeroRows) {
+  // On a tie the first maximum is the arg-max, as in Accuracy.
+  Tensor tied({3, 3}, {0.5f, 0.5f, 0.1f,  //
+                       0.2f, 0.7f, 0.7f,  //
+                       0.3f, 0.3f, 0.3f});
+  EXPECT_EQ(CountCorrect(tied, {0, 1, 0}), 3);
+  EXPECT_EQ(CountCorrect(tied, {1, 2, 2}), 0);
+  EXPECT_EQ(Accuracy(tied, {0, 2, 0}), 2.0f / 3.0f);
+  Tensor empty({0, 3});
+  EXPECT_EQ(CountCorrect(empty, {}), 0);
+  EXPECT_EQ(Accuracy(empty, {}), 0.0f);
+  EXPECT_THROW((void)CountCorrect(tied, {0, 1}), Error);
+}
+
+// The trainer evaluates the test set one ShardFor shard per rank and sums
+// the counts. That is only exact if a sample's logits do not depend on its
+// batch mates: at every world size the concatenated shard logits must be
+// bitwise the full-batch logits, and the shard counts must sum to the
+// full-batch count.
+TEST(ShardedEval, ShardLogitsAreBitwiseTheFullBatchLogits) {
+  const SyntheticSpec spec;
+  const Dataset train = MakeSynthetic(spec, 64, 1);
+  const Dataset test = MakeSynthetic(spec, 101, 2);
+  Tensor full_x;
+  std::vector<int> full_y;
+  test.Slice(0, test.size(), full_x, full_y);
+  for (const char* model : {"vgg-mini", "res-mini"}) {
+    Network net = MiniByName(model);
+    net.Init(5);
+    // A few SGD steps, so the logits are not those of the initial weights.
+    SgdOptimizer opt(net.params(), LrSchedule{0.05f, 0, {}, 1.0f}, 0.9f);
+    Tensor x;
+    std::vector<int> y;
+    for (int step = 0; step < 4; ++step) {
+      train.Slice(step * 16, 16, x, y);
+      net.ZeroGrads();
+      const LossResult r = SoftmaxCrossEntropy(net.Forward(x), y);
+      (void)net.Backward(r.grad_logits);
+      opt.Step(0);
+    }
+    const Tensor full = net.Forward(full_x);
+    const int64_t full_correct = CountCorrect(full, full_y);
+    for (int world = 1; world <= 5; ++world) {
+      std::vector<float> joined;
+      int64_t correct = 0;
+      for (int rank = 0; rank < world; ++rank) {
+        const Shard s = ShardFor(test, rank, world);
+        test.Slice(s.begin, s.count, x, y);
+        const Tensor logits = net.Forward(x);
+        correct += CountCorrect(logits, y);
+        joined.insert(joined.end(), logits.data().begin(),
+                      logits.data().end());
+      }
+      ASSERT_EQ(joined.size(), full.data().size()) << model << " " << world;
+      EXPECT_EQ(std::memcmp(joined.data(), full.data().data(),
+                            joined.size() * sizeof(float)),
+                0)
+          << model << " at world " << world;
+      EXPECT_EQ(correct, full_correct) << model << " at world " << world;
+    }
+  }
 }
 
 TEST(Network, InitIsDeterministic) {

@@ -1,6 +1,8 @@
 // End-to-end distributed-training smoke tests (small versions of Fig 6/7).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -125,6 +127,9 @@ TEST(Trainer, ValidateRejectsNonFiniteHyperparameters) {
           {"decay_factor=0", [](TrainConfig& c) { c.lr.decay_factor = 0.0f; }},
           {"decay_factor=-0.5",
            [](TrainConfig& c) { c.lr.decay_factor = -0.5f; }},
+          // Eval sums correct counts in a float all-reduce.
+          {"test_samples=2^24+1",
+           [](TrainConfig& c) { c.test_samples = (int64_t{1} << 24) + 1; }},
       };
   EXPECT_EQ(SmallConfig().Validate(2), "");
   TrainConfig no_decay = SmallConfig();
@@ -134,6 +139,53 @@ TEST(Trainer, ValidateRejectsNonFiniteHyperparameters) {
     TrainConfig cfg = SmallConfig();
     mutate(cfg);
     EXPECT_NE(cfg.Validate(2), "") << what;
+  }
+}
+
+// Each rank evaluates its ShardFor slice of the test set, including uneven
+// shards (101 samples on 3 ranks) and an empty one (3 samples on 4 ranks;
+// the synthetic set needs a sample per class, hence 3 classes). Every epoch
+// must be recorded, each accuracy must be a whole count over test_samples,
+// and a rerun must repeat the history bitwise.
+TEST(Trainer, ShardedEvalCoversUnevenAndEmptyShards) {
+  struct Case {
+    int world;
+    int64_t test_samples;
+    int num_classes;
+  };
+  for (const Case c : {Case{3, 101, 10}, Case{4, 3, 3}}) {
+    TrainConfig cfg = SmallConfig();
+    cfg.data.num_classes = c.num_classes;
+    cfg.epochs = 2;
+    cfg.train_samples = int64_t{2} * c.world * cfg.batch_per_worker;
+    cfg.test_samples = c.test_samples;
+    const auto run = [&] {
+      comm::Transport transport;
+      comm::Session session(transport, "trainer", c.world);
+      return TrainDistributed(session, cfg, MakeAggregatorFactory("ssgd"));
+    };
+    const TrainResult a = run();
+    const TrainResult b = run();
+    ASSERT_EQ(a.history.size(), 2u) << "world " << c.world;
+    ASSERT_EQ(b.history.size(), 2u) << "world " << c.world;
+    const float n = static_cast<float>(c.test_samples);
+    for (size_t e = 0; e < a.history.size(); ++e) {
+      const double acc = a.history[e].test_acc;
+      const float correct = std::round(static_cast<float>(acc) * n);
+      EXPECT_GE(correct, 0.0f);
+      EXPECT_LE(correct, n);
+      EXPECT_EQ(acc, static_cast<double>(correct / n))
+          << "world " << c.world << " epoch " << e;
+      EXPECT_EQ(a.history[e].epoch, b.history[e].epoch);
+      EXPECT_EQ(std::memcmp(&a.history[e].train_loss,
+                            &b.history[e].train_loss, sizeof(double)),
+                0)
+          << "world " << c.world << " epoch " << e;
+      EXPECT_EQ(std::memcmp(&a.history[e].test_acc, &b.history[e].test_acc,
+                            sizeof(double)),
+                0)
+          << "world " << c.world << " epoch " << e;
+    }
   }
 }
 
