@@ -16,7 +16,9 @@
 // gemm_tb_4096x4096x32 >= 10x — the packed-panel fast path;
 // gemm_tb_recon_r4 >= 5x — the small-k rank-r reconstruction;
 // gemm_ta_lowrank_r4 >= 10x and gemm_lowrank_r4 >= 4x — the small-m
-// rank-r factor products). It also fails before measuring anything when the
+// rank-r factor products; lowrank_subtract_1024x4x1024 >= 9x,
+// lowrank_subtract_512x4x4608 >= 6x, lowrank_split_1024x4x1024 >= 5x and
+// lowrank_split_512x4x4608 >= 4x — the streamed reconstruction epilogues). It also fails before measuring anything when the
 // baseline holds a case this binary no longer defines, or when an acceptance
 // floor names no case: either would otherwise pass the gate unmeasured.
 // Speedup ratios — not raw ns — are compared, so the gate is stable across
@@ -140,6 +142,40 @@ Case GemmTransACase(const std::string& name, bool quick, int64_t n, int64_t k,
           }};
 }
 
+// The low-rank residual kernels, each against its naive pair:
+// GemmTransBNaive into a scratch M̂, then the plain elementwise epilogue
+// (SubtractLowRank: E −= M̂; SplitLowRank: E = X − M̂, X = M̂).
+Case LowRankEpilogueCase(const std::string& name, bool quick, bool split,
+                         int64_t n, int64_t r, int64_t m) {
+  return {name, quick, [split, n, r, m](int reps) {
+            const auto p = RandomVec(static_cast<size_t>(n * r), 5);
+            const auto q = RandomVec(static_cast<size_t>(m * r), 6);
+            auto x = RandomVec(static_cast<size_t>(n * m), 7);
+            auto e = RandomVec(static_cast<size_t>(n * m), 8);
+            std::vector<float> recon(x.size());
+            return Measure(
+                reps,
+                [&] {
+                  if (split) {
+                    acps::SplitLowRank(p, q, x, e, n, r, m);
+                  } else {
+                    acps::SubtractLowRank(p, q, e, n, r, m);
+                  }
+                },
+                [&] {
+                  acps::GemmTransBNaive(p, q, recon, n, r, m);
+                  for (size_t i = 0; i < recon.size(); ++i) {
+                    if (split) {
+                      e[i] = x[i] - recon[i];
+                      x[i] = recon[i];
+                    } else {
+                      e[i] -= recon[i];
+                    }
+                  }
+                });
+          }};
+}
+
 // Textbook serial reference for the orthogonalization panel: classical
 // Gram-Schmidt, plain column-at-a-time loops, no blocking, no pool.
 // Accumulation here is double to keep the reference numerically honest; it
@@ -216,6 +252,19 @@ std::vector<Case> BuildCases() {
   // The same reconstruction at a ResNet-50 layer4 conv shape (512×4608).
   cases.push_back(GemmTransBCase("gemm_tb_recon_512x4x4608", /*quick=*/false,
                                  512, 4, 4608));
+  // The streamed reconstruction with its two epilogues (ACP-SGD's E −= P·Qᵀ,
+  // Power-SGD's E = M − P·Qᵀ, M = P·Qᵀ) at the same two shapes, each gated
+  // by a hard floor below. The split cases stay out of --quick: they write
+  // two n×m buffers, and their median of three passes read 6.6–9.2× across
+  // runs, as wide as the 25% band.
+  for (const bool split : {false, true}) {
+    const std::string kind = split ? "lowrank_split_" : "lowrank_subtract_";
+    cases.push_back(LowRankEpilogueCase(kind + "1024x4x1024", /*quick=*/false,
+                                        split, 1024, 4, 1024));
+    cases.push_back(LowRankEpilogueCase(kind + "512x4x4608",
+                                        /*quick=*/!split, split, 512, 4,
+                                        4608));
+  }
   // The orthogonalization panel feeding the Power-SGD chain.
   cases.push_back(OrthoPanelCase("qr_1024x32", /*quick=*/false, 1024, 32));
 
@@ -286,7 +335,10 @@ bool ParseBaseline(const std::string& path,
 // --check on top of the regression band. The packed-panel TransB path must
 // hold >= 10x at the dense acceptance shape, the small-k path >= 5x at the
 // rank-4 reconstruction, and the small-m path >= 10x (Mᵀ·P) and >= 4x (M·Q)
-// at the rank-4 factor products; the original >= 3x floors stay.
+// at the rank-4 factor products, and the streamed reconstruction epilogues
+// about half the lowest of three baseline runs (subtract 19.0x and 11.3x,
+// split 11.2x and 8.2x at 1024x4x1024 and 512x4x4608); the original >= 3x
+// floors stay.
 struct AcceptanceFloor {
   const char* name;
   double min_speedup;
@@ -298,6 +350,10 @@ constexpr AcceptanceFloor kAcceptanceFloors[] = {
     {"gemm_tb_recon_r4", 5.0},
     {"gemm_ta_lowrank_r4", 10.0},
     {"gemm_lowrank_r4", 4.0},
+    {"lowrank_subtract_1024x4x1024", 9.0},
+    {"lowrank_subtract_512x4x4608", 6.0},
+    {"lowrank_split_1024x4x1024", 5.0},
+    {"lowrank_split_512x4x4608", 4.0},
 };
 // --check regression band: speedup may drift down at most 25% vs baseline.
 constexpr double kRegressionBand = 0.75;

@@ -129,7 +129,8 @@ for leg in "${LEGS[@]}"; do
       # fails on a >25% speedup-over-naive regression (each case the median
       # of three passes) or when an acceptance kernel drops under its floor
       # (gemm_4096x4096x32 and topk_25m 3x, gemm_tb_4096x4096x32 10x,
-      # gemm_tb_recon_r4 5x, gemm_ta_lowrank_r4 10x, gemm_lowrank_r4 4x).
+      # gemm_tb_recon_r4 5x, gemm_ta_lowrank_r4 10x, gemm_lowrank_r4 4x,
+      # lowrank_subtract_512x4x4608 6x).
       # See DESIGN.md §6e.
       echo
       echo "==================== perf-smoke ===================="

@@ -57,10 +57,6 @@ std::span<float> AcpSgd::LocalStep(int64_t tensor_id, const Tensor& m) {
   st.pending = true;
   const uint64_t t = st.t + 1;
 
-  // Feedback: compress (M + E), accumulated into E in place.
-  if (config_.error_feedback) st.e.add_(m);
-  const Tensor& input = config_.error_feedback ? st.e : m;
-
   const bool p_step = (t % 2 == 1);
   Tensor& fixed = p_step ? st.q : st.p;  // the factor we orthogonalize
   if (config_.reuse) {
@@ -74,23 +70,25 @@ std::span<float> AcpSgd::LocalStep(int64_t tensor_id, const Tensor& m) {
     Orthogonalize(fixed);
   }
 
-  if (p_step) {
-    // P_t = (M+E)·Q_t
-    Gemm(input.data(), st.q.data(), st.p.data(), n, mm, r);
+  // Feedback: compress M + E, accumulated into E in place, and leave the
+  // residual from the *local* factor (Algorithm 2 lines 6/11: before
+  // aggregation): E = (M+E) − P·Qᵀ.
+  if (!config_.error_feedback) {
+    if (p_step) {
+      Gemm(m.data(), st.q.data(), st.p.data(), n, mm, r);  // P_t = M·Q_t
+    } else {
+      GemmTransA(m.data(), st.p.data(), st.q.data(), mm, n, r);  // Mᵀ·P_t
+    }
+  } else if (p_step) {
+    // Row i of P_t = (M+E)·Q_t needs only row i of M+E, so one sweep over
+    // 32-row blocks of E does E += M, P_t = E·Q_t and E −= P_t·Q_tᵀ.
+    ProjectResidual(m.data(), st.e.data(), st.q.data(), st.p.data(), n, mm, r);
   } else {
-    // Q_t = (M+E)ᵀ·P_t
-    GemmTransA(input.data(), st.p.data(), st.q.data(), mm, n, r);
-  }
-
-  // Residual from the *local* factor (Algorithm 2 lines 6/11: before
-  // aggregation): E = (M+E) − P·Qᵀ, one tile of P·Qᵀ at a time.
-  if (config_.error_feedback) {
-    const std::span<float> ed = st.e.data();
-    ForEachReconSegment(st.p, st.q, [ed](int64_t off,
-                                         std::span<const float> recon) {
-      float* __restrict__ ei = ed.data() + off;
-      for (size_t j = 0; j < recon.size(); ++j) ei[j] -= recon[j];
-    });
+    // Q_t = (M+E)ᵀ·P_t needs all of M+E first, then one streamed residual
+    // pass (P_t·Q_tᵀ is never stored).
+    st.e.add_(m);
+    GemmTransA(st.e.data(), st.p.data(), st.q.data(), mm, n, r);
+    SubtractLowRank(st.p.data(), st.q.data(), st.e.data(), n, r, mm);
   }
 
   return p_step ? st.p.data() : st.q.data();

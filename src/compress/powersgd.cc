@@ -1,9 +1,7 @@
 #include "compress/powersgd.h"
 
 #include <algorithm>
-#include <vector>
 
-#include "par/parallel.h"
 #include "tensor/matrix_ops.h"
 
 namespace acps::compress {
@@ -18,44 +16,6 @@ bool LowRankWorthwhile(const Shape& shape, int64_t rank) {
 
 int64_t EffectiveRank(int64_t n, int64_t m, int64_t rank) {
   return std::min({rank, n, m});
-}
-
-void ForEachReconSegment(const Tensor& p, const Tensor& q,
-                         const ReconVisitor& visit) {
-  ACPS_CHECK_MSG(p.ndim() == 2 && q.ndim() == 2 && p.cols() == q.cols(),
-                 "ForEachReconSegment shape mismatch: "
-                     << ShapeToString(p.shape()) << " x "
-                     << ShapeToString(q.shape()) << "ᵀ");
-  const int64_t n = p.rows(), m = q.rows(), r = p.cols();
-  // 32×256 floats = 32 KiB: the tile is still in L1 when visit reads it.
-  constexpr int64_t kTileRows = 32;
-  constexpr int64_t kTileCols = 256;
-  const int64_t col_tiles = (m + kTileCols - 1) / kTileCols;
-  const int64_t tiles = (n + kTileRows - 1) / kTileRows * col_tiles;
-  const std::span<const float> pd = p.data(), qd = q.data();
-  par::ParallelFor(
-      std::max<int64_t>(1, par::kDefaultGrain / (kTileRows * kTileCols)),
-      tiles, [&](int64_t begin, int64_t end) {
-        thread_local std::vector<float> scratch;
-        scratch.resize(static_cast<size_t>(kTileRows * kTileCols));
-        for (int64_t t = begin; t < end; ++t) {
-          const int64_t i0 = t / col_tiles * kTileRows;
-          const int64_t j0 = t % col_tiles * kTileCols;
-          const int64_t rows = std::min(kTileRows, n - i0);
-          const int64_t cols = std::min(kTileCols, m - j0);
-          const std::span<float> tile(scratch.data(),
-                                      static_cast<size_t>(rows * cols));
-          GemmTransB(pd.subspan(static_cast<size_t>(i0 * r),
-                                static_cast<size_t>(rows * r)),
-                     qd.subspan(static_cast<size_t>(j0 * r),
-                                static_cast<size_t>(cols * r)),
-                     tile, rows, r, cols);
-          for (int64_t ii = 0; ii < rows; ++ii)
-            visit((i0 + ii) * m + j0,
-                  tile.subspan(static_cast<size_t>(ii * cols),
-                               static_cast<size_t>(cols)));
-        }
-      });
 }
 
 PowerSgd::PowerSgd(PowerSgdConfig config) : config_(config) {
@@ -121,21 +81,13 @@ void PowerSgd::Step(int64_t tensor_id, Tensor& m,
   GemmTransA(m.data(), p.data(), st.q.data(), mm, n, r);
   allreduce(st.q.data());
 
-  // Decompress and update the residual: E = (M+E) − M̂, then M = M̂.
+  // Decompress and update the residual in one pass: E = (M+E) − M̂, then
+  // M = M̂.
   if (!config_.error_feedback) {
     GemmTransB(p.data(), st.q.data(), m.data(), n, r, mm);
     return;
   }
-  const std::span<float> md = m.data(), ed = st.e.data();
-  ForEachReconSegment(p, st.q, [md, ed](int64_t off,
-                                        std::span<const float> recon) {
-    float* __restrict__ mi = md.data() + off;
-    float* __restrict__ ei = ed.data() + off;
-    for (size_t j = 0; j < recon.size(); ++j) {
-      ei[j] = mi[j] - recon[j];
-      mi[j] = recon[j];
-    }
-  });
+  SplitLowRank(p.data(), st.q.data(), m.data(), st.e.data(), n, r, mm);
 }
 
 }  // namespace acps::compress

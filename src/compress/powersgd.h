@@ -44,15 +44,6 @@ struct PowerSgdConfig {
 // Effective rank for an n×m matrix: min(rank, n, m).
 [[nodiscard]] int64_t EffectiveRank(int64_t n, int64_t m, int64_t rank);
 
-// Streams the rank-r reconstruction M̂ = P·Qᵀ (P [n×r], Q [m×r]) through a
-// cache-resident tile instead of materialising the n×m product: visit(off,
-// recon) receives the M̂ values at row-major offsets [off, off +
-// recon.size()). Every value is GemmTransB's, bit for bit. Tiles run on the
-// pool; the visited ranges are disjoint.
-using ReconVisitor = std::function<void(int64_t, std::span<const float>)>;
-void ForEachReconSegment(const Tensor& p, const Tensor& q,
-                         const ReconVisitor& visit);
-
 class PowerSgd {
  public:
   explicit PowerSgd(PowerSgdConfig config);
@@ -61,9 +52,10 @@ class PowerSgd {
   // the aggregated, decompressed gradient P·Qᵀ. `tensor_id` keys the
   // persistent per-tensor state (Q and the EF residual); all workers must
   // use the same ids and construct PowerSgd with the same config/seed.
-  // M + E is formed in `m` itself and the residual E is rewritten in place
-  // once both all-reduces have returned, so an all-reduce that throws
-  // leaves E as it was (`m` then holds M + E).
+  // M + E is formed in `m` itself. Once both all-reduces have returned, one
+  // row-streamed pass (SplitLowRank) writes E = (M + E) − M̂ and M = M̂, so
+  // M̂ is never stored on its own and an all-reduce that throws leaves E as
+  // it was (`m` then holds M + E).
   void Step(int64_t tensor_id, Tensor& m, const AllReduceMeanFn& allreduce);
 
   [[nodiscard]] const PowerSgdConfig& config() const noexcept { return config_; }

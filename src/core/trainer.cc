@@ -31,6 +31,14 @@ std::string TrainConfig::Validate(int world_size) const {
     add("train_samples must be > 0, got " + std::to_string(train_samples));
   if (test_samples <= 0)
     add("test_samples must be > 0, got " + std::to_string(test_samples));
+  // The synthetic train and test sets each draw one sample per class first.
+  if (train_samples > 0 && test_samples > 0 &&
+      std::min(train_samples, test_samples) < data.num_classes) {
+    add("train_samples (" + std::to_string(train_samples) +
+        ") and test_samples (" + std::to_string(test_samples) +
+        ") must each be >= data.num_classes (" +
+        std::to_string(data.num_classes) + ")");
+  }
   // Eval sums per-rank correct counts in a float all-reduce, which is exact
   // for integers up to 2^24.
   if (test_samples > (int64_t{1} << 24))

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "par/kernel_stats.h"
@@ -394,16 +395,80 @@ void GemmTransASmallMTile(const float* a, const float* b, float* c, int64_t i0,
   SmallMWriteback<M>(acc, c, i0, w_end, beta);
 }
 
+// Eight floats; GCC lowers the shuffles below to the target's SIMD level.
+using V8f = float __attribute__((vector_size(32)));
+using V8i = int32_t __attribute__((vector_size(32)));
+
+// Interleaves four rows of an 8×8 block, pairwise and then pair with pair:
+// v[0] holds columns 0 and 4 of the four rows, v[1] columns 1 and 5, v[2]
+// columns 2 and 6, v[3] columns 3 and 7.
+[[gnu::always_inline]] inline void Interleave4Rows(const V8f& r0,
+                                                   const V8f& r1,
+                                                   const V8f& r2,
+                                                   const V8f& r3, V8f* v) {
+  const V8i lo_mask{0, 8, 1, 9, 4, 12, 5, 13};
+  const V8i hi_mask{2, 10, 3, 11, 6, 14, 7, 15};
+  const V8i even_pairs{0, 1, 8, 9, 4, 5, 12, 13};
+  const V8i odd_pairs{2, 3, 10, 11, 6, 7, 14, 15};
+  const V8f lo0 = __builtin_shuffle(r0, r1, lo_mask);
+  const V8f hi0 = __builtin_shuffle(r0, r1, hi_mask);
+  const V8f lo1 = __builtin_shuffle(r2, r3, lo_mask);
+  const V8f hi1 = __builtin_shuffle(r2, r3, hi_mask);
+  v[0] = __builtin_shuffle(lo0, lo1, even_pairs);
+  v[1] = __builtin_shuffle(lo0, lo1, odd_pairs);
+  v[2] = __builtin_shuffle(hi0, hi1, even_pairs);
+  v[3] = __builtin_shuffle(hi0, hi1, odd_pairs);
+}
+
+// Transposes the 8×8 block src[w*ld + kk] into dst[kk*kSmallMRows + w]
+// (w, kk < 8), times alpha, in registers: eight row loads, three rounds of
+// shuffles, eight stores. Pure data movement plus the alpha fold.
+[[gnu::always_inline]] inline void PackTranspose8x8(const float* src,
+                                                    int64_t ld, float alpha,
+                                                    float* dst) {
+  V8f r0, r1, r2, r3, r4, r5, r6, r7;
+  std::memcpy(&r0, src, sizeof(V8f));
+  std::memcpy(&r1, src + ld, sizeof(V8f));
+  std::memcpy(&r2, src + 2 * ld, sizeof(V8f));
+  std::memcpy(&r3, src + 3 * ld, sizeof(V8f));
+  std::memcpy(&r4, src + 4 * ld, sizeof(V8f));
+  std::memcpy(&r5, src + 5 * ld, sizeof(V8f));
+  std::memcpy(&r6, src + 6 * ld, sizeof(V8f));
+  std::memcpy(&r7, src + 7 * ld, sizeof(V8f));
+  V8f s[8];
+  Interleave4Rows(r0, r1, r2, r3, s);
+  Interleave4Rows(r4, r5, r6, r7, s + 4);
+  // Column c of all eight rows: the low halves of s[c] and s[4 + c];
+  // column c + 4: their high halves.
+  for (int64_t c = 0; c < 4; ++c) {
+    const V8f col_c =
+        alpha * __builtin_shuffle(s[c], s[4 + c], V8i{0, 1, 2, 3, 8, 9, 10, 11});
+    const V8f col_c4 = alpha * __builtin_shuffle(s[c], s[4 + c],
+                                                 V8i{4, 5, 6, 7, 12, 13, 14, 15});
+    std::memcpy(dst + c * kSmallMRows, &col_c, sizeof(V8f));
+    std::memcpy(dst + (c + 4) * kSmallMRows, &col_c4, sizeof(V8f));
+  }
+}
+
 // Copies alpha * A[i0 + w][pc + kk] to dst[kk*kSmallMRows + w] for w < rows,
 // kk < kc: Gemm's row tile in the k-major layout GemmTransA reads in place.
 // Pure data movement plus the alpha fold (the same single multiply the
-// naive loop performs).
+// naive loop performs). Whole 8×8 blocks are transposed in registers; an
+// element-wise copy reads A at stride k, which cost more than the
+// multiply-adds the panel feeds.
 void PackASmallM(const float* a, int64_t k, int64_t i0, int64_t rows,
                  int64_t pc, int64_t kc, float alpha, float* dst) {
   const float* __restrict__ src = a + i0 * k + pc;
-  for (int64_t kk = 0; kk < kc; ++kk)
-    for (int64_t w = 0; w < rows; ++w)
+  const int64_t rows8 = rows - rows % 8, kc8 = kc - kc % 8;
+  for (int64_t w0 = 0; w0 < rows8; w0 += 8)
+    for (int64_t kk0 = 0; kk0 < kc8; kk0 += 8)
+      PackTranspose8x8(src + w0 * k + kk0, k, alpha,
+                       dst + kk0 * kSmallMRows + w0);
+  for (int64_t kk = 0; kk < kc; ++kk) {
+    const int64_t w_begin = kk < kc8 ? rows8 : 0;
+    for (int64_t w = w_begin; w < rows; ++w)
       dst[kk * kSmallMRows + w] = alpha * src[w * k + kk];
+  }
 }
 
 // Output rows [i0, i0 + rows) of C = alpha·A·B + beta·C, rows <=
@@ -662,35 +727,39 @@ void PackTransBSmallK(const float* b, int64_t k, int64_t m, float* dst) {
   }
 }
 
-// Contraction is off for the small-k kernel so `0 + x*y` rounds the product
-// and then adds, exactly like Dot8's lane update: a fused fma(x, y, 0)
-// differs when x*y underflows (-0 instead of +0).
+// Contraction is off for the small-k kernel so each product a_il * b_jl
+// rounds on its own before any add, exactly like Dot8's lane update `0 +
+// x*y` (a fused fma would also turn an underflowing negative product into
+// -0 where Dot8 has +0).
 #pragma GCC push_options
 #pragma GCC optimize("fp-contract=off")
 
-// Lane L of element (i, j): the single product a_iL * b_jL added to the
-// lane's zero, or the untouched zero for L >= k.
-template <int64_t L, int64_t K>
-inline float SmallKLane(const float* ai, const float* bt, int64_t m,
+// Dot8's pairwise tree over lanes [L, L + N) of element (i, j), each lane
+// holding its single product, with the lanes >= K (Dot8's untouched zeros)
+// left out. Adding those zeros changes nothing, and neither does each
+// lane's leading `0 +`, except that it turns a -0 product into +0: since
+// (0 + x) + (0 + y) equals (x + y) + 0 for all x, y (a sum is -0 only when
+// both terms are), SmallKDot applies that `+ 0` once, to the whole tree.
+template <int64_t L, int64_t N, int64_t K>
+inline float SmallKTree(const float* ai, const float* bt, int64_t m,
                         int64_t j) {
-  if constexpr (L < K) {
-    return 0.0f + ai[L] * bt[L * m + j];
+  if constexpr (N == 1) {
+    return ai[L] * bt[L * m + j];
+  } else if constexpr (L + N / 2 >= K) {
+    return SmallKTree<L, N / 2, K>(ai, bt, m, j);
   } else {
-    return 0.0f;
+    return SmallKTree<L, N / 2, K>(ai, bt, m, j) +
+           SmallKTree<L + N / 2, N / 2, K>(ai, bt, m, j);
   }
 }
 
-// Dot8's fixed pairwise tree over the eight lanes of element (i, j).
+// Dot8's value for element (i, j): the lane tree plus the zero every lane
+// starts from. Four adds fewer per element than summing eight zero-started
+// lanes at K = 4.
 template <int64_t K>
 inline float SmallKDot(const float* ai, const float* bt, int64_t m,
                        int64_t j) {
-  const float s0 =
-      (SmallKLane<0, K>(ai, bt, m, j) + SmallKLane<1, K>(ai, bt, m, j)) +
-      (SmallKLane<2, K>(ai, bt, m, j) + SmallKLane<3, K>(ai, bt, m, j));
-  const float s1 =
-      (SmallKLane<4, K>(ai, bt, m, j) + SmallKLane<5, K>(ai, bt, m, j)) +
-      (SmallKLane<6, K>(ai, bt, m, j) + SmallKLane<7, K>(ai, bt, m, j));
-  return s0 + s1;
+  return SmallKTree<0, 8, K>(ai, bt, m, j) + 0.0f;
 }
 
 // Rows [i_begin, i_end) of C = alpha·A·Bᵀ + beta·C over the k-major B (bt).
@@ -713,7 +782,151 @@ void GemmTransBSmallKRows(const float* a, const float* bt, float* c,
   }
 }
 
+// The two epilogues of the streamed reconstruction: what happens to each
+// value R of P·Qᵀ as soon as it is computed.
+enum class Recon {
+  kSubtract,  // e −= R
+  kSplit,     // e = x − R, then x = R
+};
+
+// Rows [i_begin, i_end) of the reconstruction over the k-major Qᵀ (bt),
+// each value SmallKDot's — GemmTransBSmallKRows' at alpha 1, beta 0 —
+// fed straight into the epilogue.
+template <int64_t K, Recon Ep>
+void ReconSmallKRows(const float* p, const float* __restrict__ bt, float* x,
+                     float* e, int64_t i_begin, int64_t i_end, int64_t m) {
+  for (int64_t i = i_begin; i < i_end; ++i) {
+    const float* __restrict__ pi = p + i * K;
+    float* __restrict__ ei = e + i * m;
+    if constexpr (Ep == Recon::kSubtract) {
+      for (int64_t j = 0; j < m; ++j) ei[j] -= SmallKDot<K>(pi, bt, m, j);
+    } else {
+      float* __restrict__ xi = x + i * m;
+      for (int64_t j = 0; j < m; ++j) {
+        const float rij = SmallKDot<K>(pi, bt, m, j);
+        ei[j] = xi[j] - rij;
+        xi[j] = rij;
+      }
+    }
+  }
+}
+
 #pragma GCC pop_options
+
+using ReconRowsFn = void (*)(const float*, const float*, float*, float*,
+                             int64_t, int64_t, int64_t);
+template <Recon Ep>
+constexpr ReconRowsFn kReconSmallKRows[kSmallK + 1] = {
+    nullptr,
+    &ReconSmallKRows<1, Ep>,
+    &ReconSmallKRows<2, Ep>,
+    &ReconSmallKRows<3, Ep>,
+    &ReconSmallKRows<4, Ep>,
+    &ReconSmallKRows<5, Ep>,
+    &ReconSmallKRows<6, Ep>,
+    &ReconSmallKRows<7, Ep>,
+    &ReconSmallKRows<8, Ep>};
+
+// The same rows for r > kSmallK: one Dot8 per value over Q's rows, the
+// chain GemmTransB's other paths compute.
+template <Recon Ep>
+void ReconDot8Rows(const float* p, const float* q, float* x, float* e,
+                   int64_t i_begin, int64_t i_end, int64_t r, int64_t m) {
+  for (int64_t i = i_begin; i < i_end; ++i) {
+    const float* pi = p + i * r;
+    float* __restrict__ ei = e + i * m;
+    for (int64_t j = 0; j < m; ++j) {
+      const float rij = Dot8(pi, q + j * r, r);
+      if constexpr (Ep == Recon::kSubtract) {
+        ei[j] -= rij;
+      } else {
+        ei[j] = x[i * m + j] - rij;
+        x[i * m + j] = rij;
+      }
+    }
+  }
+}
+
+// Packs B [m×k] k-major (PackTransBSmallK) into the calling thread's
+// scratch and returns it; valid until that thread packs again. Kernels hand
+// the pointer to their pool workers, whose own thread_local copy it is not.
+const float* PackTransBSmallKScratch(const float* b, int64_t k, int64_t m) {
+  thread_local std::vector<float> bt;
+  bt.resize(static_cast<size_t>(k * m));
+  PackTransBSmallK(b, k, m, bt.data());
+  return bt.data();
+}
+
+// Output rows [i_begin, i_end) of ProjectResidual in kSmallMRows blocks:
+// E += X, P = E·Q, E −= P·Qᵀ per block. K is r for the small-m/small-k
+// paths (bt is then the packed Qᵀ) and 0 for r > kSmallK, which takes
+// GemmRows and Dot8 instead. Each step is the chain of its stand-alone
+// kernel; only the order in which the rows are visited changes.
+template <int64_t K>
+void ProjectResidualRows(const float* x, float* e, const float* q,
+                         const float* bt, float* p, int64_t i_begin,
+                         int64_t i_end, int64_t m, int64_t r) {
+  for (int64_t i0 = i_begin; i0 < i_end; i0 += kSmallMRows) {
+    const int64_t rows = std::min<int64_t>(kSmallMRows, i_end - i0);
+    float* __restrict__ eb = e + i0 * m;
+    const float* __restrict__ xb = x + i0 * m;
+    for (int64_t t = 0; t < rows * m; ++t) eb[t] += xb[t];
+    if constexpr (K == 0) {
+      GemmRows<false>(e, q, p, i0, i0 + rows, 0, m, r, 1.0f, 0.0f);
+      ReconDot8Rows<Recon::kSubtract>(p, q, nullptr, e, i0, i0 + rows, r, m);
+    } else {
+      if (rows == kSmallMRows) {
+        GemmSmallMTile<K, true>(e, q, p, i0, rows, m, 1.0f, 0.0f);
+      } else {
+        GemmSmallMTile<K, false>(e, q, p, i0, rows, m, 1.0f, 0.0f);
+      }
+      ReconSmallKRows<K, Recon::kSubtract>(p, bt, nullptr, e, i0, i0 + rows,
+                                           m);
+    }
+  }
+}
+
+using ProjectRowsFn = void (*)(const float*, float*, const float*,
+                               const float*, float*, int64_t, int64_t,
+                               int64_t, int64_t);
+constexpr ProjectRowsFn kProjectResidualRows[kSmallK + 1] = {
+    &ProjectResidualRows<0>, &ProjectResidualRows<1>, &ProjectResidualRows<2>,
+    &ProjectResidualRows<3>, &ProjectResidualRows<4>, &ProjectResidualRows<5>,
+    &ProjectResidualRows<6>, &ProjectResidualRows<7>, &ProjectResidualRows<8>};
+
+// SubtractLowRank / SplitLowRank: x is null for kSubtract.
+template <Recon Ep>
+void ReconLowRank(std::span<const float> p, std::span<const float> q,
+                  float* x, std::span<float> e, int64_t n, int64_t r,
+                  int64_t m) {
+  CheckGemmSizes(p.size(), q.size(), e.size(), n, r, m);
+  if (n == 0 || m == 0) return;
+  const uint64_t nm = static_cast<uint64_t>(n) * static_cast<uint64_t>(m);
+  const uint64_t factors =
+      static_cast<uint64_t>(n + m) * static_cast<uint64_t>(r);
+  const uint64_t flops = GemmFlops(n, r, m);
+  par::KernelTimer timer(
+      "gemm_tb", flops + nm,
+      (factors + nm * (Ep == Recon::kSubtract ? 2 : 3)) * sizeof(float));
+  const float* bt = nullptr;
+  if (r >= 1 && r <= kSmallK) {
+    bt = PackTransBSmallKScratch(q.data(), r, m);
+    timer.AddPanel(static_cast<uint64_t>(r * m) * sizeof(float),
+                   static_cast<uint64_t>(n));
+  }
+  const auto rows = [&](int64_t begin, int64_t end) {
+    if (bt != nullptr) {
+      kReconSmallKRows<Ep>[r](p.data(), bt, x, e.data(), begin, end, m);
+    } else {
+      ReconDot8Rows<Ep>(p.data(), q.data(), x, e.data(), begin, end, r, m);
+    }
+  };
+  if (flops < kSerialInlineFlops) {
+    rows(0, n);
+    return;
+  }
+  par::ParallelFor(GemmRowGrain(r, m), n, rows);
+}
 
 using SmallKRowsFn = void (*)(const float*, const float*, float*, int64_t,
                               int64_t, int64_t, float, float);
@@ -765,14 +978,9 @@ void GemmTransB(std::span<const float> a, std::span<const float> b,
   const uint64_t flops = GemmFlops(n, k, m);
   par::KernelTimer timer("gemm_tb", flops, GemmBytes(n, k, m, beta));
   if (UseSmallKTransB(k)) {
-    thread_local std::vector<float> bt;
-    bt.resize(static_cast<size_t>(k * m));
-    PackTransBSmallK(b.data(), k, m, bt.data());
+    const float* packed_b = PackTransBSmallKScratch(b.data(), k, m);
     timer.AddPanel(static_cast<uint64_t>(k * m) * sizeof(float),
                    static_cast<uint64_t>(n));
-    // A lambda naming `bt` would reach each worker's own thread_local copy,
-    // so the workers get the caller's buffer by pointer.
-    const float* packed_b = bt.data();
     const SmallKRowsFn rows = kSmallKRows[k];
     if (flops < kSerialInlineFlops) {
       rows(a.data(), packed_b, c.data(), 0, n, m, alpha, beta);
@@ -803,6 +1011,49 @@ void GemmTransB(std::span<const float> a, std::span<const float> b,
                      alpha, beta);
     }
   });
+}
+
+void SubtractLowRank(std::span<const float> p, std::span<const float> q,
+                     std::span<float> e, int64_t n, int64_t r, int64_t m) {
+  ReconLowRank<Recon::kSubtract>(p, q, nullptr, e, n, r, m);
+}
+
+void SplitLowRank(std::span<const float> p, std::span<const float> q,
+                  std::span<float> x, std::span<float> e, int64_t n, int64_t r,
+                  int64_t m) {
+  ACPS_CHECK_MSG(static_cast<int64_t>(x.size()) == n * m, "X size mismatch");
+  ReconLowRank<Recon::kSplit>(p, q, x.data(), e, n, r, m);
+}
+
+void ProjectResidual(std::span<const float> x, std::span<float> e,
+                     std::span<const float> q, std::span<float> p, int64_t n,
+                     int64_t m, int64_t r) {
+  CheckGemmSizes(e.size(), q.size(), p.size(), n, m, r);
+  ACPS_CHECK_MSG(static_cast<int64_t>(x.size()) == n * m, "X size mismatch");
+  if (n == 0) return;
+  const uint64_t nm = static_cast<uint64_t>(n) * static_cast<uint64_t>(m);
+  const uint64_t flops = GemmFlops(n, m, r);
+  par::KernelTimer timer(
+      "gemm", 2 * (flops + nm),
+      (3 * nm + static_cast<uint64_t>(n + m) * static_cast<uint64_t>(r)) *
+          sizeof(float));
+  const float* bt = nullptr;
+  if (r >= 1 && r <= kSmallK) {
+    bt = PackTransBSmallKScratch(q.data(), r, m);
+    timer.AddPanel(static_cast<uint64_t>(r * m) * sizeof(float),
+                   static_cast<uint64_t>(n));
+  }
+  const ProjectRowsFn rows = kProjectResidualRows[bt != nullptr ? r : 0];
+  if (flops < kSerialInlineFlops) {
+    rows(x.data(), e.data(), q.data(), bt, p.data(), 0, n, m, r);
+    return;
+  }
+  // Blocks split on kSmallMRows boundaries, as Gemm's small-m path does.
+  par::ParallelForBlocks(GemmRowGrain(m, r), n, kSmallMRows,
+                         [&](int64_t, int64_t begin, int64_t end) {
+                           rows(x.data(), e.data(), q.data(), bt, p.data(),
+                                begin, end, m, r);
+                         });
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {

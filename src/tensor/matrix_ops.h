@@ -36,6 +36,9 @@
 //    output columns; this is bitwise safe because each lane then gets at
 //    most one product, so an element's chain is just `0 + a_il * b_jl` per
 //    lane plus the fixed tree, whatever columns it is computed beside.
+//    The low-rank reconstruction kernels below (SubtractLowRank,
+//    SplitLowRank, ProjectResidual) compute each value with the same
+//    functions and consume it in an epilogue, so it is never stored.
 // Tiling and row-partitioning never reorder any element's accumulation
 // chain, which is what makes kernel == naive bitwise at every thread count.
 //
@@ -88,6 +91,33 @@ void GemmTransB(std::span<const float> a, std::span<const float> b,
 
 // x *= alpha.
 void Scal(float alpha, std::span<float> x);
+
+// ---------------------------------------------------------------------------
+// Rank-r reconstruction with a fused epilogue. The low-rank compressors only
+// consume M̂ = P·Qᵀ (P [n×r], Q [m×r]) elementwise against an n×m buffer, so
+// these kernels stream it one row at a time into a fixed epilogue instead
+// of storing it. For r <= 8, Qᵀ is packed k-major once per call. Every M̂
+// value is GemmTransB's (alpha 1, beta 0) bit for bit: the small-k chain
+// for r <= 8 and Dot8 beyond. Rows are partitioned on the pool, and each
+// call is timed once under the `gemm_tb` kernel stat. No aliasing.
+// ---------------------------------------------------------------------------
+
+// E −= P·Qᵀ (ACP-SGD's residual update).
+void SubtractLowRank(std::span<const float> p, std::span<const float> q,
+                     std::span<float> e, int64_t n, int64_t r, int64_t m);
+
+// E = X − P·Qᵀ, then X = P·Qᵀ (Power-SGD's residual and M̂ in one pass).
+void SplitLowRank(std::span<const float> p, std::span<const float> q,
+                  std::span<float> x, std::span<float> e, int64_t n, int64_t r,
+                  int64_t m);
+
+// One sweep over E [n×m] in blocks of 32 rows: E += X, then P = E·Q on the
+// small-m Gemm path (Q [m×r], P [n×r]), then E −= P·Qᵀ while the block is
+// still in cache. Bitwise equal to the three passes `E += X` elementwise,
+// Gemm, SubtractLowRank, at any thread count; timed once under `gemm`.
+void ProjectResidual(std::span<const float> x, std::span<float> e,
+                     std::span<const float> q, std::span<float> p, int64_t n,
+                     int64_t m, int64_t r);
 
 // ---------------------------------------------------------------------------
 // Naive references: single-threaded definitional loop nests (one output

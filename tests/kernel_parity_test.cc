@@ -332,6 +332,91 @@ TEST(KernelParity, SmallMSaxpyMatchesNaiveBitwise) {
   }
 }
 
+// The streamed low-rank reconstruction against GemmTransBNaive plus a plain
+// elementwise loop, for both epilogues (SubtractLowRank: E −= P·Qᵀ;
+// SplitLowRank: E = X − P·Qᵀ, X = P·Qᵀ): r on both sides of the small-k
+// cutoff, m not a multiple of the 8-wide vector, n = 1 and n = 33, two
+// shapes past the serial inline cutoff, every thread budget.
+TEST(KernelParity, LowRankEpiloguesMatchNaiveBitwise) {
+  ThreadGuard guard;
+  std::vector<Shape3> shapes;  // {n, k = r, m}
+  for (const int64_t r : {1, 2, 3, 4, 5, 8, 9, 32})
+    for (const int64_t m : {1, 7, 13, 64, 4607})
+      for (const int64_t n : {1, 33}) shapes.push_back({n, r, m});
+  shapes.push_back({1031, 4, 1031});
+  shapes.push_back({1031, 9, 521});
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const auto& s : shapes) {
+    const size_t nm = static_cast<size_t>(s.n * s.m);
+    const auto p = SmallKOperand(static_cast<size_t>(s.n * s.k), 91);
+    const auto q = SmallKOperand(static_cast<size_t>(s.m * s.k), 92);
+    const auto x0 = RandomVec(nm, 93);
+    const auto e0 = RandomVec(nm, 94);
+    std::vector<float> recon(nm);
+    GemmTransBNaive(p, q, recon, s.n, s.k, s.m);
+    std::vector<float> want_sub = e0, want_split(nm);
+    for (size_t i = 0; i < nm; ++i) {
+      want_sub[i] -= recon[i];
+      want_split[i] = x0[i] - recon[i];
+    }
+    for (const int threads : {1, 2, 4, 8}) {
+      par::SetNumThreads(threads);
+      std::vector<float> e = e0;
+      SubtractLowRank(p, q, e, s.n, s.k, s.m);
+      EXPECT_TRUE(BitsEqual(e, want_sub))
+          << "subtract " << s.n << "x" << s.k << "x" << s.m
+          << " threads=" << threads;
+      // E is overwritten, so start it from NaN garbage.
+      std::vector<float> x = x0;
+      e.assign(nm, nan);
+      SplitLowRank(p, q, x, e, s.n, s.k, s.m);
+      EXPECT_TRUE(BitsEqual(e, want_split))
+          << "split E " << s.n << "x" << s.k << "x" << s.m
+          << " threads=" << threads;
+      EXPECT_TRUE(BitsEqual(x, recon))
+          << "split X " << s.n << "x" << s.k << "x" << s.m
+          << " threads=" << threads;
+    }
+  }
+}
+
+// The fused sweep E += X, P = E·Q, E −= P·Qᵀ (ProjectResidual) against the
+// same three steps taken one full pass at a time through the naive
+// references: n on both sides of the 32-row block, m on both sides of the
+// 256-deep Gemm panel, r on both sides of the small-m/small-k cutoff, two
+// shapes past the serial inline cutoff, every thread budget.
+TEST(KernelParity, ProjectResidualMatchesThreePassesBitwise) {
+  ThreadGuard guard;
+  std::vector<Shape3> shapes;  // {n, m, r}
+  for (const int64_t r : {1, 2, 3, 4, 5, 8, 9, 32})
+    for (const int64_t n : {1, 31, 32, 33, 97})
+      for (const int64_t m : {1, 7, 300}) shapes.push_back({n, m, r});
+  shapes.push_back({1031, 1031, 4});
+  shapes.push_back({1031, 521, 9});
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const auto& [n, m, r] : shapes) {
+    const size_t nm = static_cast<size_t>(n * m);
+    const auto x = SmallKOperand(nm, 95);
+    const auto e0 = RandomVec(nm, 96);
+    const auto q = SmallKOperand(static_cast<size_t>(m * r), 97);
+    std::vector<float> want_e = e0, want_p(static_cast<size_t>(n * r));
+    std::vector<float> recon(nm);
+    for (size_t i = 0; i < nm; ++i) want_e[i] += x[i];
+    GemmNaive(want_e, q, want_p, n, m, r);
+    GemmTransBNaive(want_p, q, recon, n, r, m);
+    for (size_t i = 0; i < nm; ++i) want_e[i] -= recon[i];
+    for (const int threads : {1, 2, 4, 8}) {
+      par::SetNumThreads(threads);
+      std::vector<float> e = e0, p(want_p.size(), nan);
+      ProjectResidual(x, e, q, p, n, m, r);
+      EXPECT_TRUE(BitsEqual(p, want_p))
+          << "P " << n << "x" << m << "x" << r << " threads=" << threads;
+      EXPECT_TRUE(BitsEqual(e, want_e))
+          << "E " << n << "x" << m << "x" << r << " threads=" << threads;
+    }
+  }
+}
+
 TEST(KernelParity, AllKernelsThreadCountInvariant) {
   // n spans several grain blocks so 2/4/8 threads genuinely partition work.
   ThreadGuard guard;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <vector>
 
 #include "comm/communicator.h"
@@ -342,6 +343,103 @@ TEST(AcpSgd, AggregatedEqualsCompressedMeanGradient) {
   });
   for (int r = 0; r < p; ++r)
     EXPECT_TRUE(results[static_cast<size_t>(r)].all_close(expect, 1e-3f));
+}
+
+// ACP-SGD's step rebuilt from public kernels, one full pass over n×m at a
+// time: E += M (add_), then P = E·Q (Gemm) or Q = Eᵀ·P (GemmTransA), then
+// E −= P·Qᵀ through a stored GemmTransB product and a subtract.
+class ThreePassAcp {
+ public:
+  ThreePassAcp(const AcpSgdConfig& cfg, int64_t id, int64_t n, int64_t m)
+      : cfg_(cfg), id_(id), p_({n, cfg.rank}), q_({m, cfg.rank}) {
+    Rng rng = Rng(cfg.seed).split(static_cast<uint64_t>(id));
+    rng.fill_normal(p_);
+    rng.fill_normal(q_);
+    if (cfg.error_feedback) e_ = Tensor::Zeros({n, m});
+  }
+
+  std::span<float> LocalStep(const Tensor& g) {
+    const uint64_t t = ++t_;
+    const bool p_step = t % 2 == 1;
+    Tensor& fixed = p_step ? q_ : p_;
+    if (!cfg_.reuse) {
+      Rng(cfg_.seed ^ 0xFEEDull)
+          .split(static_cast<uint64_t>(id_) * 1315423911ull + t)
+          .fill_normal(fixed);
+    }
+    Orthogonalize(fixed);
+    if (cfg_.error_feedback) e_.add_(g);
+    const Tensor& input = cfg_.error_feedback ? e_ : g;
+    if (p_step) {
+      Gemm(input.data(), q_.data(), p_.data(), g.rows(), g.cols(), cfg_.rank);
+    } else {
+      GemmTransA(input.data(), p_.data(), q_.data(), g.cols(), g.rows(),
+                 cfg_.rank);
+    }
+    if (cfg_.error_feedback) {
+      Tensor recon(g.shape());
+      GemmTransB(p_.data(), q_.data(), recon.data(), g.rows(), cfg_.rank,
+                 g.cols());
+      for (int64_t i = 0; i < e_.numel(); ++i) e_.data()[i] -= recon.data()[i];
+    }
+    return p_step ? p_.data() : q_.data();
+  }
+
+  void Finish(Tensor& out) {
+    GemmTransB(p_.data(), q_.data(), out.data(), out.rows(), cfg_.rank,
+               out.cols());
+  }
+
+ private:
+  AcpSgdConfig cfg_;
+  int64_t id_;
+  Tensor p_, q_, e_;
+  uint64_t t_ = 0;
+};
+
+bool SameBits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+// LocalStep's one-sweep P step (and its streamed Q-step residual) against
+// the three-pass sequence, bit for bit, over four steps so both parities
+// run and each step's residual feeds the next: n not a multiple of the
+// 32-row block, error feedback on and off, reuse off, r on both sides of
+// the small-m cutoff, and one shape large enough to split rows on the pool.
+TEST(AcpSgd, OneSweepPStepMatchesThreePassesBitwise) {
+  struct Case {
+    int64_t n, m, rank;
+    bool error_feedback, reuse;
+  };
+  for (const Case c : {Case{70, 45, 4, true, true}, Case{70, 45, 4, false, true},
+                       Case{70, 45, 4, true, false}, Case{97, 40, 9, true, true},
+                       Case{1031, 1031, 4, true, true}}) {
+    AcpSgdConfig cfg;
+    cfg.rank = c.rank;
+    cfg.error_feedback = c.error_feedback;
+    cfg.reuse = c.reuse;
+    const int64_t id = 3;
+    AcpSgd acp(cfg);
+    ThreePassAcp ref(cfg, id, c.n, c.m);
+    for (int step = 1; step <= 4; ++step) {
+      const Tensor g = RandomMatrix(c.n, c.m, 400 + static_cast<uint64_t>(step));
+      const std::span<float> got = acp.LocalStep(id, g);
+      const std::span<float> want = ref.LocalStep(g);
+      ASSERT_TRUE(SameBits(got, want))
+          << "factor, step " << step << ", " << c.n << "x" << c.m << " r"
+          << c.rank << " ef=" << c.error_feedback << " reuse=" << c.reuse;
+      // Stand-in for the all-reduce: both sides aggregate the same way.
+      for (float& v : got) v *= 0.75f;
+      for (float& v : want) v *= 0.75f;
+      Tensor got_out({c.n, c.m}), want_out({c.n, c.m});
+      acp.Finish(id, got_out);
+      ref.Finish(want_out);
+      ASSERT_TRUE(SameBits(got_out.data(), want_out.data()))
+          << "M̂, step " << step << ", " << c.n << "x" << c.m << " r"
+          << c.rank << " ef=" << c.error_feedback << " reuse=" << c.reuse;
+    }
+  }
 }
 
 TEST(AcpSgd, ValidateReportsEveryBadField) {

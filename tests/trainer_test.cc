@@ -142,6 +142,34 @@ TEST(Trainer, ValidateRejectsNonFiniteHyperparameters) {
   }
 }
 
+// The synthetic sets need a sample per class; a split smaller than
+// data.num_classes must fail validation with one message, not throw from
+// every worker's dataset build.
+TEST(Trainer, ValidateRejectsFewerSamplesThanClasses) {
+  const std::string want =
+      "train_samples (512) and test_samples (9) must each be >= "
+      "data.num_classes (10)";
+  TrainConfig cfg = SmallConfig();
+  cfg.test_samples = 9;
+  EXPECT_EQ(cfg.Validate(2), want);
+  cfg = SmallConfig();
+  cfg.data.num_classes = 600;
+  EXPECT_NE(cfg.Validate(2).find("must each be >= data.num_classes (600)"),
+            std::string::npos);
+  cfg.data.num_classes = 128;  // == test_samples: one per class is enough
+  EXPECT_EQ(cfg.Validate(2), "");
+  comm::Transport group_transport;
+  comm::Session group(group_transport, "trainer", 2);
+  cfg = SmallConfig();
+  cfg.test_samples = 9;
+  try {
+    (void)TrainDistributed(group, cfg, MakeAggregatorFactory("ssgd"));
+    ADD_FAILURE() << "TrainDistributed accepted 9 test samples for 10 classes";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+  }
+}
+
 // Each rank evaluates its ShardFor slice of the test set, including uneven
 // shards (101 samples on 3 ranks) and an empty one (3 samples on 4 ranks;
 // the synthetic set needs a sample per class, hence 3 classes). Every epoch
