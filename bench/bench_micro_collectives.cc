@@ -54,22 +54,26 @@ BENCHMARK(BM_NaiveAllReduce)
     ->Args({4, 1 << 16})
     ->UseRealTime();
 
-void BM_AllGather(benchmark::State& state) {
+// The Sign/Top-k wire: each rank contributes `n` packed bytes.
+void BM_AllGatherBytes(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
   const auto n = static_cast<size_t>(state.range(1));
   comm::Transport transport;
   comm::Session group(transport, "micro", p);
   for (auto _ : state) {
     group.Run([&](comm::Communicator& c) {
-      std::vector<float> send(n, 1.0f), recv(n * static_cast<size_t>(p));
-      c.all_gather(send, recv);
+      std::vector<std::byte> send(n, std::byte{1}),
+          recv(n * static_cast<size_t>(p));
+      c.all_gather_bytes(send, recv);
       benchmark::DoNotOptimize(recv.data());
     });
   }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n) * p);
 }
-BENCHMARK(BM_AllGather)
-    ->Args({4, 1 << 12})
-    ->Args({8, 1 << 12})
+BENCHMARK(BM_AllGatherBytes)
+    ->Args({4, 1 << 14})
+    ->Args({8, 1 << 14})
     ->UseRealTime();
 
 void BM_Broadcast(benchmark::State& state) {

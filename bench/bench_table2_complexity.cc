@@ -4,6 +4,8 @@
 // formulas exactly).
 #include "bench_common.h"
 
+#include <atomic>
+
 #include "comm/communicator.h"
 #include "comm/cost_model.h"
 
@@ -22,29 +24,43 @@ int main() {
   table.AddRow({"ACP-SGD", "O(Nr/2)", "2(p-1)/p * Nc/2 (ring all-reduce)"});
   std::printf("%s", table.Render().c_str());
 
-  // Verify the ring formulas against the real thread-cluster collectives.
+  // Measure each collective's traffic on the real thread-cluster
+  // collectives, from every rank's stats() delta around the call, and hold
+  // it to its formula. The all-gather carries Sign-SGD's packed payload:
+  // N/32 32-bit words per worker.
   const int p = 8;
   const size_t n = 4096;
   comm::Transport transport;
   comm::Session group(transport, "table2", p);
+  std::atomic<uint64_t> ar_bytes{0};
+  std::atomic<uint64_t> ag_bytes{0};
   group.Run([&](comm::Communicator& comm) {
     std::vector<float> v(n, 1.0f);
+    const uint64_t before = comm.stats().bytes_sent;
     comm.all_reduce(v);
-    std::vector<float> g(n * p);
-    comm.all_gather(std::span<const float>(v).subspan(0, n), g);
+    const uint64_t mid = comm.stats().bytes_sent;
+    const std::vector<std::byte> signs(n / 8, std::byte{0x5a});
+    std::vector<std::byte> gathered(signs.size() * p);
+    comm.all_gather_bytes(signs, gathered);
+    ar_bytes += mid - before;
+    ag_bytes += comm.stats().bytes_sent - mid;
   });
-  const auto stats = group.total_stats();
   const uint64_t expect_ar = static_cast<uint64_t>(p) * 2ull * (p - 1) *
                              (n / p) * sizeof(float);
   const uint64_t expect_ag =
-      static_cast<uint64_t>(p) * (p - 1) * n * sizeof(float);
-  std::printf("\nReal collectives, p=%d, N=%zu floats:\n", p, n);
-  std::printf("  ring all-reduce traffic: %llu bytes (formula: %llu)\n",
-              static_cast<unsigned long long>(stats.bytes_sent - expect_ag),
+      static_cast<uint64_t>(p) * (p - 1) * (n / 32) * sizeof(uint32_t);
+  std::printf("\nReal collectives, p=%d, N=%zu elements (totals over ranks):\n",
+              p, n);
+  std::printf("  ring all-reduce traffic (S-SGD):   %llu bytes (formula: %llu)\n",
+              static_cast<unsigned long long>(ar_bytes.load()),
               static_cast<unsigned long long>(expect_ar));
-  std::printf("  ring all-gather traffic: %llu bytes (formula: %llu)\n",
-              static_cast<unsigned long long>(expect_ag),
+  std::printf("  ring all-gather traffic (Sign-SGD): %llu bytes (formula: %llu)\n",
+              static_cast<unsigned long long>(ag_bytes.load()),
               static_cast<unsigned long long>(expect_ag));
+  if (ar_bytes.load() != expect_ar || ag_bytes.load() != expect_ag) {
+    std::printf("MISMATCH: measured traffic differs from Table II\n");
+    return 1;
+  }
 
   // Analytic collective costs at the paper's scale.
   comm::CostModel cm(comm::NetworkSpec::Ethernet10G(), 32);

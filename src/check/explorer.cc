@@ -153,26 +153,11 @@ RunOutcome RunWorkload(Workload w, const ExploreOptions& opt,
           slot = FloatsToBytes(data);
           break;
         }
-        case Workload::kAllGather: {
-          const auto send = IntInputs(r, n);
-          std::vector<float> recv(send.size() * static_cast<size_t>(p));
-          comm.all_gather(send, recv);
-          slot = FloatsToBytes(recv);
-          break;
-        }
         case Workload::kAllGatherBytes: {
           const auto send = BytePattern(r, static_cast<size_t>(n));
           std::vector<std::byte> recv(send.size() * static_cast<size_t>(p));
           comm.all_gather_bytes(send, recv);
           slot = recv;
-          break;
-        }
-        case Workload::kReduceScatter: {
-          auto data = IntInputs(r, n);
-          comm.reduce_scatter(data);
-          const auto rc = comm::GetChunkRange(n, p, r);
-          slot = FloatsToBytes(std::span<const float>(data).subspan(
-              static_cast<size_t>(rc.begin), static_cast<size_t>(rc.size())));
           break;
         }
         case Workload::kBroadcast: {
@@ -286,15 +271,6 @@ std::vector<std::vector<std::byte>> ReferenceOutputs(Workload w,
       for (int r = 0; r < p; ++r) ref[static_cast<size_t>(r)] = FloatsToBytes(sum);
       break;
     }
-    case Workload::kAllGather: {
-      std::vector<float> cat;
-      for (int r = 0; r < p; ++r) {
-        const auto v = IntInputs(r, n);
-        cat.insert(cat.end(), v.begin(), v.end());
-      }
-      for (int r = 0; r < p; ++r) ref[static_cast<size_t>(r)] = FloatsToBytes(cat);
-      break;
-    }
     case Workload::kAllGatherBytes: {
       std::vector<std::byte> cat;
       for (int r = 0; r < p; ++r) {
@@ -302,18 +278,6 @@ std::vector<std::vector<std::byte>> ReferenceOutputs(Workload w,
         cat.insert(cat.end(), v.begin(), v.end());
       }
       for (int r = 0; r < p; ++r) ref[static_cast<size_t>(r)] = cat;
-      break;
-    }
-    case Workload::kReduceScatter: {
-      std::vector<float> sum(static_cast<size_t>(n), 0.0f);
-      for (int r = 0; r < p; ++r)
-        for (int64_t i = 0; i < n; ++i)
-          sum[static_cast<size_t>(i)] += IntInput(r, i);
-      for (int r = 0; r < p; ++r) {
-        const auto rc = comm::GetChunkRange(n, p, r);
-        ref[static_cast<size_t>(r)] = FloatsToBytes(std::span<const float>(sum).subspan(
-            static_cast<size_t>(rc.begin), static_cast<size_t>(rc.size())));
-      }
       break;
     }
     case Workload::kBroadcast: {
@@ -338,12 +302,6 @@ std::vector<std::vector<std::byte>> ReferenceOutputs(Workload w,
       break;
   }
   return ref;
-}
-
-bool RankInvariant(Workload w) {
-  // Every rank must end with identical bytes — true for all workloads except
-  // reduce-scatter, whose whole point is that rank i owns only chunk i.
-  return w != Workload::kReduceScatter;
 }
 
 std::string DescribeByteDiff(const std::vector<std::byte>& want,
@@ -376,7 +334,7 @@ std::string DescribeByteDiff(const std::vector<std::byte>& want,
 }
 
 // Applies every oracle to `run`; returns the first failure description.
-std::string CheckRun(Workload w, const RunOutcome& baseline,
+std::string CheckRun(const RunOutcome& baseline,
                      const std::vector<std::vector<std::byte>>& reference,
                      const RunOutcome& run) {
   if (!run.error.empty()) return "worker threw: " + run.error;
@@ -396,12 +354,11 @@ std::string CheckRun(Workload w, const RunOutcome& baseline,
       }
     }
   }
-  if (RankInvariant(w)) {
-    for (size_t r = 1; r < p; ++r) {
-      if (run.outputs[r] != run.outputs[0]) {
-        return "rank-invariance broken: rank " + std::to_string(r) +
-               " != rank 0: " + DescribeByteDiff(run.outputs[0], run.outputs[r]);
-      }
+  // Every workload's contract ends with identical bytes on every rank.
+  for (size_t r = 1; r < p; ++r) {
+    if (run.outputs[r] != run.outputs[0]) {
+      return "rank-invariance broken: rank " + std::to_string(r) +
+             " != rank 0: " + DescribeByteDiff(run.outputs[0], run.outputs[r]);
     }
   }
   for (size_t r = 0; r < p; ++r) {
@@ -458,9 +415,7 @@ const char* ToString(Workload w) noexcept {
   switch (w) {
     case Workload::kAllReduceRing: return "all_reduce[ring]";
     case Workload::kAllReduceNaive: return "all_reduce[naive]";
-    case Workload::kAllGather: return "all_gather";
     case Workload::kAllGatherBytes: return "all_gather_bytes";
-    case Workload::kReduceScatter: return "reduce_scatter";
     case Workload::kBroadcast: return "broadcast";
     case Workload::kBarrier: return "barrier";
     case Workload::kWfbpStep: return "wfbp_step";
@@ -472,9 +427,7 @@ const char* ToString(Workload w) noexcept {
 
 std::vector<Workload> AllCollectiveWorkloads() {
   return {Workload::kAllReduceRing, Workload::kAllReduceNaive,
-          Workload::kAllGather,     Workload::kAllGatherBytes,
-          Workload::kReduceScatter, Workload::kBroadcast,
-          Workload::kBarrier};
+          Workload::kAllGatherBytes, Workload::kBroadcast, Workload::kBarrier};
 }
 
 std::string ExploreReport::Summary() const {
@@ -514,7 +467,7 @@ ExploreReport ExplorePerturbed(Workload w, const ExploreOptions& opt) {
     const RunOutcome run = RunWorkload(w, opt, &controller);
     ++report.schedules_run;
     if (i == 0) report.windows = controller.stats().windows;
-    if (std::string what = CheckRun(w, prep.baseline, prep.reference, run);
+    if (std::string what = CheckRun(prep.baseline, prep.reference, run);
         !what.empty()) {
       report.violations.push_back(Violation{seed, what, controller.Trace()});
       if (static_cast<int>(report.violations.size()) >=
@@ -549,7 +502,7 @@ ExploreReport ExploreExhaustive(Workload w, const ExploreOptions& opt,
     const RunOutcome run = RunWorkload(w, opt, &controller);
     ++report.schedules_run;
     report.enforcement_misses += controller.stats().enforcement_misses;
-    if (std::string what = CheckRun(w, prep.baseline, prep.reference, run);
+    if (std::string what = CheckRun(prep.baseline, prep.reference, run);
         !what.empty()) {
       // The schedule IS the digit vector here; render it as the seed-free
       // replay handle.

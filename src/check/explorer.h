@@ -12,8 +12,9 @@
 //   4. where float association order is provably irrelevant (inputs are
 //      small integers, sums stay exactly representable), the result equals
 //      the arithmetic reference;
-//   5. collectives whose contract says "all ranks end with the same value"
-//      (all-reduce, all-gather, broadcast) are bitwise rank-invariant.
+//   5. every rank ends with the same bytes: each workload's contract says
+//      "all ranks end with the same value" (all-reduce, all-gather,
+//      broadcast and the layers built on them).
 //
 // A violating random schedule is reported with its seed — re-running
 // ReplaySeed with that seed reproduces the perturbation decisions (they are
@@ -35,9 +36,7 @@ namespace acps::check {
 enum class Workload {
   kAllReduceRing,
   kAllReduceNaive,
-  kAllGather,
   kAllGatherBytes,
-  kReduceScatter,
   kBroadcast,
   kBarrier,    // barriers interleaved with a small all-reduce
   kWfbpStep,   // GradReducer hook-driven step (low-rank + dense buckets)

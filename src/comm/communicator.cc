@@ -494,31 +494,18 @@ void Communicator::AllReduceNaive(std::span<float> data) {
                });
 }
 
-void Communicator::all_gather(std::span<const float> send,
-                              std::span<float> recv) {
-  obs::ScopedSpan span(tracer_, "all_gather", obs::kCatComm, rank_,
-                       send.size() * sizeof(float));
-  AllGatherBlocks(CollectiveKind::kAllGather, AsBytes(send),
-                  AsWritableBytes(recv));
-}
-
 void Communicator::all_gather_bytes(std::span<const std::byte> send,
                                     std::span<std::byte> recv) {
   obs::ScopedSpan span(tracer_, "all_gather_bytes", obs::kCatComm, rank_,
                        send.size());
-  AllGatherBlocks(CollectiveKind::kAllGatherBytes, send, recv);
-}
-
-void Communicator::AllGatherBlocks(CollectiveKind kind,
-                                   std::span<const std::byte> send,
-                                   std::span<std::byte> recv) {
   EnterCollective();
-  ContractScope contract(state_, rank_,
-                         CollectiveFingerprint{.kind = kind,
-                                               .bytes = send.size(),
-                                               .epoch = epoch_});
+  ContractScope contract(
+      state_, rank_,
+      CollectiveFingerprint{.kind = CollectiveKind::kAllGatherBytes,
+                            .bytes = send.size(),
+                            .epoch = epoch_});
   ACPS_CHECK_MSG(recv.size() == send.size() * static_cast<size_t>(world_size_),
-                 ToString(kind) << " recv size must be p * send size");
+                 "all_gather_bytes recv size must be p * send size");
   const size_t block_bytes = send.size();
   const auto block = [&](int r) {
     return recv.subspan(static_cast<size_t>(r) * block_bytes, block_bytes);
@@ -540,20 +527,6 @@ void Communicator::AllGatherBlocks(CollectiveKind kind,
   RingAllGather(/*phase=*/0, [&](int view_pos) {
     return block(view_[static_cast<size_t>(view_pos)]);
   });
-}
-
-void Communicator::reduce_scatter(std::span<float> data) {
-  obs::ScopedSpan span(tracer_, "reduce_scatter", obs::kCatComm, rank_,
-                       data.size() * sizeof(float));
-  EnterCollective();
-  ContractScope contract(
-      state_, rank_,
-      CollectiveFingerprint{.kind = CollectiveKind::kReduceScatter,
-                            .bytes = data.size() * sizeof(float),
-                            .epoch = epoch_});
-  ++stats_.collectives;
-  if (alive_world_size() == 1 || data.empty()) return;
-  RingReduceScatter(data);
 }
 
 void Communicator::broadcast(std::span<float> data, int root) {

@@ -107,23 +107,13 @@ class Communicator {
   void all_reduce(std::span<float> data,
                   AllReduceAlgo algo = AllReduceAlgo::kRing);
 
-  // Ring all-gather: worker i contributes `send`; `recv` (size p*|send|)
-  // receives all contributions in rank order. All workers must pass equal
-  // |send|. Per-worker traffic: (p-1) * |send| elements. Blocks of crashed
-  // ranks are zero-filled.
-  void all_gather(std::span<const float> send, std::span<float> recv);
-
   // Byte-wise ring all-gather for packed/compressed payloads (e.g. sign
-  // bits, top-k index+value records). Equal |send| across workers.
+  // bits, top-k index+value records): worker i contributes `send`; `recv`
+  // (size p*|send|) receives all contributions in rank order. All workers
+  // must pass equal |send|. Per-worker traffic: (p-1) * |send| bytes.
+  // Blocks of crashed ranks are zero-filled.
   void all_gather_bytes(std::span<const std::byte> send,
                         std::span<std::byte> recv);
-
-  // Ring reduce-scatter: in-place partial reduction; on return, the worker
-  // with the i-th position in alive_ranks() owns the fully reduced chunk i
-  // of `data` split into alive_world_size() chunks (other chunks are
-  // garbage). With full membership this is chunk `rank` of `world_size`
-  // chunks, per GetChunkRange below.
-  void reduce_scatter(std::span<float> data);
 
   // Broadcast from `root`. Throws fault::DetectedError on every surviving
   // rank (in lockstep) if the root has crashed.
@@ -182,18 +172,14 @@ class Communicator {
   //
   // RingReduceScatter: pa-1 steps of phase 0; afterwards the worker at view
   // position i owns the fully reduced chunk i of `data` split into pa
-  // chunks (reduce_scatter, and all_reduce's first half).
+  // chunks (all_reduce's first half).
   void RingReduceScatter(std::span<float> data);
   // RingAllGather: pa-1 steps of `phase`, circulating byte blocks addressed
   // by alive-view position; block_of(i) must already hold view position
-  // i's block on the worker that owns it (all_gather, all_gather_bytes, and
+  // i's block on the worker that owns it (all_gather_bytes, and
   // all_reduce's second half).
   using BlockFn = std::function<std::span<std::byte>(int view_pos)>;
   void RingAllGather(int phase, const BlockFn& block_of);
-
-  // all_gather and all_gather_bytes: equal-size blocks indexed by rank.
-  void AllGatherBlocks(CollectiveKind kind, std::span<const std::byte> send,
-                       std::span<std::byte> recv);
 
   // Naive (reduce-to-root + broadcast) all-reduce body.
   void AllReduceNaive(std::span<float> data);

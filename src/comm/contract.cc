@@ -11,9 +11,7 @@ const char* ToString(CollectiveKind kind) noexcept {
     case CollectiveKind::kNone: return "none";
     case CollectiveKind::kBarrier: return "barrier";
     case CollectiveKind::kAllReduce: return "all_reduce";
-    case CollectiveKind::kAllGather: return "all_gather";
     case CollectiveKind::kAllGatherBytes: return "all_gather_bytes";
-    case CollectiveKind::kReduceScatter: return "reduce_scatter";
     case CollectiveKind::kBroadcast: return "broadcast";
     case CollectiveKind::kViewCommit: return "view_commit";
   }

@@ -31,9 +31,7 @@ enum class CollectiveKind {
   kNone,
   kBarrier,
   kAllReduce,
-  kAllGather,
   kAllGatherBytes,
-  kReduceScatter,
   kBroadcast,
   kViewCommit,  // barrier-aligned membership-view commit (elastic sessions)
 };

@@ -41,23 +41,6 @@ double CostModel::AllGather(double bytes_per_worker) const {
              (net_.beta_bytes_per_s * net_.allgather_efficiency);
 }
 
-double CostModel::ReduceScatter(double bytes) const {
-  if (p_ == 1 || bytes <= 0) return 0.0;
-  const double p = p_;
-  return (p - 1.0) * net_.alpha_s +
-         (p - 1.0) / p * bytes / net_.beta_bytes_per_s;
-}
-
-double CostModel::Broadcast(double bytes) const {
-  if (p_ == 1 || bytes <= 0) return 0.0;
-  const double p = p_;
-  return (p - 1.0) * (net_.alpha_s + bytes / net_.beta_bytes_per_s);
-}
-
-double CostModel::PointToPoint(double bytes) const {
-  return net_.alpha_s + (bytes > 0 ? bytes / net_.beta_bytes_per_s : 0.0);
-}
-
 double CostModel::AllReduceStartup() const {
   return p_ == 1 ? 0.0 : 2.0 * (p_ - 1.0) * net_.alpha_s;
 }

@@ -42,15 +42,6 @@ class CostModel {
   // Ring all-gather where each worker contributes `bytes_per_worker`.
   [[nodiscard]] double AllGather(double bytes_per_worker) const;
 
-  // Ring reduce-scatter over `bytes`.
-  [[nodiscard]] double ReduceScatter(double bytes) const;
-
-  // Flat broadcast of `bytes` from one root.
-  [[nodiscard]] double Broadcast(double bytes) const;
-
-  // One point-to-point message.
-  [[nodiscard]] double PointToPoint(double bytes) const;
-
   // The startup-only cost of one all-reduce — what tensor fusion amortizes.
   [[nodiscard]] double AllReduceStartup() const;
 

@@ -74,10 +74,6 @@ void Session::set_fault_injector(fault::FaultInjector* injector) noexcept {
   state_->injector = injector;
 }
 
-fault::FaultInjector* Session::fault_injector() const noexcept {
-  return state_->injector;
-}
-
 void Session::Run(const std::function<void(Communicator&)>& fn) {
   last_run_stats_.assign(static_cast<size_t>(capacity_), TrafficStats{});
   detail::GroupState* st = state_.get();

@@ -71,9 +71,6 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   [[nodiscard]] int world_size() const noexcept { return world_size_; }
-  // Channel capacity: equals world_size() for fixed-membership sessions,
-  // SessionOptions::max_world_size for elastic ones.
-  [[nodiscard]] int capacity() const noexcept { return capacity_; }
   [[nodiscard]] const std::string& job_id() const noexcept { return job_id_; }
   [[nodiscard]] const SessionOptions& options() const noexcept {
     return options_;
@@ -96,7 +93,6 @@ class Session {
   // of this session's workers routes here, so faults aimed at this job
   // never touch other tenants. Must only be called between Runs.
   void set_fault_injector(fault::FaultInjector* injector) noexcept;
-  [[nodiscard]] fault::FaultInjector* fault_injector() const noexcept;
 
   // Spawns one thread per capacity slot, each invoking fn(comm). Blocks
   // until all return. Exceptions thrown by any worker are rethrown (first

@@ -152,10 +152,9 @@ std::string JoinRanks(const std::vector<int>& ranks) {
 // Classifies a faulted run against its fault-free baseline. `crash_rank`
 // is < 0 for wire-fault cases (which must reproduce the baseline bits) and
 // the expected dead rank for crash cases (which must complete consistently
-// over the survivors instead). `rank_invariant` says whether all (surviving)
-// ranks must hold identical bytes.
+// over the survivors instead: every surviving rank holds identical bytes).
 ChaosCaseResult Classify(const ChaosRun& baseline, const ChaosRun& run,
-                         int crash_rank, bool rank_invariant) {
+                         int crash_rank) {
   ChaosCaseResult result;
   if (run.detected) {
     result.outcome = ChaosOutcome::kDetected;
@@ -176,20 +175,18 @@ ChaosCaseResult Classify(const ChaosRun& baseline, const ChaosRun& run,
           " to crash, got [" + JoinRanks(run.crashed) + "]";
       return result;
     }
-    if (rank_invariant) {
-      int first = crash_rank == 0 ? 1 : 0;
-      for (int r = first + 1; r < p; ++r) {
-        if (r == crash_rank) continue;
-        if (run.outputs[static_cast<size_t>(r)] !=
-            run.outputs[static_cast<size_t>(first)]) {
-          result.outcome = ChaosOutcome::kSilentCorruption;
-          result.detail =
-              "survivors diverged: rank " + std::to_string(r) + " vs rank " +
-              std::to_string(first) + ": " +
-              DescribeByteDiff(run.outputs[static_cast<size_t>(first)],
-                               run.outputs[static_cast<size_t>(r)]);
-          return result;
-        }
+    int first = crash_rank == 0 ? 1 : 0;
+    for (int r = first + 1; r < p; ++r) {
+      if (r == crash_rank) continue;
+      if (run.outputs[static_cast<size_t>(r)] !=
+          run.outputs[static_cast<size_t>(first)]) {
+        result.outcome = ChaosOutcome::kSilentCorruption;
+        result.detail =
+            "survivors diverged: rank " + std::to_string(r) + " vs rank " +
+            std::to_string(first) + ": " +
+            DescribeByteDiff(run.outputs[static_cast<size_t>(first)],
+                             run.outputs[static_cast<size_t>(r)]);
+        return result;
       }
     }
     result.outcome = ChaosOutcome::kRecovered;
@@ -258,7 +255,7 @@ std::string CaseName(FaultKind kind, const std::string& workload,
 // with deterministically bumped seeds before reporting kNoInjection.
 ChaosCaseResult RunPlannedCase(
     FaultKind kind, const std::string& workload, ChaosMethod m,
-    const ChaosOptions& opt, uint64_t crash_at, bool rank_invariant,
+    const ChaosOptions& opt, uint64_t crash_at,
     const std::function<ChaosRun(FaultInjector*)>& run_with) {
   const ChaosRun baseline = run_with(nullptr);
   ChaosCaseResult result;
@@ -274,7 +271,7 @@ ChaosCaseResult RunPlannedCase(
     FaultPlan plan(PlanFor(kind, seed, rate, opt, crash_at));
     const ChaosRun run = run_with(&plan);
     if (plan.injected() == 0) continue;  // bump the seed, try again
-    result = Classify(baseline, run, expected_crash, rank_invariant);
+    result = Classify(baseline, run, expected_crash);
     result.name = CaseName(kind, workload, m);
     result.injected = plan.injected();
     result.seed_used = seed;
@@ -291,8 +288,7 @@ ChaosCaseResult RunPlannedCase(
 const char* ToString(ChaosCollective c) noexcept {
   switch (c) {
     case ChaosCollective::kAllReduceRing: return "all_reduce[ring]";
-    case ChaosCollective::kAllGather: return "all_gather";
-    case ChaosCollective::kReduceScatter: return "reduce_scatter";
+    case ChaosCollective::kAllGatherBytes: return "all_gather_bytes";
     case ChaosCollective::kBroadcast: return "broadcast";
   }
   return "unknown";
@@ -319,8 +315,8 @@ const char* ToString(ChaosOutcome o) noexcept {
 }
 
 std::vector<ChaosCollective> AllChaosCollectives() {
-  return {ChaosCollective::kAllReduceRing, ChaosCollective::kAllGather,
-          ChaosCollective::kReduceScatter, ChaosCollective::kBroadcast};
+  return {ChaosCollective::kAllReduceRing, ChaosCollective::kAllGatherBytes,
+          ChaosCollective::kBroadcast};
 }
 
 std::vector<ChaosMethod> AllChaosMethods() {
@@ -355,24 +351,10 @@ ChaosRun RunCollectiveWorkload(ChaosCollective c, ChaosMethod m,
         comm.all_reduce(data);
         slot = FloatsToBytes(data);
         break;
-      case ChaosCollective::kAllGather: {
-        std::vector<float> recv(data.size() * static_cast<size_t>(p));
-        comm.all_gather(data, recv);
-        slot = FloatsToBytes(recv);
-        break;
-      }
-      case ChaosCollective::kReduceScatter: {
-        comm.reduce_scatter(data);
-        // Own chunk under the *alive* chunking the collective actually used.
-        const auto& alive = comm.alive_ranks();
-        const auto it = std::find(alive.begin(), alive.end(), r);
-        if (it != alive.end()) {
-          const auto rc = comm::GetChunkRange(
-              n, comm.alive_world_size(),
-              static_cast<int>(it - alive.begin()));
-          slot = FloatsToBytes(std::span<const float>(data).subspan(
-              static_cast<size_t>(rc.begin), static_cast<size_t>(rc.size())));
-        }
+      case ChaosCollective::kAllGatherBytes: {
+        const std::vector<std::byte> send = FloatsToBytes(data);
+        slot.resize(send.size() * static_cast<size_t>(p));
+        comm.all_gather_bytes(send, slot);
         break;
       }
       case ChaosCollective::kBroadcast:
@@ -435,9 +417,8 @@ ChaosRun RunTrainingWorkload(ChaosMethod m, const ChaosOptions& opt,
 
 ChaosCaseResult RunCollectiveChaos(FaultKind kind, ChaosCollective c,
                                    ChaosMethod m, const ChaosOptions& opt) {
-  const bool rank_invariant = c != ChaosCollective::kReduceScatter;
   return RunPlannedCase(kind, ToString(c), m, opt, opt.crash_at,
-                        rank_invariant, [&](FaultInjector* injector) {
+                        [&](FaultInjector* injector) {
                           return RunCollectiveWorkload(c, m, opt, injector);
                         });
 }
@@ -447,8 +428,7 @@ ChaosCaseResult RunTrainingChaos(FaultKind kind, ChaosMethod m,
   // Die mid-training, not at the very first collective.
   const uint64_t crash_at = std::max<uint64_t>(opt.crash_at, 3);
   return RunPlannedCase(kind, std::string("training[") + ToString(m) + "]", m,
-                        opt, crash_at, /*rank_invariant=*/true,
-                        [&](FaultInjector* injector) {
+                        opt, crash_at, [&](FaultInjector* injector) {
                           return RunTrainingWorkload(m, opt, injector);
                         });
 }

@@ -38,12 +38,11 @@
 
 namespace acps::fault {
 
-// The collectives the matrix covers: ring all-reduce, all-gather,
-// reduce-scatter and broadcast.
+// The collectives the matrix covers: ring all-reduce (S-SGD, Power-SGD,
+// ACP-SGD), the byte all-gather (Sign-SGD, Top-k) and broadcast.
 enum class ChaosCollective : uint8_t {
   kAllReduceRing,
-  kAllGather,
-  kReduceScatter,
+  kAllGatherBytes,
   kBroadcast,
 };
 

@@ -147,12 +147,12 @@ TEST(ExplorerTest, ExhaustiveTwoRankAllReduceCompletes) {
   EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
-TEST(ExplorerTest, ExhaustiveThreeRankReduceScatterCompletes) {
+TEST(ExplorerTest, ExhaustiveThreeRankAllGatherBytesCompletes) {
   ExploreOptions opt;
   opt.world_size = 3;
   const ExploreReport report =
-      ExploreExhaustive(Workload::kReduceScatter, opt);
-  // p = 3: 2 windows, 3! orders each -> 36 schedules.
+      ExploreExhaustive(Workload::kAllGatherBytes, opt);
+  // p = 3: 2 ring steps = 2 windows, 3! orders each -> 36 schedules.
   EXPECT_EQ(report.windows, 2) << report.Summary();
   EXPECT_EQ(report.schedules_run, 36) << report.Summary();
   EXPECT_TRUE(report.exhaustive_complete) << report.Summary();

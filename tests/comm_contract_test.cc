@@ -74,13 +74,10 @@ TEST(ContractChecker, HealthyCollectivesPassWithCheckingOn) {
     std::vector<float> v(64, static_cast<float>(comm.rank()));
     comm.all_reduce(v);
     comm.barrier();
-    std::vector<float> g(64 * 4);
-    comm.all_gather(std::span<const float>(v).subspan(0, 64), g);
     std::vector<std::byte> mine(5, static_cast<std::byte>(comm.rank()));
     std::vector<std::byte> recv(5 * 4);
     comm.all_gather_bytes(mine, recv);
     comm.broadcast(v, 2);
-    comm.reduce_scatter(v);
     ++ok;
   });
   EXPECT_EQ(ok.load(), 4);
@@ -108,7 +105,7 @@ TEST(ContractChecker, SizeMismatchedAllReduceDiagnosed) {
 }
 
 // Scenario (b): a divergent collective *sequence* — one rank calls barrier
-// while the others call all_gather — is detected at the rendezvous.
+// while the others call all_gather_bytes — is detected at the rendezvous.
 TEST(ContractChecker, DivergentSequenceDetected) {
   Transport transport({.barrier_timeout_ms = 30000});
   Session group(transport, "contract", 3);
@@ -119,13 +116,13 @@ TEST(ContractChecker, DivergentSequenceDetected) {
         if (comm.rank() == 0) {
           comm.barrier();
         } else {
-          std::vector<float> mine(4, 1.0f);
-          std::vector<float> all(12);
-          comm.all_gather(mine, all);
+          std::vector<std::byte> mine(16, std::byte{1});
+          std::vector<std::byte> all(48);
+          comm.all_gather_bytes(mine, all);
         }
       },
       {"collective contract violation", "rank 0: barrier[]",
-       "rank 1: all_gather[16 B]"});
+       "rank 1: all_gather_bytes[16 B]"});
 }
 
 TEST(ContractChecker, MismatchedAlgoDetected) {
@@ -206,8 +203,7 @@ TEST(CollectiveWatchdog, GroupReusableAfterContractViolation) {
 TEST(CollectiveKindTest, EveryKindHasAName) {
   for (const CollectiveKind k :
        {CollectiveKind::kNone, CollectiveKind::kBarrier,
-        CollectiveKind::kAllReduce, CollectiveKind::kAllGather,
-        CollectiveKind::kAllGatherBytes, CollectiveKind::kReduceScatter,
+        CollectiveKind::kAllReduce, CollectiveKind::kAllGatherBytes,
         CollectiveKind::kBroadcast, CollectiveKind::kViewCommit}) {
     EXPECT_STRNE(ToString(k), "unknown");
   }

@@ -11,7 +11,6 @@ TEST(CostModel, SingleWorkerIsFree) {
   CostModel cm(NetworkSpec::Ethernet10G(), 1);
   EXPECT_EQ(cm.AllReduce(1e6), 0.0);
   EXPECT_EQ(cm.AllGather(1e6), 0.0);
-  EXPECT_EQ(cm.Broadcast(1e6), 0.0);
   EXPECT_EQ(cm.AllReduceStartup(), 0.0);
 }
 
@@ -90,14 +89,6 @@ TEST(CostModel, MonotoneInBytes) {
     EXPECT_GE(t, prev);
     prev = t;
   }
-}
-
-TEST(CostModel, ReduceScatterAndP2P) {
-  const NetworkSpec net = NetworkSpec::Ethernet10G();
-  CostModel cm(net, 4);
-  EXPECT_GT(cm.ReduceScatter(1e6), 0.0);
-  EXPECT_LT(cm.ReduceScatter(1e6), cm.AllReduce(1e6));
-  EXPECT_DOUBLE_EQ(cm.PointToPoint(0.0), net.alpha_s);
 }
 
 TEST(CostModel, RejectsBadConfig) {

@@ -267,10 +267,10 @@ TEST(FaultObservabilityTest, ContractCheckingCoexistsWithRetries) {
                            std::vector<std::byte>& out) {
     std::vector<float> data(6, static_cast<float>(comm.rank() + 1));
     comm.all_reduce(data);
-    comm.reduce_scatter(data);
     comm.broadcast(data, /*root=*/0);
     std::vector<float> gathered(6 * static_cast<size_t>(comm.world_size()));
-    comm.all_gather(std::span<const float>(data), gathered);
+    comm.all_gather_bytes(std::as_bytes(std::span<const float>(data)),
+                          std::as_writable_bytes(std::span<float>(gathered)));
 
     std::vector<std::byte> packed(8, std::byte{static_cast<uint8_t>(comm.rank())});
     std::vector<std::byte> packed_all(packed.size() *

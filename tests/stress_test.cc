@@ -78,7 +78,8 @@ TEST(Stress, MixedCollectivesInterleaved) {
         }
         case 1: {
           std::vector<float> g(n * p);
-          comm.all_gather(v, g);
+          comm.all_gather_bytes(std::as_bytes(std::span<const float>(v)),
+                                std::as_writable_bytes(std::span<float>(g)));
           for (int r = 0; r < p; ++r)
             if (g[static_cast<size_t>(r) * n] != static_cast<float>(r + 1))
               ++failures;
