@@ -243,6 +243,25 @@ std::vector<Case> BuildCases() {
     cases.push_back(GemmTransACase("gemm_ta_lowrank_r" + std::to_string(r),
                                    /*quick=*/r == 4, 1024, 1024, r));
   }
+  // The same product at a ResNet-50 layer4 conv shape (M is 512×4608, so
+  // Q = Mᵀ·P has 4608 rows), and ACP-SGD's error-feedback Q step there:
+  // E += M folded into Q = Eᵀ·P, against the add then the naive product.
+  cases.push_back(GemmTransACase("gemm_ta_lowrank_512x4608x4", /*quick=*/false,
+                                 4608, 512, 4));
+  cases.push_back({"lowrank_addta_512x4x4608", false, [](int reps) {
+                     const int64_t n = 512, m = 4608, r = 4;
+                     const auto x = RandomVec(static_cast<size_t>(n * m), 13);
+                     auto e = RandomVec(static_cast<size_t>(n * m), 14);
+                     const auto p = RandomVec(static_cast<size_t>(n * r), 15);
+                     std::vector<float> q(static_cast<size_t>(m * r));
+                     return Measure(
+                         reps,
+                         [&] { acps::AddGemmTransA(x, e, p, q, n, m, r); },
+                         [&] {
+                           for (size_t i = 0; i < e.size(); ++i) e[i] += x[i];
+                           acps::GemmTransANaive(e, p, q, m, n, r);
+                         });
+                   }});
   // Power-SGD / ACP-SGD reconstruct M̂ = P·Qᵀ at every paper rank (wide-m
   // TransB; r <= 8 takes the small-k path, r4 gated by a hard floor below).
   for (const int64_t r : {1, 2, 4, 8, 32}) {

@@ -84,10 +84,10 @@ std::span<float> AcpSgd::LocalStep(int64_t tensor_id, const Tensor& m) {
     // 32-row blocks of E does E += M, P_t = E·Q_t and E −= P_t·Q_tᵀ.
     ProjectResidual(m.data(), st.e.data(), st.q.data(), st.p.data(), n, mm, r);
   } else {
-    // Q_t = (M+E)ᵀ·P_t needs all of M+E first, then one streamed residual
-    // pass (P_t·Q_tᵀ is never stored).
-    st.e.add_(m);
-    GemmTransA(st.e.data(), st.p.data(), st.q.data(), mm, n, r);
+    // Q_t = (M+E)ᵀ·P_t needs all of M+E first: one sweep adds M into E
+    // and folds each row block into Q_t, then one streamed residual pass
+    // (P_t·Q_tᵀ is never stored).
+    AddGemmTransA(m.data(), st.e.data(), st.p.data(), st.q.data(), n, mm, r);
     SubtractLowRank(st.p.data(), st.q.data(), st.e.data(), n, r, mm);
   }
 

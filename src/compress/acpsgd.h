@@ -70,7 +70,8 @@ class AcpSgd {
   // is computed from E, then E −= P·Qᵀ, streamed row by row (no n×m
   // temporary). A P step does all three in one sweep over 32-row blocks of
   // E (ProjectResidual); a Q step needs all of M + E for Mᵀ·P first, so it
-  // takes E += M, GemmTransA, then one residual pass (SubtractLowRank).
+  // takes two: E += M folded into Mᵀ·P (AddGemmTransA), then one residual
+  // pass (SubtractLowRank).
   [[nodiscard]] std::span<float> LocalStep(int64_t tensor_id, const Tensor& m);
 
   // After the factor returned by LocalStep was aggregated in place,

@@ -67,13 +67,16 @@ void PowerSgd::Step(int64_t tensor_id, Tensor& m,
   const int64_t r = EffectiveRank(n, mm, config_.rank);
   State& st = state_for(tensor_id, n, mm, r);
 
-  // Feedback: compress (M + E), formed in M itself — M is overwritten by M̂
-  // below anyway.
-  if (config_.error_feedback) m.add_(st.e);
-
-  // Compute P = (M+E)·Q_prev, aggregate, orthogonalize. Note the all-reduce
-  // here *blocks* the Q computation below — Algorithm 1's structure.
-  Tensor p = MatMul(m, st.q);
+  // Compute P = (M+E)·Q_prev, aggregate, orthogonalize. With feedback,
+  // M + E is formed in M itself (M is overwritten by M̂ below anyway), one
+  // 32-row block at a time just before P reads it. Note the all-reduce here
+  // *blocks* the Q computation below — Algorithm 1's structure.
+  Tensor p({n, r});
+  if (config_.error_feedback) {
+    AddGemm(st.e.data(), m.data(), st.q.data(), p.data(), n, mm, r);
+  } else {
+    Gemm(m.data(), st.q.data(), p.data(), n, mm, r);
+  }
   allreduce(p.data());
   Orthogonalize(p);
 

@@ -6,8 +6,7 @@ namespace acps::fusion {
 
 int FusionBuffer::AddSlot(int64_t numel) {
   ACPS_CHECK_MSG(numel >= 0, "negative slot size");
-  ACPS_CHECK_MSG(storage_.empty(),
-                 "AddSlot after Pack: Reset() the buffer first");
+  ACPS_CHECK_MSG(!packed_, "AddSlot after Pack: Reset() the buffer first");
   const int id = static_cast<int>(slots_.size());
   slots_.push_back(Slot{total_, numel});
   total_ += numel;
@@ -15,13 +14,13 @@ int FusionBuffer::AddSlot(int64_t numel) {
 }
 
 void FusionBuffer::EnsureStorage() {
-  if (storage_.empty() && total_ > 0)
-    storage_.assign(static_cast<size_t>(total_), 0.0f);
-  // Storage must cover the declared layout exactly; anything else means a
+  if (!packed_ && static_cast<int64_t>(storage_.size()) < total_)
+    storage_.resize(static_cast<size_t>(total_));
+  packed_ = true;
+  // Storage must cover the declared layout; anything less means a
   // Pack/Unpack below would read or write out of bounds of the fused
   // buffer (the zero-copy all-reduce path aliases it via flat()).
-  ACPS_CHECK_MSG(static_cast<int64_t>(storage_.size()) == total_ ||
-                     (storage_.empty() && total_ == 0),
+  ACPS_CHECK_MSG(static_cast<int64_t>(storage_.size()) >= total_,
                  "fusion buffer storage holds " << storage_.size()
                                                 << " floats but the layout "
                                                    "declares " << total_);
@@ -44,8 +43,7 @@ void FusionBuffer::Unpack(int slot, std::span<float> dst) const {
   const Slot& s = slots_[static_cast<size_t>(slot)];
   ACPS_CHECK_MSG(static_cast<int64_t>(dst.size()) == s.numel,
                  "Unpack size mismatch for slot " << slot);
-  ACPS_CHECK_MSG(!storage_.empty() || s.numel == 0,
-                 "Unpack before any Pack");
+  ACPS_CHECK_MSG(packed_ || s.numel == 0, "Unpack before any Pack");
   std::copy(storage_.begin() + static_cast<ptrdiff_t>(s.offset),
             storage_.begin() + static_cast<ptrdiff_t>(s.offset + s.numel),
             dst.begin());
@@ -53,17 +51,18 @@ void FusionBuffer::Unpack(int slot, std::span<float> dst) const {
 
 std::span<float> FusionBuffer::flat() {
   EnsureStorage();
-  return storage_;
+  return {storage_.data(), static_cast<size_t>(total_)};
 }
 
 std::span<const float> FusionBuffer::flat() const {
-  return storage_;
+  if (!packed_) return {};
+  return {storage_.data(), static_cast<size_t>(total_)};
 }
 
 void FusionBuffer::Reset() {
   slots_.clear();
-  storage_.clear();
   total_ = 0;
+  packed_ = false;
 }
 
 }  // namespace acps::fusion

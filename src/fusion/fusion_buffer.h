@@ -28,12 +28,15 @@ class FusionBuffer {
   // Copies slot `slot` out into `dst`.
   void Unpack(int slot, std::span<float> dst) const;
 
-  // The contiguous storage (allocated lazily on first Pack); the collective
-  // target.
+  // The contiguous storage, total_elements() long (allocated lazily on the
+  // first Pack after a Reset); the collective target. A slot not Packed
+  // since the last Reset holds unspecified values.
   [[nodiscard]] std::span<float> flat();
   [[nodiscard]] std::span<const float> flat() const;
 
-  // Drops all slots and storage for reuse with a new layout.
+  // Drops all slots for reuse with a new layout. The storage is kept (and
+  // grown only when a later layout needs more), so the next Pack does not
+  // clear it first.
   void Reset();
 
  private:
@@ -45,6 +48,7 @@ class FusionBuffer {
 
   std::vector<Slot> slots_;
   int64_t total_ = 0;
+  bool packed_ = false;  // storage sized for this layout; no more AddSlot
   std::vector<float> storage_;
 };
 

@@ -326,25 +326,48 @@ bool UsePackedSaxpy(int64_t n, int64_t k, int64_t m) {
 // Power-SGD / ACP-SGD, P = M·Q (Gemm) and Q = Mᵀ·P (GemmTransA), whose
 // output has only r columns. The general tiles are kNj columns wide, so
 // these shapes would fall to GemmRows' one-row-at-a-time edge path. Here m
-// is a template constant and both kernels block kSmallMRows output rows
-// into an m×kSmallMRows accumulator block instead: each k step multiplies
-// a contiguous run of those rows' A elements by one B row, so the fma runs
-// vectorized across output rows.
-//  * GemmTransA (A stored [k×n]) reads that run straight out of A's row k,
-//    walking A row-sequentially in ascending k instead of at stride n.
-//  * Gemm first copies the tile's A elements, alpha folded, k-major into a
-//    kKc-deep stack panel (PackASmallM) and runs over that. (The register
-//    block the naive loop suggests — rows × m accumulators, one broadcast
-//    a_ik per row — measured 2–3× slower at m = 3..7 (AVX2, GCC 12):
-//    the vectorizer mixes scalar and vector lanes there.)
+// is a template constant and both kernels keep an m×W accumulator block for
+// W output rows instead: each k step multiplies a contiguous run of those
+// rows' A elements by one B row, so the fma runs vectorized across output
+// rows.
+//  * GemmTransA (A stored [k×n]) finds that run in place, in A's row k. It
+//    streams A's rows in blocks of kTaRowBlock and, inside a block, walks
+//    kTaStrip-column strips: a strip's m×kTaStrip accumulators stay in
+//    registers for all the block's rows, then wait in a per-thread scratch
+//    for the next block, so A is read row-contiguously rather than one
+//    strip at a time down all k rows at stride n. The pool splits columns
+//    on strip boundaries.
+//  * Gemm first copies a kSmallMRows-row tile's A elements, alpha folded,
+//    k-major into a kKc-deep stack panel (PackASmallM) and runs over that.
+//    (The register block the naive loop suggests — rows × m accumulators,
+//    one broadcast a_ik per row — measured 2–3× slower at m = 3..7 (AVX2,
+//    GCC 12): the vectorizer mixes scalar and vector lanes there.)
 // Either way every element's chain is still `acc = fmaf(alpha·a, b, acc)`
-// from 0 in ascending k with beta at writeback, so the result is bitwise the
-// naive reference's, whatever rows it is computed beside.
+// from 0 in ascending k with beta at writeback (a float round-trips the
+// scratch exactly), so the result is bitwise the naive reference's,
+// whatever rows it is computed beside.
 // ---------------------------------------------------------------------------
 constexpr int64_t kSmallM = 8;
-// Measured at 1024×1024×4, 1 thread (AVX2, GCC 12), Mᵀ·P / M·Q: 32 rows
-// took 0.47 / 0.84 ms, 64 rows 0.44 / 1.21 ms and 16 rows 4.4 / 3.6 ms.
+// Measured at 1024×1024×4, 1 thread (AVX2, GCC 12), M·Q: 32 rows took
+// 0.84 ms, 64 rows 1.21 ms and 16 rows 3.6 ms.
 constexpr int64_t kSmallMRows = 32;
+// GemmTransA's strip width and row block. 16 columns keep 2·m accumulator
+// vectors plus the A strip in registers up to m = 8; a 32-wide strip
+// spilled.
+constexpr int64_t kTaStrip = 16;
+constexpr int64_t kTaRowBlock = 32;
+
+// Eight floats; GCC lowers the vector code below to the target's SIMD
+// level.
+using V8f = float __attribute__((vector_size(32)));
+using V8i = int32_t __attribute__((vector_size(32)));
+
+// c += a·b per lane with one rounding: std::fmaf lane by lane, which GCC
+// emits as one vector fma. Vectors go by reference, as in
+// PackTranspose8x8: by value they would trip -Wpsabi in builds without AVX.
+[[gnu::always_inline]] inline void Fma8(const V8f& a, const V8f& b, V8f& c) {
+  for (int l = 0; l < 8; ++l) c[l] = std::fmaf(a[l], b[l], c[l]);
+}
 
 // Writes the accumulator block of output rows [i0, i0 + rows): acc[j][w]
 // is element (i0 + w, j).
@@ -372,32 +395,109 @@ inline void SmallMAccumulate(const float* __restrict__ av,
       acc[j][w] = std::fmaf(av[w], bk[j], acc[j][w]);
 }
 
-// The tiles below take `Full` (rows == kSmallMRows) as a template flag so a
-// full tile's row loops have a compile-time bound and acc stays in
-// registers. With a runtime bound, GemmTransA at 1024×1024×4 (1 thread,
-// AVX2, GCC 12) took 0.91–0.93 ms against 0.49–0.52 ms, and zero-padding
-// partial tiles to the full bound instead still took 0.66–0.88 ms.
+// The kernels below take `Full` (a whole tile or strip) as a template flag
+// so the accumulate loops have a compile-time bound and acc stays in
+// registers. With a runtime bound, the 32-row GemmTransA tile that the
+// strip kernel replaced took 0.91–0.93 ms against 0.49–0.52 ms at
+// 1024×1024×4 (1 thread, AVX2, GCC 12).
 
-// Output rows [i0, i0 + rows) of C = alpha·Aᵀ·B + beta·C, rows <=
-// kSmallMRows.
+// Folds A rows [k0, k0 + rows) into one strip of output rows [j0, j0 +
+// width): acc_io[j * kTaStrip + w] is element (j0 + w, j). A partial strip
+// loads zeros past `width`; those lanes are never written back. The strip
+// is spelled as kTaStrip / 8 eight-float vectors with std::fmaf per lane
+// (Fma8): written over plain float arrays, GCC fully unrolls the 16-wide
+// loop before vectorizing it and then vectorizes across j with shuffles,
+// which ran 3–8× slower (512×4608×4, 1 thread). As vectors, the 2·m
+// accumulators stay in registers across the block (objdump, GCC 12: none
+// spill at m = 4 under the default AVX2 flags, three of sixteen at m = 8;
+// none at m = 8 under -march=native with AVX-512VL's 32 registers).
 template <int64_t M, bool Full>
-void GemmTransASmallMTile(const float* a, const float* b, float* c, int64_t i0,
-                          int64_t rows, int64_t n, int64_t k, float alpha,
-                          float beta) {
-  const int64_t w_end = Full ? kSmallMRows : rows;
-  float acc[M][kSmallMRows] = {};
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float* __restrict__ ak = a + kk * n + i0;
-    float av[kSmallMRows];
-    for (int64_t w = 0; w < w_end; ++w) av[w] = alpha * ak[w];
-    SmallMAccumulate<M>(av, b + kk * M, acc, w_end);
+void TransAStrip(const float* a, const float* b, int64_t n, int64_t k0,
+                 int64_t rows, int64_t j0, int64_t width, float alpha,
+                 float* __restrict__ acc_io) {
+  static_assert(kTaStrip == 16, "the strip is two eight-float vectors");
+  V8f acc[M][2];  // the same layout as acc_io
+  std::memcpy(acc, acc_io, sizeof(acc));
+  for (int64_t kk = k0; kk < k0 + rows; ++kk) {
+    const float* __restrict__ ak = a + kk * n + j0;
+    const float* __restrict__ bk = b + kk * M;
+    float pad[kTaStrip] = {};
+    if constexpr (!Full) {
+      std::copy(ak, ak + width, pad);
+      ak = pad;
+    }
+    V8f lo, hi;
+    std::memcpy(&lo, ak, sizeof(V8f));
+    std::memcpy(&hi, ak + 8, sizeof(V8f));
+    lo = alpha * lo;
+    hi = alpha * hi;
+#pragma GCC unroll 8
+    for (int64_t j = 0; j < M; ++j) {
+      const V8f bj = {bk[j], bk[j], bk[j], bk[j], bk[j], bk[j], bk[j], bk[j]};
+      Fma8(lo, bj, acc[j][0]);
+      Fma8(hi, bj, acc[j][1]);
+    }
   }
-  SmallMWriteback<M>(acc, c, i0, w_end, beta);
+  std::memcpy(acc_io, acc, sizeof(acc));
 }
 
-// Eight floats; GCC lowers the shuffles below to the target's SIMD level.
-using V8f = float __attribute__((vector_size(32)));
-using V8i = int32_t __attribute__((vector_size(32)));
+// Output rows [j_begin, j_end) of C = alpha·Aᵀ·B + beta·C (A [k×n]). With
+// a non-null x, each row block of those columns first takes A += X in `e`
+// (the same matrix as `a`, writable) and is read while still in cache.
+template <int64_t M>
+void GemmTransASmallMCols(const float* x, float* e, const float* a,
+                          const float* b, float* c, int64_t j_begin,
+                          int64_t j_end, int64_t n, int64_t k, float alpha,
+                          float beta) {
+  const int64_t cols = j_end - j_begin;
+  const int64_t full = cols / kTaStrip;
+  const int64_t tail = cols - full * kTaStrip;
+  const int64_t strips = full + (tail > 0 ? 1 : 0);
+  thread_local std::vector<float> scratch;
+  scratch.assign(static_cast<size_t>(strips * M * kTaStrip), 0.0f);
+  float* const acc = scratch.data();
+  for (int64_t k0 = 0; k0 < k; k0 += kTaRowBlock) {
+    const int64_t rows = std::min<int64_t>(kTaRowBlock, k - k0);
+    if (x != nullptr) {
+      for (int64_t kk = k0; kk < k0 + rows; ++kk) {
+        float* __restrict__ ek = e + kk * n;
+        const float* __restrict__ xk = x + kk * n;
+        for (int64_t j = j_begin; j < j_end; ++j) ek[j] += xk[j];
+      }
+    }
+    for (int64_t s = 0; s < full; ++s)
+      TransAStrip<M, true>(a, b, n, k0, rows, j_begin + s * kTaStrip,
+                           kTaStrip, alpha, acc + s * M * kTaStrip);
+    if (tail > 0)
+      TransAStrip<M, false>(a, b, n, k0, rows, j_begin + full * kTaStrip,
+                            tail, alpha, acc + full * M * kTaStrip);
+  }
+  for (int64_t i = j_begin; i < j_end; ++i) {
+    const float* __restrict__ at =
+        acc + (i - j_begin) / kTaStrip * M * kTaStrip + (i - j_begin) % kTaStrip;
+    float* __restrict__ ci = c + i * M;
+    if (beta == 0.0f) {
+      for (int64_t j = 0; j < M; ++j) ci[j] = at[j * kTaStrip];
+    } else {
+      for (int64_t j = 0; j < M; ++j)
+        ci[j] = BetaBlend(at[j * kTaStrip], beta, ci[j]);
+    }
+  }
+}
+
+using TransAColsFn = void (*)(const float*, float*, const float*,
+                              const float*, float*, int64_t, int64_t, int64_t,
+                              int64_t, float, float);
+constexpr TransAColsFn kTransASmallMCols[kSmallM + 1] = {
+    nullptr,
+    &GemmTransASmallMCols<1>,
+    &GemmTransASmallMCols<2>,
+    &GemmTransASmallMCols<3>,
+    &GemmTransASmallMCols<4>,
+    &GemmTransASmallMCols<5>,
+    &GemmTransASmallMCols<6>,
+    &GemmTransASmallMCols<7>,
+    &GemmTransASmallMCols<8>};
 
 // Interleaves four rows of an 8×8 block, pairwise and then pair with pair:
 // v[0] holds columns 0 and 4 of the four rows, v[1] columns 1 and 5, v[2]
@@ -489,43 +589,32 @@ void GemmSmallMTile(const float* a, const float* b, float* c, int64_t i0,
   SmallMWriteback<M>(acc, c, i0, w_end, beta);
 }
 
-// Rows [i_begin, i_end) of the small-m kernel: full tiles, then one partial.
-template <bool TransA, int64_t M>
+// Rows [i_begin, i_end) of the small-m Gemm: full tiles, then one partial.
+template <int64_t M>
 void GemmSmallMRows(const float* a, const float* b, float* c, int64_t i_begin,
-                    int64_t i_end, int64_t n, int64_t k, float alpha,
-                    float beta) {
+                    int64_t i_end, int64_t k, float alpha, float beta) {
   for (int64_t i0 = i_begin; i0 < i_end; i0 += kSmallMRows) {
     const int64_t rows = std::min<int64_t>(kSmallMRows, i_end - i0);
-    const bool full = rows == kSmallMRows;
-    if constexpr (TransA) {
-      if (full) {
-        GemmTransASmallMTile<M, true>(a, b, c, i0, rows, n, k, alpha, beta);
-      } else {
-        GemmTransASmallMTile<M, false>(a, b, c, i0, rows, n, k, alpha, beta);
-      }
+    if (rows == kSmallMRows) {
+      GemmSmallMTile<M, true>(a, b, c, i0, rows, k, alpha, beta);
     } else {
-      if (full) {
-        GemmSmallMTile<M, true>(a, b, c, i0, rows, k, alpha, beta);
-      } else {
-        GemmSmallMTile<M, false>(a, b, c, i0, rows, k, alpha, beta);
-      }
+      GemmSmallMTile<M, false>(a, b, c, i0, rows, k, alpha, beta);
     }
   }
 }
 
 using SmallMRowsFn = void (*)(const float*, const float*, float*, int64_t,
-                              int64_t, int64_t, int64_t, float, float);
-template <bool TransA>
-constexpr SmallMRowsFn kSmallMRowsFns[kSmallM + 1] = {
+                              int64_t, int64_t, float, float);
+constexpr SmallMRowsFn kGemmSmallMRows[kSmallM + 1] = {
     nullptr,
-    &GemmSmallMRows<TransA, 1>,
-    &GemmSmallMRows<TransA, 2>,
-    &GemmSmallMRows<TransA, 3>,
-    &GemmSmallMRows<TransA, 4>,
-    &GemmSmallMRows<TransA, 5>,
-    &GemmSmallMRows<TransA, 6>,
-    &GemmSmallMRows<TransA, 7>,
-    &GemmSmallMRows<TransA, 8>};
+    &GemmSmallMRows<1>,
+    &GemmSmallMRows<2>,
+    &GemmSmallMRows<3>,
+    &GemmSmallMRows<4>,
+    &GemmSmallMRows<5>,
+    &GemmSmallMRows<6>,
+    &GemmSmallMRows<7>,
+    &GemmSmallMRows<8>};
 
 // Shape routing under kAuto and kNever, as for the small-k TransB path;
 // kAlways keeps forcing the packed path.
@@ -534,38 +623,57 @@ bool UseSmallM(int64_t m) {
          g_pack_mode.load(std::memory_order_relaxed) != GemmPackMode::kAlways;
 }
 
+// E += X elementwise on the pool, as Tensor::add_ does.
+void AddInPlace(const float* x, float* e, int64_t count) {
+  par::ParallelFor(par::kDefaultGrain, count, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) e[i] += x[i];
+  });
+}
+
+// C = alpha·op(A)·B + beta·C on the kernel its shape routes to, rows split
+// on the pool. A non-null x (TransA only) first adds X into A, held
+// writable in `e`: the small-m kernel folds that add into its row blocks,
+// the other paths take it as one pass before the product.
+template <bool TransA>
+void GemmRouted(const float* x, float* e, const float* a, const float* b,
+                float* c, int64_t n, int64_t k, int64_t m, float alpha,
+                float beta, par::KernelTimer* timer) {
+  const bool small_m = UseSmallM(m);
+  if (x != nullptr && !small_m) AddInPlace(x, e, n * k);
+  const bool packed = !small_m && UsePackedSaxpy(n, k, m);
+  const auto rows = [&](int64_t begin, int64_t end) {
+    if (small_m && TransA) {
+      kTransASmallMCols[m](x, e, a, b, c, begin, end, n, k, alpha, beta);
+    } else if (small_m) {
+      kGemmSmallMRows[m](a, b, c, begin, end, k, alpha, beta);
+    } else if (packed) {
+      PackedGemmRows<TransA>(a, b, c, begin, end, n, k, m, alpha, beta, timer);
+    } else {
+      GemmRows<TransA>(a, b, c, begin, end, n, k, m, alpha, beta);
+    }
+  };
+  if (GemmFlops(n, k, m) < kSerialInlineFlops) {
+    rows(0, n);
+    return;
+  }
+  // Blocks split on tile boundaries, so only a block's last tile is partial.
+  const int64_t align = !small_m ? kMr : TransA ? kTaStrip : kSmallMRows;
+  par::ParallelForBlocks(GemmRowGrain(k, m), n, align,
+                         [&](int64_t, int64_t begin, int64_t end) {
+                           rows(begin, end);
+                         });
+}
+
 template <bool TransA>
 void GemmImpl(std::span<const float> a, std::span<const float> b,
               std::span<float> c, int64_t n, int64_t k, int64_t m, float alpha,
               float beta, const char* stat_name) {
   CheckGemmSizes(a.size(), b.size(), c.size(), n, k, m);
   if (n == 0 || m == 0) return;
-  const uint64_t flops = GemmFlops(n, k, m);
-  par::KernelTimer timer(stat_name, flops, GemmBytes(n, k, m, beta));
-  const bool small_m = UseSmallM(m);
-  const bool packed = !small_m && UsePackedSaxpy(n, k, m);
-  const auto rows = [&](int64_t begin, int64_t end) {
-    if (small_m) {
-      kSmallMRowsFns<TransA>[m](a.data(), b.data(), c.data(), begin, end, n,
-                                k, alpha, beta);
-    } else if (packed) {
-      PackedGemmRows<TransA>(a.data(), b.data(), c.data(), begin, end, n, k, m,
-                             alpha, beta, &timer);
-    } else {
-      GemmRows<TransA>(a.data(), b.data(), c.data(), begin, end, n, k, m,
-                       alpha, beta);
-    }
-  };
-  if (flops < kSerialInlineFlops) {
-    rows(0, n);
-    return;
-  }
-  // Blocks split on tile boundaries, so only a block's last tile is partial.
-  const int64_t align = small_m ? kSmallMRows : kMr;
-  par::ParallelForBlocks(GemmRowGrain(k, m), n, align,
-                         [&](int64_t, int64_t begin, int64_t end) {
-                           rows(begin, end);
-                         });
+  par::KernelTimer timer(stat_name, GemmFlops(n, k, m),
+                         GemmBytes(n, k, m, beta));
+  GemmRouted<TransA>(nullptr, nullptr, a.data(), b.data(), c.data(), n, k, m,
+                     alpha, beta, &timer);
 }
 
 // Fixed 8-lane interleaved fp32 dot product (lane l takes k ≡ l mod 8),
@@ -857,15 +965,16 @@ const float* PackTransBSmallKScratch(const float* b, int64_t k, int64_t m) {
   return bt.data();
 }
 
-// Output rows [i_begin, i_end) of ProjectResidual in kSmallMRows blocks:
-// E += X, P = E·Q, E −= P·Qᵀ per block. K is r for the small-m/small-k
+// Output rows [i_begin, i_end) of AddGemm (Residual false) or
+// ProjectResidual (true) in kSmallMRows blocks: E += X, P = E·Q, and for
+// ProjectResidual E −= P·Qᵀ, per block. K is r for the small-m/small-k
 // paths (bt is then the packed Qᵀ) and 0 for r > kSmallK, which takes
 // GemmRows and Dot8 instead. Each step is the chain of its stand-alone
 // kernel; only the order in which the rows are visited changes.
-template <int64_t K>
-void ProjectResidualRows(const float* x, float* e, const float* q,
-                         const float* bt, float* p, int64_t i_begin,
-                         int64_t i_end, int64_t m, int64_t r) {
+template <bool Residual, int64_t K>
+void ProjectRows(const float* x, float* e, const float* q, const float* bt,
+                 float* p, int64_t i_begin, int64_t i_end, int64_t m,
+                 int64_t r) {
   for (int64_t i0 = i_begin; i0 < i_end; i0 += kSmallMRows) {
     const int64_t rows = std::min<int64_t>(kSmallMRows, i_end - i0);
     float* __restrict__ eb = e + i0 * m;
@@ -873,15 +982,17 @@ void ProjectResidualRows(const float* x, float* e, const float* q,
     for (int64_t t = 0; t < rows * m; ++t) eb[t] += xb[t];
     if constexpr (K == 0) {
       GemmRows<false>(e, q, p, i0, i0 + rows, 0, m, r, 1.0f, 0.0f);
-      ReconDot8Rows<Recon::kSubtract>(p, q, nullptr, e, i0, i0 + rows, r, m);
+      if constexpr (Residual)
+        ReconDot8Rows<Recon::kSubtract>(p, q, nullptr, e, i0, i0 + rows, r, m);
     } else {
       if (rows == kSmallMRows) {
         GemmSmallMTile<K, true>(e, q, p, i0, rows, m, 1.0f, 0.0f);
       } else {
         GemmSmallMTile<K, false>(e, q, p, i0, rows, m, 1.0f, 0.0f);
       }
-      ReconSmallKRows<K, Recon::kSubtract>(p, bt, nullptr, e, i0, i0 + rows,
-                                           m);
+      if constexpr (Residual)
+        ReconSmallKRows<K, Recon::kSubtract>(p, bt, nullptr, e, i0, i0 + rows,
+                                             m);
     }
   }
 }
@@ -889,10 +1000,47 @@ void ProjectResidualRows(const float* x, float* e, const float* q,
 using ProjectRowsFn = void (*)(const float*, float*, const float*,
                                const float*, float*, int64_t, int64_t,
                                int64_t, int64_t);
-constexpr ProjectRowsFn kProjectResidualRows[kSmallK + 1] = {
-    &ProjectResidualRows<0>, &ProjectResidualRows<1>, &ProjectResidualRows<2>,
-    &ProjectResidualRows<3>, &ProjectResidualRows<4>, &ProjectResidualRows<5>,
-    &ProjectResidualRows<6>, &ProjectResidualRows<7>, &ProjectResidualRows<8>};
+template <bool Residual>
+constexpr ProjectRowsFn kProjectRows[kSmallK + 1] = {
+    &ProjectRows<Residual, 0>, &ProjectRows<Residual, 1>,
+    &ProjectRows<Residual, 2>, &ProjectRows<Residual, 3>,
+    &ProjectRows<Residual, 4>, &ProjectRows<Residual, 5>,
+    &ProjectRows<Residual, 6>, &ProjectRows<Residual, 7>,
+    &ProjectRows<Residual, 8>};
+
+// AddGemm / ProjectResidual: one call, timed once under `gemm`.
+template <bool Residual>
+void Project(std::span<const float> x, std::span<float> e,
+             std::span<const float> q, std::span<float> p, int64_t n,
+             int64_t m, int64_t r) {
+  CheckGemmSizes(e.size(), q.size(), p.size(), n, m, r);
+  ACPS_CHECK_MSG(static_cast<int64_t>(x.size()) == n * m, "X size mismatch");
+  if (n == 0) return;
+  const uint64_t nm = static_cast<uint64_t>(n) * static_cast<uint64_t>(m);
+  const uint64_t flops = GemmFlops(n, m, r);
+  par::KernelTimer timer(
+      "gemm", (Residual ? 2 : 1) * (flops + nm),
+      (3 * nm + static_cast<uint64_t>(n + m) * static_cast<uint64_t>(r)) *
+          sizeof(float));
+  const bool small = r >= 1 && r <= kSmallK;
+  const float* bt = nullptr;
+  if (Residual && small) {
+    bt = PackTransBSmallKScratch(q.data(), r, m);
+    timer.AddPanel(static_cast<uint64_t>(r * m) * sizeof(float),
+                   static_cast<uint64_t>(n));
+  }
+  const ProjectRowsFn rows = kProjectRows<Residual>[small ? r : 0];
+  if (flops < kSerialInlineFlops) {
+    rows(x.data(), e.data(), q.data(), bt, p.data(), 0, n, m, r);
+    return;
+  }
+  // Blocks split on kSmallMRows boundaries, as Gemm's small-m path does.
+  par::ParallelForBlocks(GemmRowGrain(m, r), n, kSmallMRows,
+                         [&](int64_t, int64_t begin, int64_t end) {
+                           rows(x.data(), e.data(), q.data(), bt, p.data(),
+                                begin, end, m, r);
+                         });
+}
 
 // SubtractLowRank / SplitLowRank: x is null for kSubtract.
 template <Recon Ep>
@@ -1028,32 +1176,29 @@ void SplitLowRank(std::span<const float> p, std::span<const float> q,
 void ProjectResidual(std::span<const float> x, std::span<float> e,
                      std::span<const float> q, std::span<float> p, int64_t n,
                      int64_t m, int64_t r) {
-  CheckGemmSizes(e.size(), q.size(), p.size(), n, m, r);
+  Project<true>(x, e, q, p, n, m, r);
+}
+
+void AddGemm(std::span<const float> x, std::span<float> e,
+             std::span<const float> q, std::span<float> p, int64_t n,
+             int64_t m, int64_t r) {
+  Project<false>(x, e, q, p, n, m, r);
+}
+
+void AddGemmTransA(std::span<const float> x, std::span<float> e,
+                   std::span<const float> p, std::span<float> q, int64_t n,
+                   int64_t m, int64_t r) {
+  // Q = Eᵀ·P is GemmTransA with A = E stored [n×m]: m output rows, depth n.
+  CheckGemmSizes(e.size(), p.size(), q.size(), m, n, r);
   ACPS_CHECK_MSG(static_cast<int64_t>(x.size()) == n * m, "X size mismatch");
-  if (n == 0) return;
+  if (n == 0 || m == 0) return;
   const uint64_t nm = static_cast<uint64_t>(n) * static_cast<uint64_t>(m);
-  const uint64_t flops = GemmFlops(n, m, r);
   par::KernelTimer timer(
-      "gemm", 2 * (flops + nm),
+      "gemm_ta", GemmFlops(m, n, r) + nm,
       (3 * nm + static_cast<uint64_t>(n + m) * static_cast<uint64_t>(r)) *
           sizeof(float));
-  const float* bt = nullptr;
-  if (r >= 1 && r <= kSmallK) {
-    bt = PackTransBSmallKScratch(q.data(), r, m);
-    timer.AddPanel(static_cast<uint64_t>(r * m) * sizeof(float),
-                   static_cast<uint64_t>(n));
-  }
-  const ProjectRowsFn rows = kProjectResidualRows[bt != nullptr ? r : 0];
-  if (flops < kSerialInlineFlops) {
-    rows(x.data(), e.data(), q.data(), bt, p.data(), 0, n, m, r);
-    return;
-  }
-  // Blocks split on kSmallMRows boundaries, as Gemm's small-m path does.
-  par::ParallelForBlocks(GemmRowGrain(m, r), n, kSmallMRows,
-                         [&](int64_t, int64_t begin, int64_t end) {
-                           rows(x.data(), e.data(), q.data(), bt, p.data(),
-                                begin, end, m, r);
-                         });
+  GemmRouted<true>(x.data(), e.data(), e.data(), p.data(), q.data(), m, n, r,
+                   1.0f, 0.0f, &timer);
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {

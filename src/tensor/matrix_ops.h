@@ -24,10 +24,12 @@
 //    than left to -ffp-contract because GCC contracts the production tile
 //    but not the interchanged naive nest, which silently breaks parity.
 //    For 1 <= m <= 8 (the rank-r factor products M·Q and Mᵀ·P) both take a
-//    small-m path that blocks 32 output rows and vectorizes across them
-//    (Gemm copies its row tile k-major first, alpha folded — the same single
-//    multiply); this is bitwise safe because each element's chain above is
-//    untouched, only computed beside other rows instead of other columns.
+//    small-m path that vectorizes across output rows: Gemm blocks 32 rows
+//    and copies their tile k-major first, alpha folded — the same single
+//    multiply; GemmTransA streams A's rows in blocks and walks 16-column
+//    strips, parking each strip's accumulators in scratch between blocks.
+//    This is bitwise safe because each element's chain above is untouched,
+//    only computed beside other rows instead of other columns.
 //  * the dot-form kernel (GemmTransB) accumulates a_ik * b_jk into 8
 //    fixed interleaved fp32 lanes (lane l takes k ≡ l mod 8), combine the
 //    lanes in a fixed pairwise tree, and apply alpha once to the combined
@@ -118,6 +120,26 @@ void SplitLowRank(std::span<const float> p, std::span<const float> q,
 void ProjectResidual(std::span<const float> x, std::span<float> e,
                      std::span<const float> q, std::span<float> p, int64_t n,
                      int64_t m, int64_t r);
+
+// ---------------------------------------------------------------------------
+// Error-feedback adds folded into the factor product that reads their
+// result. Bitwise equal to `E += X` elementwise followed by the plain
+// product, at any thread count. No aliasing between X, E and the factors.
+// ---------------------------------------------------------------------------
+
+// ProjectResidual without its residual stage: E += X, then P = E·Q, per
+// 32-row block (Power-SGD's P step, where E is the gradient M and X the
+// residual). Timed once under `gemm`.
+void AddGemm(std::span<const float> x, std::span<float> e,
+             std::span<const float> q, std::span<float> p, int64_t n,
+             int64_t m, int64_t r);
+
+// E += X, then Q = Eᵀ·P (P [n×r], Q [m×r]; ACP-SGD's error-feedback Q
+// step). For r <= 8 each row block of E takes the add just before the
+// small-m GemmTransA kernel reads it. Timed once under `gemm_ta`.
+void AddGemmTransA(std::span<const float> x, std::span<float> e,
+                   std::span<const float> p, std::span<float> q, int64_t n,
+                   int64_t m, int64_t r);
 
 // ---------------------------------------------------------------------------
 // Naive references: single-threaded definitional loop nests (one output

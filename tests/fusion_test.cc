@@ -152,5 +152,27 @@ TEST(FusionBuffer, ResetAllowsReuse) {
   EXPECT_EQ(out[1], 8.0f);
 }
 
+// Reset keeps the storage, so a smaller layout packed after a larger one
+// must still see exactly its own elements through flat() and Unpack, and
+// still refuse AddSlot once packed.
+TEST(FusionBuffer, ResetToSmallerLayoutRoundTrips) {
+  FusionBuffer buf;
+  (void)buf.AddSlot(6);
+  buf.Pack(0, std::vector<float>(6, 9.0f));
+  buf.Reset();
+  const int s0 = buf.AddSlot(1);
+  const int s1 = buf.AddSlot(2);
+  buf.Pack(s0, std::vector<float>{1});
+  buf.Pack(s1, std::vector<float>{2, 3});
+  const auto flat = buf.flat();
+  EXPECT_EQ(std::vector<float>(flat.begin(), flat.end()),
+            (std::vector<float>{1, 2, 3}));
+  for (float& v : buf.flat()) v *= 2.0f;
+  std::vector<float> out(2);
+  buf.Unpack(s1, out);
+  EXPECT_EQ(out, (std::vector<float>{4, 6}));
+  EXPECT_THROW((void)buf.AddSlot(1), Error);
+}
+
 }  // namespace
 }  // namespace acps::fusion

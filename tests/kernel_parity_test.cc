@@ -267,7 +267,8 @@ TEST(KernelParity, SmallKTransBMatchesNaiveBitwise) {
 
 // The small-m saxpy path (m <= 8: the rank-r factor products M·Q and Mᵀ·P)
 // against the naive references, for both Gemm and GemmTransA: m = 1..8 and
-// one past, n on both sides of the 32-row tile, k on both sides of the
+// one past, n on both sides of the 32-row tile (and of GemmTransA's
+// 16-column strip), k on both sides of GemmTransA's 32-row block and of the
 // 256-deep Gemm panel, and for every m one shape past the serial inline
 // cutoff (2·n·k·m >= 2^23) so the pool splits rows. Each result must also
 // be the same at every thread budget and every pack mode (kAlways still
@@ -282,7 +283,8 @@ TEST(KernelParity, SmallMSaxpyMatchesNaiveBitwise) {
   std::vector<Case> cases;
   for (int64_t m = 1; m <= 9; ++m) {
     for (const int64_t n : {1, 31, 32, 33, 97})
-      for (const int64_t k : {0, 1, 7, 300}) cases.push_back({{n, k, m}, true});
+      for (const int64_t k : {0, 1, 7, 31, 32, 33, 65, 300})
+        cases.push_back({{n, k, m}, true});
     // Past the serial inline cutoff; n is not a multiple of the tile.
     const int64_t n = 1031;
     const int64_t k = (int64_t{1} << 22) / (n * m) + 1;
@@ -413,6 +415,70 @@ TEST(KernelParity, ProjectResidualMatchesThreePassesBitwise) {
           << "P " << n << "x" << m << "x" << r << " threads=" << threads;
       EXPECT_TRUE(BitsEqual(e, want_e))
           << "E " << n << "x" << m << "x" << r << " threads=" << threads;
+    }
+  }
+}
+
+// The error-feedback adds folded into a factor product, against `add_`
+// followed by the naive product: AddGemmTransA (E += X, Q = Eᵀ·P) and
+// AddGemm (E += X, P = E·Q). r on both sides of the small-m cutoff, n on
+// both sides of the 32-row block and m on both sides of the 16-column
+// strip, one shape past the serial inline cutoff, every thread budget.
+std::vector<Shape3> AddGemmShapes() {
+  std::vector<Shape3> shapes;  // {n, m, r}
+  for (int64_t r = 1; r <= 9; ++r)
+    for (const int64_t n : {1, 31, 32, 33, 97})
+      for (const int64_t m : {1, 15, 16, 17, 300}) shapes.push_back({n, m, r});
+  shapes.push_back({1031, 1031, 4});
+  return shapes;
+}
+
+TEST(KernelParity, AddGemmTransAMatchesTwoPassesBitwise) {
+  ThreadGuard guard;
+  for (const auto& [n, m, r] : AddGemmShapes()) {
+    const size_t nm = static_cast<size_t>(n * m);
+    const Tensor x = Tensor::FromSpan({n, m}, SmallKOperand(nm, 71));
+    const Tensor e0 = Tensor::FromSpan({n, m}, RandomVec(nm, 72));
+    const auto p = SmallKOperand(static_cast<size_t>(n * r), 73);
+    Tensor want_e = e0.clone();
+    want_e.add_(x);
+    std::vector<float> want_q(static_cast<size_t>(m * r));
+    GemmTransANaive(want_e.data(), p, want_q, m, n, r);
+    for (const int threads : {1, 2, 4, 8}) {
+      par::SetNumThreads(threads);
+      Tensor e = e0.clone();
+      std::vector<float> q(want_q.size(),
+                           std::numeric_limits<float>::quiet_NaN());
+      AddGemmTransA(x.data(), e.data(), p, q, n, m, r);
+      EXPECT_TRUE(BitsEqual(e.data(), want_e.data()))
+          << "E " << n << "x" << m << "x" << r << " threads=" << threads;
+      EXPECT_TRUE(BitsEqual(q, want_q))
+          << "Q " << n << "x" << m << "x" << r << " threads=" << threads;
+    }
+  }
+}
+
+TEST(KernelParity, AddGemmMatchesTwoPassesBitwise) {
+  ThreadGuard guard;
+  for (const auto& [n, m, r] : AddGemmShapes()) {
+    const size_t nm = static_cast<size_t>(n * m);
+    const Tensor x = Tensor::FromSpan({n, m}, SmallKOperand(nm, 74));
+    const Tensor e0 = Tensor::FromSpan({n, m}, RandomVec(nm, 75));
+    const auto q = SmallKOperand(static_cast<size_t>(m * r), 76);
+    Tensor want_e = e0.clone();
+    want_e.add_(x);
+    std::vector<float> want_p(static_cast<size_t>(n * r));
+    GemmNaive(want_e.data(), q, want_p, n, m, r);
+    for (const int threads : {1, 2, 4, 8}) {
+      par::SetNumThreads(threads);
+      Tensor e = e0.clone();
+      std::vector<float> p(want_p.size(),
+                           std::numeric_limits<float>::quiet_NaN());
+      AddGemm(x.data(), e.data(), q, p, n, m, r);
+      EXPECT_TRUE(BitsEqual(e.data(), want_e.data()))
+          << "E " << n << "x" << m << "x" << r << " threads=" << threads;
+      EXPECT_TRUE(BitsEqual(p, want_p))
+          << "P " << n << "x" << m << "x" << r << " threads=" << threads;
     }
   }
 }

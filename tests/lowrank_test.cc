@@ -29,6 +29,11 @@ float RelErr(const Tensor& approx, const Tensor& target) {
   return d.norm2() / target.norm2();
 }
 
+bool SameBits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
 // ------------------------------------------------------------ helpers -----
 
 TEST(LowRankWorthwhile, Logic) {
@@ -137,6 +142,68 @@ TEST(PowerSgd, ThrowingAllReduceLeavesResidualUnchanged) {
     EXPECT_THROW(psgd.Step(0, h, failing), Error);
     EXPECT_EQ(std::vector<float>(e.begin(), e.end()), before)
         << "failure on all-reduce " << fail_on;
+  }
+}
+
+// Power-SGD's step rebuilt from public kernels, one full pass each:
+// M += E, P = M·Q, orthogonalize, Q = Mᵀ·P, then M̂ = P·Qᵀ and E = M − M̂.
+void PassByPassPowerSgdStep(const PowerSgdConfig& cfg, Tensor& q, Tensor& e,
+                            Tensor& m, const AllReduceMeanFn& allreduce) {
+  const int64_t n = m.rows(), mm = m.cols(), r = q.cols();
+  if (cfg.error_feedback) m.add_(e);
+  Tensor p({n, r});
+  Gemm(m.data(), q.data(), p.data(), n, mm, r);
+  allreduce(p.data());
+  Orthogonalize(p);
+  GemmTransA(m.data(), p.data(), q.data(), mm, n, r);
+  allreduce(q.data());
+  Tensor recon({n, mm});
+  GemmTransB(p.data(), q.data(), recon.data(), n, r, mm);
+  if (cfg.error_feedback) {
+    for (int64_t i = 0; i < m.numel(); ++i)
+      e.data()[i] = m.data()[i] - recon.data()[i];
+  }
+  m.copy_from(recon);
+}
+
+// PowerSgd::Step (the P step's add folded into its product, the streamed
+// residual split) against the pass-by-pass step, bit for bit, over four
+// steps so each residual feeds the next: error feedback on and off, r on
+// both sides of the small-m cutoff, n not a multiple of the 32-row block.
+TEST(PowerSgd, FusedStepMatchesPassByPassBitwise) {
+  struct Case {
+    int64_t n, m, rank;
+    bool error_feedback;
+  };
+  const AllReduceMeanFn scale = [](std::span<float> v) {
+    for (float& x : v) x *= 0.75f;
+  };
+  for (const Case c : {Case{70, 45, 4, true}, Case{70, 45, 4, false},
+                       Case{97, 40, 9, true}, Case{97, 40, 9, false},
+                       Case{1031, 1031, 4, true}}) {
+    PowerSgdConfig cfg;
+    cfg.rank = c.rank;
+    cfg.error_feedback = c.error_feedback;
+    const int64_t id = 5;
+    PowerSgd psgd(cfg);
+    Tensor ref_q({c.m, c.rank});
+    Rng(cfg.seed).split(static_cast<uint64_t>(id)).fill_normal(ref_q);
+    Tensor ref_e = Tensor::Zeros({c.n, c.m});
+    for (int step = 1; step <= 4; ++step) {
+      Tensor got = RandomMatrix(c.n, c.m, 500 + static_cast<uint64_t>(step));
+      Tensor want = got.clone();
+      psgd.Step(id, got, scale);
+      PassByPassPowerSgdStep(cfg, ref_q, ref_e, want, scale);
+      ASSERT_TRUE(SameBits(got.data(), want.data()))
+          << "M̂, step " << step << ", " << c.n << "x" << c.m << " r"
+          << c.rank << " ef=" << c.error_feedback;
+      ASSERT_TRUE(SameBits(psgd.factor_q(id, c.n, c.m), ref_q.data()))
+          << "Q, step " << step;
+      if (c.error_feedback) {
+        ASSERT_TRUE(SameBits(psgd.residual_e(id, c.n, c.m), ref_e.data()))
+            << "E, step " << step;
+      }
+    }
   }
 }
 
@@ -396,11 +463,6 @@ class ThreePassAcp {
   Tensor p_, q_, e_;
   uint64_t t_ = 0;
 };
-
-bool SameBits(std::span<const float> a, std::span<const float> b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
-}
 
 // LocalStep's one-sweep P step (and its streamed Q-step residual) against
 // the three-pass sequence, bit for bit, over four steps so both parities
