@@ -198,7 +198,7 @@ void NaiveGramSchmidt(std::vector<float>& a, int64_t n, int64_t r) {
 }
 
 // The Power-SGD orthogonalization panel: a 1024×32 tall-skinny factor, the
-// exact shape the packed GEMM family feeds (Power-SGD's P and Q factors).
+// shape of Power-SGD's P and Q at rank 32, as M·Q and Mᵀ·P produce them.
 Case OrthoPanelCase(const std::string& name, bool quick, int64_t n,
                     int64_t r) {
   return {name, quick, [n, r](int reps) {
@@ -227,10 +227,6 @@ std::vector<Case> BuildCases() {
       GemmTransBCase("gemm_tb_4096x4096x32", /*quick=*/true, 4096, 4096, 32));
   cases.push_back(
       GemmTransACase("gemm_ta_4096x4096x32", /*quick=*/false, 4096, 4096, 32));
-  // Dense square shape whose B panel overflows L2 — the packed saxpy path's
-  // showcase (the direct path re-streams all of B per row tile here).
-  cases.push_back(GemmCase("gemm_1024x1024x1024", /*quick=*/false, 1024, 1024,
-                           1024));
   // Power-SGD / ACP-SGD low-rank factors P = M·Q at every paper rank (r <= 8
   // takes the small-m path, r4 gated by a hard floor below).
   for (const int64_t r : {1, 2, 4, 8, 32}) {

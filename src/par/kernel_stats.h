@@ -7,11 +7,12 @@
 // constructor is one relaxed atomic load and nothing is recorded — kernels
 // stay unobserved-cost-free like the obs tracer.
 //
-// The packed-panel GEMM layer (tensor/matrix_ops.cc, DESIGN.md §6e)
-// additionally reports how much data it staged into packed panels and how
-// often a packed panel was reused by a micro-kernel sweep, via
-// KernelTimer::AddPanel from inside the parallel workers (relaxed atomics
-// on the caller's timer, flushed once at destruction).
+// GEMM kernels that pack an operand (the packed GemmTransB panels and the
+// small-k k-major copy of B; tensor/matrix_ops.cc, DESIGN.md §6e)
+// additionally report how much data they staged and how often a packed
+// copy was reused, via KernelTimer::AddPanel from inside the parallel
+// workers (relaxed atomics on the caller's timer, flushed once at
+// destruction).
 //
 // acps::obs exports this table as metrics / a FLOP-rate report
 // (obs/kernel_metrics.h); keeping the collection side here preserves the

@@ -1,7 +1,6 @@
 #include "tensor/matrix_ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -12,8 +11,6 @@
 
 namespace acps {
 namespace {
-
-std::atomic<GemmPackMode> g_pack_mode{GemmPackMode::kAuto};
 
 // Micro-tile shape for the register-blocked GEMM family: kMr C rows × kNj C
 // columns of fp32 accumulators live in registers across the whole k loop, so
@@ -144,184 +141,6 @@ void GemmRows(const float* a, const float* b, float* c, int64_t i0_begin,
 }
 
 // ---------------------------------------------------------------------------
-// L2-blocked packed-panel layer (DESIGN.md §6e). The (m,n,k) nest is tiled
-// into macro-panels sized for the 2 MiB L2; A panels are copied kMr-row
-// interleaved (alpha folded in — the same single `alpha * a_ik` multiply the
-// unpacked tile performs) and B panels kNj-column interleaved into
-// per-thread scratch, so the micro-kernel reads both operands as contiguous
-// streams and a packed B panel is reused by every row tile of the ic loop.
-// Edge tiles are zero-padded to full kMr×kNj inside the pack — the padded
-// lanes compute garbage accumulators that are simply never written back, so
-// every real element keeps the exact fmaf chain of the unpacked path.
-// k-splitting (the pc loop) spills the fp32 accumulators to a scratch C
-// block between panels; a float round-trips memory exactly, so the chain
-// value is untouched. Scratch is thread_local: workers never share panels.
-// ---------------------------------------------------------------------------
-constexpr int64_t kKc = 256;  // k macro-panel depth
-constexpr int64_t kMc = 96;   // rows per A pack (16 micro row tiles)
-constexpr int64_t kNc = 128;  // cols per B pack (4 micro col tiles, 128 KiB)
-constexpr int64_t kRc = 768;  // row chunk bounding the accumulator scratch
-
-// Packs rows [i0, i0+mb) of op(A)'s k-panel [pc, pc+kc) into `dst`,
-// kMr-interleaved per micro row tile: dst[t*kc*kMr + kk*kMr + r] =
-// alpha * op(A)[i0 + t*kMr + r][pc + kk], zero beyond mb. Pure data
-// movement plus the alpha fold — no accumulation (acps-analyze
-// pack-pure-move enforces this for every Pack* function).
-template <bool TransA>
-void PackAPanel(const float* a, int64_t n, int64_t k, int64_t i0, int64_t mb,
-                int64_t pc, int64_t kc, float alpha, float* dst) {
-  const int64_t mtiles = (mb + kMr - 1) / kMr;
-  for (int64_t t = 0; t < mtiles; ++t) {
-    float* __restrict__ tile = dst + t * kc * kMr;
-    const int64_t rb = std::min<int64_t>(kMr, mb - t * kMr);
-    if constexpr (TransA) {
-      // A is [k×n]: walk kk outer so source reads stay row-sequential.
-      for (int64_t kk = 0; kk < kc; ++kk) {
-        const float* __restrict__ acol = a + (pc + kk) * n + i0 + t * kMr;
-        for (int64_t r = 0; r < rb; ++r) tile[kk * kMr + r] = alpha * acol[r];
-        for (int64_t r = rb; r < kMr; ++r) tile[kk * kMr + r] = 0.0f;
-      }
-    } else {
-      // A is [n×k]: walk each source row once, scattering into the tile.
-      for (int64_t r = 0; r < rb; ++r) {
-        const float* __restrict__ arow = a + (i0 + t * kMr + r) * k + pc;
-        for (int64_t kk = 0; kk < kc; ++kk)
-          tile[kk * kMr + r] = alpha * arow[kk];
-      }
-      for (int64_t r = rb; r < kMr; ++r)
-        for (int64_t kk = 0; kk < kc; ++kk) tile[kk * kMr + r] = 0.0f;
-    }
-  }
-}
-
-// Packs B's [pc, pc+kc) × [jc, jc+nb) panel kNj-interleaved per micro
-// column tile: dst[t*kc*kNj + kk*kNj + jj] = B[pc+kk][jc + t*kNj + jj],
-// zero beyond nb. Pure data movement.
-void PackBPanel(const float* b, int64_t m, int64_t pc, int64_t kc, int64_t jc,
-                int64_t nb, float* dst) {
-  const int64_t ntiles = (nb + kNj - 1) / kNj;
-  for (int64_t t = 0; t < ntiles; ++t) {
-    float* __restrict__ tile = dst + t * kc * kNj;
-    const int64_t jb = std::min<int64_t>(kNj, nb - t * kNj);
-    for (int64_t kk = 0; kk < kc; ++kk) {
-      const float* __restrict__ brow = b + (pc + kk) * m + jc + t * kNj;
-      for (int64_t jj = 0; jj < jb; ++jj) tile[kk * kNj + jj] = brow[jj];
-      for (int64_t jj = jb; jj < kNj; ++jj) tile[kk * kNj + jj] = 0.0f;
-    }
-  }
-}
-
-// One kMr×kNj register tile over a packed k-panel: load the running
-// accumulators (or start at 0 on the first panel), fold kc contributions in
-// ascending k with the same explicit std::fmaf as the unpacked tile, spill
-// back. acc_io round-trips fp32 exactly, so chaining panels reproduces the
-// full-k register chain bit for bit.
-void PackedMicroKernel(const float* __restrict__ ap,
-                       const float* __restrict__ bp, int64_t kc, bool first,
-                       float* __restrict__ acc_io) {
-  float acc[kMr][kNj];
-  for (int64_t r = 0; r < kMr; ++r)
-    for (int64_t jj = 0; jj < kNj; ++jj)
-      acc[r][jj] = first ? 0.0f : acc_io[r * kNj + jj];
-  for (int64_t kk = 0; kk < kc; ++kk) {
-    const float* __restrict__ av = ap + kk * kMr;
-    const float* __restrict__ bk = bp + kk * kNj;
-    for (int64_t r = 0; r < kMr; ++r) {
-      const float aik = av[r];
-      for (int64_t jj = 0; jj < kNj; ++jj)
-        acc[r][jj] = std::fmaf(aik, bk[jj], acc[r][jj]);
-    }
-  }
-  for (int64_t r = 0; r < kMr; ++r)
-    for (int64_t jj = 0; jj < kNj; ++jj) acc_io[r * kNj + jj] = acc[r][jj];
-}
-
-// Packed-path rows [rb_, re_) of C = alpha·op(A)·B + beta·C. Loop order
-// rc → jc → pc → ic: each packed B panel is reused by every row tile of its
-// rc chunk, each packed A panel by every column tile of its jc panel. beta
-// is applied exactly once per element at the final writeback from the
-// accumulator scratch, against the untouched original C.
-template <bool TransA>
-void PackedGemmRows(const float* a, const float* b, float* c, int64_t rb_,
-                    int64_t re_, int64_t n, int64_t k, int64_t m, float alpha,
-                    float beta, par::KernelTimer* timer) {
-  thread_local std::vector<float> apack, bpack, cacc;
-  uint64_t pack_bytes = 0;
-  uint64_t reuses = 0;
-  for (int64_t rc = rb_; rc < re_; rc += kRc) {
-    const int64_t rows = std::min<int64_t>(kRc, re_ - rc);
-    for (int64_t jc = 0; jc < m; jc += kNc) {
-      const int64_t nb = std::min<int64_t>(kNc, m - jc);
-      const int64_t ntiles = (nb + kNj - 1) / kNj;
-      const int64_t mtiles_all = (rows + kMr - 1) / kMr;
-      cacc.resize(static_cast<size_t>(mtiles_all * ntiles * kMr * kNj));
-      if (k == 0) std::fill(cacc.begin(), cacc.end(), 0.0f);
-      for (int64_t pc = 0; pc < k; pc += kKc) {
-        const int64_t kc = std::min<int64_t>(kKc, k - pc);
-        bpack.resize(static_cast<size_t>(ntiles * kc * kNj));
-        PackBPanel(b, m, pc, kc, jc, nb, bpack.data());
-        pack_bytes += static_cast<uint64_t>(ntiles * kc * kNj) * sizeof(float);
-        const bool first = pc == 0;
-        for (int64_t ic = rc; ic < rc + rows; ic += kMc) {
-          const int64_t mb = std::min<int64_t>(kMc, rc + rows - ic);
-          const int64_t mtiles = (mb + kMr - 1) / kMr;
-          apack.resize(static_cast<size_t>(mtiles * kc * kMr));
-          PackAPanel<TransA>(a, n, k, ic, mb, pc, kc, alpha, apack.data());
-          pack_bytes +=
-              static_cast<uint64_t>(mtiles * kc * kMr) * sizeof(float);
-          for (int64_t t = 0; t < mtiles; ++t) {
-            const int64_t it = (ic - rc) / kMr + t;
-            for (int64_t jt = 0; jt < ntiles; ++jt) {
-              PackedMicroKernel(
-                  apack.data() + t * kc * kMr, bpack.data() + jt * kc * kNj,
-                  kc, first, cacc.data() + (it * ntiles + jt) * kMr * kNj);
-              ++reuses;
-            }
-          }
-        }
-      }
-      for (int64_t i = rc; i < rc + rows; ++i) {
-        const int64_t it = (i - rc) / kMr;
-        const int64_t r = (i - rc) % kMr;
-        for (int64_t jt = 0; jt < ntiles; ++jt) {
-          const float* __restrict__ at =
-              cacc.data() + (it * ntiles + jt) * kMr * kNj + r * kNj;
-          const int64_t jb = std::min<int64_t>(kNj, nb - jt * kNj);
-          float* __restrict__ cj = c + i * m + jc + jt * kNj;
-          if (beta == 0.0f) {
-            for (int64_t jj = 0; jj < jb; ++jj) cj[jj] = at[jj];
-          } else {
-            for (int64_t jj = 0; jj < jb; ++jj)
-              cj[jj] = BetaBlend(at[jj], beta, cj[jj]);
-          }
-        }
-      }
-    }
-  }
-  if (timer != nullptr) timer->AddPanel(pack_bytes, reuses);
-}
-
-// Packed-path routing. kAuto takes the packed saxpy path only where the
-// panel reuse pays for the copies: enough columns for an A panel to serve
-// several column tiles, a deep enough k for the pc loop to matter, and a B
-// footprint that is actually straining L2. The acceptance dense shape
-// (4096×4096×32, B = 512 KiB, m = kNj) stays on the direct path, which
-// already runs at ~28× naive out of L2.
-bool UsePackedSaxpy(int64_t n, int64_t k, int64_t m) {
-  switch (g_pack_mode.load(std::memory_order_relaxed)) {
-    case GemmPackMode::kAlways:
-      return true;
-    case GemmPackMode::kNever:
-      return false;
-    case GemmPackMode::kAuto:
-      break;
-  }
-  return m >= 2 * kNj && k >= 128 && n >= kMr &&
-         static_cast<uint64_t>(k) * static_cast<uint64_t>(m) * sizeof(float) >=
-             (1u << 20);
-}
-
-// ---------------------------------------------------------------------------
 // Small-m saxpy form (1 <= m <= kSmallM): the rank-r factor products of
 // Power-SGD / ACP-SGD, P = M·Q (Gemm) and Q = Mᵀ·P (GemmTransA), whose
 // output has only r columns. The general tiles are kNj columns wide, so
@@ -338,7 +157,8 @@ bool UsePackedSaxpy(int64_t n, int64_t k, int64_t m) {
 //    strip at a time down all k rows at stride n. The pool splits columns
 //    on strip boundaries.
 //  * Gemm first copies a kSmallMRows-row tile's A elements, alpha folded,
-//    k-major into a kKc-deep stack panel (PackASmallM) and runs over that.
+//    k-major into a kSmallMDepth-deep stack panel (PackASmallM) and runs
+//    over that.
 //    (The register block the naive loop suggests — rows × m accumulators,
 //    one broadcast a_ik per row — measured 2–3× slower at m = 3..7 (AVX2,
 //    GCC 12): the vectorizer mixes scalar and vector lanes there.)
@@ -351,6 +171,9 @@ constexpr int64_t kSmallM = 8;
 // Measured at 1024×1024×4, 1 thread (AVX2, GCC 12), M·Q: 32 rows took
 // 0.84 ms, 64 rows 1.21 ms and 16 rows 3.6 ms.
 constexpr int64_t kSmallMRows = 32;
+// k depth of Gemm's small-m panel: kSmallMRows × 256 floats is a 32 KiB
+// stack array, refilled every 256 k steps.
+constexpr int64_t kSmallMDepth = 256;
 // GemmTransA's strip width and row block. 16 columns keep 2·m accumulator
 // vectors plus the A strip in registers up to m = 8; a 32-wide strip
 // spilled.
@@ -578,9 +401,9 @@ void GemmSmallMTile(const float* a, const float* b, float* c, int64_t i0,
                     int64_t rows, int64_t k, float alpha, float beta) {
   const int64_t w_end = Full ? kSmallMRows : rows;
   float acc[M][kSmallMRows] = {};
-  alignas(64) float panel[kKc * kSmallMRows];
-  for (int64_t pc = 0; pc < k; pc += kKc) {
-    const int64_t kc = std::min<int64_t>(kKc, k - pc);
+  alignas(64) float panel[kSmallMDepth * kSmallMRows];
+  for (int64_t pc = 0; pc < k; pc += kSmallMDepth) {
+    const int64_t kc = std::min<int64_t>(kSmallMDepth, k - pc);
     PackASmallM(a, k, i0, w_end, pc, kc, alpha, panel);
     for (int64_t kk = 0; kk < kc; ++kk)
       SmallMAccumulate<M>(panel + kk * kSmallMRows, b + (pc + kk) * M, acc,
@@ -616,13 +439,6 @@ constexpr SmallMRowsFn kGemmSmallMRows[kSmallM + 1] = {
     &GemmSmallMRows<7>,
     &GemmSmallMRows<8>};
 
-// Shape routing under kAuto and kNever, as for the small-k TransB path;
-// kAlways keeps forcing the packed path.
-bool UseSmallM(int64_t m) {
-  return m >= 1 && m <= kSmallM &&
-         g_pack_mode.load(std::memory_order_relaxed) != GemmPackMode::kAlways;
-}
-
 // E += X elementwise on the pool, as Tensor::add_ does.
 void AddInPlace(const float* x, float* e, int64_t count) {
   par::ParallelFor(par::kDefaultGrain, count, [&](int64_t begin, int64_t end) {
@@ -631,23 +447,21 @@ void AddInPlace(const float* x, float* e, int64_t count) {
 }
 
 // C = alpha·op(A)·B + beta·C on the kernel its shape routes to, rows split
-// on the pool. A non-null x (TransA only) first adds X into A, held
+// on the pool: 1 <= m <= kSmallM takes the small-m kernels, every other m
+// the register tiles. A non-null x (TransA only) first adds X into A, held
 // writable in `e`: the small-m kernel folds that add into its row blocks,
-// the other paths take it as one pass before the product.
+// the register tiles take it as one pass before the product.
 template <bool TransA>
 void GemmRouted(const float* x, float* e, const float* a, const float* b,
                 float* c, int64_t n, int64_t k, int64_t m, float alpha,
-                float beta, par::KernelTimer* timer) {
-  const bool small_m = UseSmallM(m);
+                float beta) {
+  const bool small_m = m >= 1 && m <= kSmallM;
   if (x != nullptr && !small_m) AddInPlace(x, e, n * k);
-  const bool packed = !small_m && UsePackedSaxpy(n, k, m);
   const auto rows = [&](int64_t begin, int64_t end) {
     if (small_m && TransA) {
       kTransASmallMCols[m](x, e, a, b, c, begin, end, n, k, alpha, beta);
     } else if (small_m) {
       kGemmSmallMRows[m](a, b, c, begin, end, k, alpha, beta);
-    } else if (packed) {
-      PackedGemmRows<TransA>(a, b, c, begin, end, n, k, m, alpha, beta, timer);
     } else {
       GemmRows<TransA>(a, b, c, begin, end, n, k, m, alpha, beta);
     }
@@ -673,7 +487,7 @@ void GemmImpl(std::span<const float> a, std::span<const float> b,
   par::KernelTimer timer(stat_name, GemmFlops(n, k, m),
                          GemmBytes(n, k, m, beta));
   GemmRouted<TransA>(nullptr, nullptr, a.data(), b.data(), c.data(), n, k, m,
-                     alpha, beta, &timer);
+                     alpha, beta);
 }
 
 // Fixed 8-lane interleaved fp32 dot product (lane l takes k ≡ l mod 8),
@@ -741,7 +555,7 @@ void PackTransBPanel(const float* b, int64_t k, int64_t j0, int64_t k8,
 // plain Dot8 path.
 void GemmTransBPackedRows(const float* a, const float* b, float* c,
                           int64_t i_begin, int64_t i_end, int64_t k, int64_t m,
-                          float alpha, float beta, par::KernelTimer* timer) {
+                          float alpha, float beta, par::KernelTimer& timer) {
   const int64_t k8 = k - k % 8;
   const int64_t jp_end = m - m % kTbJb;
   const int64_t panel_floats = kTbJb * k8;
@@ -798,22 +612,7 @@ void GemmTransBPackedRows(const float* a, const float* b, float* c,
   if (jp_end < m) {
     GemmTransBRows(a, b, c, i_begin, i_end, jp_end, m, k, m, alpha, beta);
   }
-  if (timer != nullptr) timer->AddPanel(pack_bytes, reuses);
-}
-
-// kAuto takes the packed TransB path when k is deep enough for the
-// interleaved 8-blocks to dominate the tail and there are enough rows to
-// amortize the panel copy.
-bool UsePackedTransB(int64_t n, int64_t k, int64_t m) {
-  switch (g_pack_mode.load(std::memory_order_relaxed)) {
-    case GemmPackMode::kAlways:
-      return true;
-    case GemmPackMode::kNever:
-      return false;
-    case GemmPackMode::kAuto:
-      break;
-  }
-  return k >= 64 && n >= 8 && m >= kTbJb;
+  timer.AddPanel(pack_bytes, reuses);
 }
 
 // Small-k dot form (1 <= k <= kSmallK): the rank-r reconstruction P·Qᵀ of
@@ -1089,22 +888,7 @@ constexpr SmallKRowsFn kSmallKRows[kSmallK + 1] = {
     &GemmTransBSmallKRows<7>,
     &GemmTransBSmallKRows<8>};
 
-// Shape routing under kAuto and kNever (the small-k path packs only to
-// reorder B, not to block for L2); kAlways keeps forcing the packed path.
-bool UseSmallKTransB(int64_t k) {
-  return k >= 1 && k <= kSmallK &&
-         g_pack_mode.load(std::memory_order_relaxed) != GemmPackMode::kAlways;
-}
-
 }  // namespace
-
-void SetGemmPackMode(GemmPackMode mode) {
-  g_pack_mode.store(mode, std::memory_order_relaxed);
-}
-
-GemmPackMode GetGemmPackMode() {
-  return g_pack_mode.load(std::memory_order_relaxed);
-}
 
 void Gemm(std::span<const float> a, std::span<const float> b,
           std::span<float> c, int64_t n, int64_t k, int64_t m, float alpha,
@@ -1125,40 +909,34 @@ void GemmTransB(std::span<const float> a, std::span<const float> b,
   if (n == 0 || m == 0) return;
   const uint64_t flops = GemmFlops(n, k, m);
   par::KernelTimer timer("gemm_tb", flops, GemmBytes(n, k, m, beta));
-  if (UseSmallKTransB(k)) {
-    const float* packed_b = PackTransBSmallKScratch(b.data(), k, m);
+  // The small-k path packs only to reorder B; the packed path needs k deep
+  // enough for the interleaved 8-blocks to dominate the tail and enough rows
+  // to amortize the panel copy.
+  const bool small_k = k >= 1 && k <= kSmallK;
+  const bool packed = k >= 64 && n >= 8 && m >= kTbJb;
+  const float* packed_b = nullptr;
+  if (small_k) {
+    packed_b = PackTransBSmallKScratch(b.data(), k, m);
     timer.AddPanel(static_cast<uint64_t>(k * m) * sizeof(float),
                    static_cast<uint64_t>(n));
-    const SmallKRowsFn rows = kSmallKRows[k];
-    if (flops < kSerialInlineFlops) {
-      rows(a.data(), packed_b, c.data(), 0, n, m, alpha, beta);
-      return;
-    }
-    par::ParallelFor(GemmRowGrain(k, m), n, [&](int64_t begin, int64_t end) {
-      rows(a.data(), packed_b, c.data(), begin, end, m, alpha, beta);
-    });
-    return;
   }
-  const bool packed = UsePackedTransB(n, k, m);
-  if (flops < kSerialInlineFlops) {
-    if (packed) {
-      GemmTransBPackedRows(a.data(), b.data(), c.data(), 0, n, k, m, alpha,
-                           beta, &timer);
-    } else {
-      GemmTransBRows(a.data(), b.data(), c.data(), 0, n, 0, m, k, m, alpha,
+  const auto rows = [&](int64_t begin, int64_t end) {
+    if (small_k) {
+      kSmallKRows[k](a.data(), packed_b, c.data(), begin, end, m, alpha,
                      beta);
-    }
-    return;
-  }
-  par::ParallelFor(GemmRowGrain(k, m), n, [&](int64_t begin, int64_t end) {
-    if (packed) {
+    } else if (packed) {
       GemmTransBPackedRows(a.data(), b.data(), c.data(), begin, end, k, m,
-                           alpha, beta, &timer);
+                           alpha, beta, timer);
     } else {
       GemmTransBRows(a.data(), b.data(), c.data(), begin, end, 0, m, k, m,
                      alpha, beta);
     }
-  });
+  };
+  if (flops < kSerialInlineFlops) {
+    rows(0, n);
+    return;
+  }
+  par::ParallelFor(GemmRowGrain(k, m), n, rows);
 }
 
 void SubtractLowRank(std::span<const float> p, std::span<const float> q,
@@ -1198,7 +976,7 @@ void AddGemmTransA(std::span<const float> x, std::span<float> e,
       (3 * nm + static_cast<uint64_t>(n + m) * static_cast<uint64_t>(r)) *
           sizeof(float));
   GemmRouted<true>(x.data(), e.data(), e.data(), p.data(), q.data(), m, n, r,
-                   1.0f, 0.0f, &timer);
+                   1.0f, 0.0f);
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {

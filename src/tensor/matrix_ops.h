@@ -44,12 +44,16 @@
 // Tiling and row-partitioning never reorder any element's accumulation
 // chain, which is what makes kernel == naive bitwise at every thread count.
 //
-// Above the register tiles sits an L2-blocked packed-panel layer (DESIGN.md
-// §6e): macro-panels of A and B are copied into contiguous per-thread
-// scratch (kMr-row / kNj-column interleaved) and reused across the j/i
-// loops. Packing is a pure data-layout change and k-splitting only spills /
-// reloads the fp32 accumulator (exact), so the packed paths stay bitwise
-// identical to the unpacked ones and to the naive references.
+// Routing is a pure function of the shape, one kernel per shape class
+// (DESIGN.md §6e):
+//  * Gemm / GemmTransA: 1 <= m <= 8 takes the small-m kernels above; every
+//    other m the 6×32 register tiles.
+//  * GemmTransB: 1 <= k <= 8 takes the small-k kernel; k >= 64 with n >= 8
+//    and m >= 8 the packed kernel, which copies 8 rows of B at a time
+//    8-block-interleaved into L2-sized groups and runs their 8 dot products
+//    side by side; every other shape one Dot8 per element.
+// Packing is a pure data-layout change, so every route is bitwise identical
+// to the naive references.
 #pragma once
 
 #include <span>
@@ -57,19 +61,6 @@
 #include "tensor/tensor.h"
 
 namespace acps {
-
-// Routing policy for the L2-blocked packed-panel GEMM layer. kAuto (the
-// default) picks packed vs direct per call from the problem shape; kAlways
-// forces every GEMM through the packed path (parity tests use this to pin
-// the packed kernels against the naive references at boundary shapes);
-// kNever forces the pre-packing register-blocked path. Under kAuto and
-// kNever a GemmTransB with k <= 8 takes the small-k path, and a Gemm or
-// GemmTransA with m <= 8 the small-m path. All three produce
-// bitwise-identical results — the mode only moves data layout and
-// scheduling, never an accumulation chain.
-enum class GemmPackMode { kAuto, kAlways, kNever };
-void SetGemmPackMode(GemmPackMode mode);
-[[nodiscard]] GemmPackMode GetGemmPackMode();
 
 // C[n×m] = alpha * A[n×k] · B[k×m] + beta * C. Row-major, no aliasing.
 void Gemm(std::span<const float> a, std::span<const float> b,

@@ -52,10 +52,6 @@ struct ThreadGuard {
   ~ThreadGuard() { par::SetNumThreads(0); }
 };
 
-struct PackModeGuard {
-  ~PackModeGuard() { SetGemmPackMode(GemmPackMode::kAuto); }
-};
-
 // Shapes chosen to cover full 8×32 tiles, ragged edges in both dimensions,
 // and the tall-skinny factors of the Power-SGD family.
 struct Shape3 {
@@ -93,26 +89,49 @@ TEST(KernelParity, GemmFamilyMatchesNaiveBitwise) {
   }
 }
 
-// Packed-panel layer (DESIGN.md §6e): with the packed path forced on, every
-// GEMM must still match its naive reference bit-for-bit at shapes that
-// stress each packing boundary — dimensions that are not multiples of the
-// macro-panel sizes (kKc=256 / kMc=96 / kNc=128 / kRc=768 rows), k=1, a
-// single micro-tile, a panel exactly equal to the full matrix, and the
-// TransB j-panel width (8) straddled on both sides.
-TEST(KernelParity, PackedPathMatchesNaiveBitwise) {
+// Routing is a pure function of the shape (DESIGN.md §6e), so these shapes
+// reach every saxpy route (Gemm/GemmTransA: small-m for m <= 8, else the
+// 6×32 register tiles) and every dot route (GemmTransB: small-k for k <= 8,
+// packed for k >= 64, n >= 8, m >= 8, else one Dot8 per element) at their
+// edges, and each must match its naive reference bit-for-bit at every
+// thread budget.
+TEST(KernelParity, RouteBoundariesMatchNaiveBitwise) {
   ThreadGuard guard;
-  PackModeGuard pack_guard;
-  par::SetNumThreads(1);
   const Shape3 boundary[] = {
-      {1, 1, 1},       // degenerate single element
-      {10, 1, 40},     // k = 1: the pc loop runs once with a 1-deep panel
-      {6, 8, 32},      // exactly one kMr×kNj micro-tile
-      {96, 256, 128},  // panel == full matrix (one kMc×kKc×kNc macro-panel)
-      {97, 257, 129},  // one past every macro-panel size
-      {769, 300, 65},  // crosses the kRc row-chunk boundary
-      {13, 300, 1},    // m = 1: packed tiles fully padded in j
-      {33, 100, 7},    // m < TransB j-panel width (remainder-only)
-      {33, 100, 9},    // one past the TransB j-panel width
+      // saxpy: small-m; dot: small-k.
+      {1, 1, 1},
+      // saxpy: one full 6×32 tile plus ragged edge tiles; dot: small-k.
+      {10, 1, 40},
+      // saxpy: exactly one full tile; dot: small-k at k = 8.
+      {6, 8, 32},
+      // saxpy: full tiles only; dot: packed, no k % 8 tail or column rest.
+      {96, 256, 128},
+      // saxpy: ragged rows and one edge column; dot: packed with a k % 8
+      // tail and one leftover column on the Dot8 rows.
+      {97, 257, 129},
+      // As above, past the serial inline cutoff so the pool splits rows.
+      {769, 300, 65},
+      // saxpy: small-m at m = 1; dot: Dot8 rows (m < 8).
+      {13, 300, 1},
+      // saxpy: small-m at m = 7; dot: Dot8 rows (m < 8).
+      {33, 100, 7},
+      // saxpy: edge tiles only (8 < m < 32); dot: packed plus one column.
+      {33, 100, 9},
+      // Both sides of each packed GemmTransB cutoff (k >= 64, n >= 8,
+      // m >= 8): {8, 64, 8} is packed, the other three take the Dot8 rows.
+      // saxpy: small-m (m <= 8).
+      {8, 64, 8},
+      {8, 63, 8},
+      {7, 64, 8},
+      {8, 64, 7},
+      // The same cutoffs past the serial inline cutoff. saxpy: register
+      // tiles for m > 8, small-m for m <= 8.
+      {1031, 64, 129},  // dot: packed
+      {1031, 63, 129},  // dot: Dot8 rows
+      {8, 64, 10000},   // dot: packed
+      {7, 64, 10000},   // dot: Dot8 rows
+      {10000, 64, 8},   // dot: packed
+      {10000, 64, 7},   // dot: Dot8 rows
   };
   for (const auto& s : boundary) {
     const auto a = RandomVec(static_cast<size_t>(s.n * s.k), 51);
@@ -120,74 +139,35 @@ TEST(KernelParity, PackedPathMatchesNaiveBitwise) {
     const auto c0 = RandomVec(static_cast<size_t>(s.n * s.m), 53);
     for (const float alpha : {1.0f, -0.5f}) {
       for (const float beta : {0.0f, 1.0f, 0.25f}) {
-        SetGemmPackMode(GemmPackMode::kAlways);
-        std::vector<float> got = c0;
-        Gemm(a, b, got, s.n, s.k, s.m, alpha, beta);
-        std::vector<float> want = c0;
+        std::vector<float> want = c0, want_ta = c0, want_tb = c0;
         GemmNaive(a, b, want, s.n, s.k, s.m, alpha, beta);
-        EXPECT_TRUE(BitsEqual(got, want))
-            << "packed gemm " << s.n << "x" << s.k << "x" << s.m
-            << " alpha=" << alpha << " beta=" << beta;
+        GemmTransANaive(a, b, want_ta, s.n, s.k, s.m, alpha, beta);
+        GemmTransBNaive(a, b, want_tb, s.n, s.k, s.m, alpha, beta);
+        for (const int threads : {1, 2, 4, 8}) {
+          par::SetNumThreads(threads);
+          std::vector<float> got = c0;
+          Gemm(a, b, got, s.n, s.k, s.m, alpha, beta);
+          EXPECT_TRUE(BitsEqual(got, want))
+              << "gemm " << s.n << "x" << s.k << "x" << s.m
+              << " alpha=" << alpha << " beta=" << beta
+              << " threads=" << threads;
 
-        got = c0, want = c0;
-        GemmTransA(a, b, got, s.n, s.k, s.m, alpha, beta);
-        GemmTransANaive(a, b, want, s.n, s.k, s.m, alpha, beta);
-        EXPECT_TRUE(BitsEqual(got, want))
-            << "packed gemm_ta " << s.n << "x" << s.k << "x" << s.m
-            << " alpha=" << alpha << " beta=" << beta;
+          got = c0;
+          GemmTransA(a, b, got, s.n, s.k, s.m, alpha, beta);
+          EXPECT_TRUE(BitsEqual(got, want_ta))
+              << "gemm_ta " << s.n << "x" << s.k << "x" << s.m
+              << " alpha=" << alpha << " beta=" << beta
+              << " threads=" << threads;
 
-        got = c0, want = c0;
-        GemmTransB(a, b, got, s.n, s.k, s.m, alpha, beta);
-        GemmTransBNaive(a, b, want, s.n, s.k, s.m, alpha, beta);
-        EXPECT_TRUE(BitsEqual(got, want))
-            << "packed gemm_tb " << s.n << "x" << s.k << "x" << s.m
-            << " alpha=" << alpha << " beta=" << beta;
-
-        // Forced-packed and forced-direct must agree bitwise too — the mode
-        // knob moves data layout, never an accumulation chain.
-        got = c0, want = c0;
-        SetGemmPackMode(GemmPackMode::kAlways);
-        Gemm(a, b, got, s.n, s.k, s.m, alpha, beta);
-        SetGemmPackMode(GemmPackMode::kNever);
-        Gemm(a, b, want, s.n, s.k, s.m, alpha, beta);
-        EXPECT_TRUE(BitsEqual(got, want))
-            << "pack-mode divergence " << s.n << "x" << s.k << "x" << s.m;
+          got = c0;
+          GemmTransB(a, b, got, s.n, s.k, s.m, alpha, beta);
+          EXPECT_TRUE(BitsEqual(got, want_tb))
+              << "gemm_tb " << s.n << "x" << s.k << "x" << s.m
+              << " alpha=" << alpha << " beta=" << beta
+              << " threads=" << threads;
+        }
       }
     }
-  }
-}
-
-TEST(KernelParity, PackedPathThreadCountInvariant) {
-  ThreadGuard guard;
-  PackModeGuard pack_guard;
-  SetGemmPackMode(GemmPackMode::kAlways);
-  // n spans several row chunks (kRc = 768) so 2/4/8 threads split packed
-  // row ranges at chunk-interior boundaries.
-  const int64_t n = 4096, k = 173, m = 64;
-  const auto a = RandomVec(static_cast<size_t>(n * k), 61);
-  const auto b = RandomVec(static_cast<size_t>(k * m), 62);
-  const auto c0 = RandomVec(static_cast<size_t>(n * m), 63);
-
-  const auto run = [&] {
-    std::vector<float> out;
-    std::vector<float> c = c0;
-    Gemm(a, b, c, n, k, m, 1.0f, 0.5f);
-    out.insert(out.end(), c.begin(), c.end());
-    c = c0;
-    GemmTransA(a, b, c, n, k, m, -0.5f, 0.25f);
-    out.insert(out.end(), c.begin(), c.end());
-    c = c0;
-    GemmTransB(a, b, c, n, k, m, 2.0f, 0.0f);
-    out.insert(out.end(), c.begin(), c.end());
-    return out;
-  };
-
-  par::SetNumThreads(1);
-  const auto baseline = run();
-  for (const int threads : {2, 4, 8}) {
-    par::SetNumThreads(threads);
-    EXPECT_TRUE(BitsEqual(run(), baseline))
-        << "packed path @ " << threads << " threads";
   }
 }
 
@@ -220,11 +200,9 @@ std::vector<float> SmallKOperand(size_t n, uint64_t seed) {
 
 // The small-k dot-form path (k <= 8: at most one product per Dot8 lane)
 // against the naive reference, across every remainder of the vectorized
-// column loop, both sides of k = 8, every thread budget and every pack mode
-// (kAlways still forces the packed path).
+// column loop, both sides of k = 8 and every thread budget.
 TEST(KernelParity, SmallKTransBMatchesNaiveBitwise) {
   ThreadGuard guard;
-  PackModeGuard pack_guard;
   std::vector<Shape3> shapes;
   for (int64_t k = 1; k <= 9; ++k)
     for (const int64_t m : {1, 7, 8, 9, 33, 4608})
@@ -247,18 +225,12 @@ TEST(KernelParity, SmallKTransBMatchesNaiveBitwise) {
         GemmTransBNaive(a, b, want, s.n, s.k, s.m, alpha, beta);
         for (const int threads : {1, 2, 4, 8}) {
           par::SetNumThreads(threads);
-          for (const GemmPackMode mode :
-               {GemmPackMode::kAuto, GemmPackMode::kNever,
-                GemmPackMode::kAlways}) {
-            SetGemmPackMode(mode);
-            std::vector<float> got = c0;
-            GemmTransB(a, b, got, s.n, s.k, s.m, alpha, beta);
-            EXPECT_TRUE(BitsEqual(got, want))
-                << "gemm_tb " << s.n << "x" << s.k << "x" << s.m
-                << " alpha=" << alpha << " beta=" << beta
-                << " mode=" << static_cast<int>(mode)
-                << " threads=" << threads;
-          }
+          std::vector<float> got = c0;
+          GemmTransB(a, b, got, s.n, s.k, s.m, alpha, beta);
+          EXPECT_TRUE(BitsEqual(got, want))
+              << "gemm_tb " << s.n << "x" << s.k << "x" << s.m
+              << " alpha=" << alpha << " beta=" << beta
+              << " threads=" << threads;
         }
       }
     }
@@ -271,11 +243,9 @@ TEST(KernelParity, SmallKTransBMatchesNaiveBitwise) {
 // 16-column strip), k on both sides of GemmTransA's 32-row block and of the
 // 256-deep Gemm panel, and for every m one shape past the serial inline
 // cutoff (2·n·k·m >= 2^23) so the pool splits rows. Each result must also
-// be the same at every thread budget and every pack mode (kAlways still
-// forces the packed path).
+// be the same at every thread budget.
 TEST(KernelParity, SmallMSaxpyMatchesNaiveBitwise) {
   ThreadGuard guard;
-  PackModeGuard pack_guard;
   struct Case {
     Shape3 s;
     bool all_alphas;
@@ -309,25 +279,18 @@ TEST(KernelParity, SmallMSaxpyMatchesNaiveBitwise) {
         GemmTransANaive(a, b, want_ta, s.n, s.k, s.m, alpha, beta);
         for (const int threads : {1, 2, 4, 8}) {
           par::SetNumThreads(threads);
-          for (const GemmPackMode mode :
-               {GemmPackMode::kAuto, GemmPackMode::kNever,
-                GemmPackMode::kAlways}) {
-            SetGemmPackMode(mode);
-            std::vector<float> got = c0;
-            Gemm(a, b, got, s.n, s.k, s.m, alpha, beta);
-            EXPECT_TRUE(BitsEqual(got, want))
-                << "gemm " << s.n << "x" << s.k << "x" << s.m
-                << " alpha=" << alpha << " beta=" << beta
-                << " mode=" << static_cast<int>(mode)
-                << " threads=" << threads;
-            got = c0;
-            GemmTransA(a, b, got, s.n, s.k, s.m, alpha, beta);
-            EXPECT_TRUE(BitsEqual(got, want_ta))
-                << "gemm_ta " << s.n << "x" << s.k << "x" << s.m
-                << " alpha=" << alpha << " beta=" << beta
-                << " mode=" << static_cast<int>(mode)
-                << " threads=" << threads;
-          }
+          std::vector<float> got = c0;
+          Gemm(a, b, got, s.n, s.k, s.m, alpha, beta);
+          EXPECT_TRUE(BitsEqual(got, want))
+              << "gemm " << s.n << "x" << s.k << "x" << s.m
+              << " alpha=" << alpha << " beta=" << beta
+              << " threads=" << threads;
+          got = c0;
+          GemmTransA(a, b, got, s.n, s.k, s.m, alpha, beta);
+          EXPECT_TRUE(BitsEqual(got, want_ta))
+              << "gemm_ta " << s.n << "x" << s.k << "x" << s.m
+              << " alpha=" << alpha << " beta=" << beta
+              << " threads=" << threads;
         }
       }
     }
@@ -495,6 +458,9 @@ TEST(KernelParity, AllKernelsThreadCountInvariant) {
     std::vector<float> out;
     std::vector<float> c = c0;
     Gemm(a, b, c, n, k, m, 1.0f, 0.5f);
+    out.insert(out.end(), c.begin(), c.end());
+    c = c0;
+    GemmTransA(a, b, c, n, k, m, -0.5f, 0.25f);
     out.insert(out.end(), c.begin(), c.end());
     c = c0;
     GemmTransB(a, b, c, n, k, m, 2.0f, 0.0f);

@@ -17,9 +17,9 @@
 //                      accumulation is exactly how a nondeterministic sum
 //                      sneaks past review.
 //   pack-pure-move     packing helpers (function name contains the
-//                      camel-case word "Pack": `PackAPanel`, `Pack`, but
-//                      not `PackedGemmRows` — "Packed" names a consumer) of
-//                      the packed-panel GEMM layer (§6e) stage operands
+//                      camel-case word "Pack": `PackTransBPanel`, `Pack`,
+//                      but not `GemmTransBPackedRows` — "Packed" names a
+//                      consumer) of the GEMM kernels (§6e) stage operands
 //                      into per-thread scratch; they must be pure data
 //                      movement — plain stores, at most a fold of a scalar
 //                      constant like alpha. A compound assignment into
@@ -187,8 +187,8 @@ void FloatPass(const Corpus& corpus, const Config& cfg,
   static const std::regex compound_re(
       R"(\]\s*(\+=|-=|\*=|/=)|(^|[;{])\s*\*[^=;]*(\+=|-=|\*=|/=))");
   // Camel-case word match: "Pack" not followed by a lowercase letter, so
-  // PackAPanel / PackTransBPanel / Pack qualify but PackedGemmRows (the
-  // consumer kernel, whose word is "Packed") does not.
+  // PackASmallM / PackTransBPanel / Pack qualify but GemmTransBPackedRows
+  // (the consumer kernel, whose word is "Packed") does not.
   const auto is_pack_helper = [](const std::string& name) {
     for (size_t p = name.find("Pack"); p != std::string::npos;
          p = name.find("Pack", p + 1))
